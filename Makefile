@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-compare chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke verify examples check clean doc
+.PHONY: all build test bench bench-json bench-compare chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke perf-smoke verify examples check clean doc
 
 all: build
 
@@ -102,9 +102,21 @@ reliability-smoke:
 	! dune exec bin/netobj_sim.exe -- mc --scenario call-retry-no-dedup
 	dune exec bin/netobj_sim.exe -- chaos --seed 3 --storms 2
 
+# Call-benchmark smoke: a short traced run of the two TCP workloads that
+# carry per-message cost.  Each must end with "correct": true, which
+# covers the workload oracles, zero residue/dropped/reconnects, and the
+# layer breakdown summing to the whole within 5%.
+perf-smoke:
+	@for w in null-tcp refs-tcp; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 1 \
+	    | tail -n 1 | grep -q '"correct": true' \
+	    || { echo "perf-smoke: $$w not correct"; exit 1; }; \
+	  echo "perf-smoke: $$w correct"; \
+	done
+
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), then the eight smoke targets.
-verify: build test chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke
+# property, cram), then the nine smoke targets.
+verify: build test chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke perf-smoke
 
 examples:
 	dune exec examples/quickstart.exe

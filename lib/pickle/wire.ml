@@ -2,6 +2,21 @@ exception Error of { pos : int; msg : string }
 
 let error ~pos msg = raise (Error { pos; msg })
 
+let uvarint_size n =
+  if n < 0 then invalid_arg "Wire.uvarint_size: negative";
+  let rec go n acc = if n < 0x80 then acc else go (n lsr 7) (acc + 1) in
+  go n 1
+
+let rec put_uvarint b off n =
+  if n < 0x80 then begin
+    Bytes.set_uint8 b off n;
+    off + 1
+  end
+  else begin
+    Bytes.set_uint8 b off (0x80 lor (n land 0x7f));
+    put_uvarint b (off + 1) (n lsr 7)
+  end
+
 let () =
   Printexc.register_printer (function
     | Error { pos; msg } ->
@@ -16,6 +31,8 @@ module Writer = struct
   let length = Buffer.length
 
   let to_bytes = Buffer.to_bytes
+
+  let blit = Buffer.blit
 
   (* Per-domain pool of writers.  Checkout reuses a previously returned
      buffer (its capacity already grown by earlier encodes), so steady-state

@@ -15,6 +15,17 @@ exception Error of { pos : int; msg : string }
 
 val error : pos:int -> string -> 'a
 
+(** {2 Fixed-size encoding}
+
+    For callers that size a buffer up front and fill it in place. *)
+
+(** Bytes {!Writer.uvarint} spends on [n].  Requires [n >= 0]. *)
+val uvarint_size : int -> int
+
+(** [put_uvarint b off n] writes [n] as unsigned LEB128 at [off] and
+    returns the offset just past it.  Requires [n >= 0]. *)
+val put_uvarint : bytes -> int -> int -> int
+
 module Writer : sig
   type t
 
@@ -26,6 +37,10 @@ module Writer : sig
   (** Snapshot of the bytes written so far.  The writer stays usable; the
       returned bytes are a fresh copy owned by the caller. *)
   val to_bytes : t -> bytes
+
+  (** [blit w off dst dst_off len] copies [len] written bytes starting
+      at [off] into [dst] at [dst_off], with no intermediate copy. *)
+  val blit : t -> int -> bytes -> int -> int -> unit
 
   (** {2 Pooling}
 

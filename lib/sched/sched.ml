@@ -20,36 +20,32 @@ module Timerq = struct
      lease demons generate. Keys are (deadline, seq) for stable order. *)
   (* [live] is cleared by cancellation; dead entries are skipped by
      [peek]/[pop] so a cancelled timer neither fires nor keeps [run]
-     advancing the clock towards its deadline. *)
+     advancing the clock towards its deadline.  [queued] is true while
+     the entry sits in the heap, so [dead] counts exactly the cancelled
+     entries still occupying slots; once they are the majority the heap
+     is rebuilt without them.  Pop order is the total order on
+     (deadline, seq), so the rebuild cannot reorder anything. *)
   type entry = {
     deadline : float;
     seq : int;
     name : string;
     wake : unit -> unit;
     mutable live : bool;
+    mutable queued : bool;
   }
 
-  type t = { mutable heap : entry array; mutable size : int }
+  type t = { mutable heap : entry array; mutable size : int; mutable dead : int }
 
-  let create () =
-    {
-      heap =
-        Array.make 16
-          { deadline = 0.; seq = 0; name = ""; wake = ignore; live = false };
-      size = 0;
-    }
+  (* Fills the slots past [size], so they pin no wake closure. *)
+  let vacant =
+    { deadline = 0.; seq = 0; name = ""; wake = ignore; live = false; queued = false }
+
+  let create () = { heap = Array.make 16 vacant; size = 0; dead = 0 }
 
   let lt a b = a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
 
-  let push t e =
-    if t.size = Array.length t.heap then begin
-      let bigger = Array.make (2 * t.size) e in
-      Array.blit t.heap 0 bigger 0 t.size;
-      t.heap <- bigger
-    end;
-    t.heap.(t.size) <- e;
-    t.size <- t.size + 1;
-    let i = ref (t.size - 1) in
+  let sift_up t i =
+    let i = ref i in
     while !i > 0 && lt t.heap.(!i) t.heap.((!i - 1) / 2) do
       let p = (!i - 1) / 2 in
       let tmp = t.heap.(p) in
@@ -58,18 +54,8 @@ module Timerq = struct
       i := p
     done
 
-  let rec peek t =
-    if t.size = 0 then None
-    else if t.heap.(0).live then Some t.heap.(0)
-    else begin
-      drop_root t;
-      peek t
-    end
-
-  and drop_root t =
-    t.size <- t.size - 1;
-    t.heap.(0) <- t.heap.(t.size);
-    let i = ref 0 in
+  let sift_down t i =
+    let i = ref i in
     let continue = ref true in
     while !continue do
       let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
@@ -84,6 +70,61 @@ module Timerq = struct
         i := !smallest
       end
     done
+
+  let push t e =
+    e.queued <- true;
+    if t.size = Array.length t.heap then begin
+      let bigger = Array.make (2 * t.size) vacant in
+      Array.blit t.heap 0 bigger 0 t.size;
+      t.heap <- bigger
+    end;
+    t.heap.(t.size) <- e;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  (* Keep the live entries, then heapify bottom-up. *)
+  let rebuild t =
+    let n = ref 0 in
+    for i = 0 to t.size - 1 do
+      let e = t.heap.(i) in
+      if e.live then begin
+        t.heap.(!n) <- e;
+        incr n
+      end
+      else e.queued <- false
+    done;
+    Array.fill t.heap !n (t.size - !n) vacant;
+    t.size <- !n;
+    t.dead <- 0;
+    for i = (t.size / 2) - 1 downto 0 do
+      sift_down t i
+    done
+
+  let cancel t e =
+    if e.live then begin
+      e.live <- false;
+      if e.queued then begin
+        t.dead <- t.dead + 1;
+        if 2 * t.dead > t.size then rebuild t
+      end
+    end
+
+  let rec peek t =
+    if t.size = 0 then None
+    else if t.heap.(0).live then Some t.heap.(0)
+    else begin
+      drop_root t;
+      peek t
+    end
+
+  and drop_root t =
+    let root = t.heap.(0) in
+    root.queued <- false;
+    if not root.live then t.dead <- t.dead - 1;
+    t.size <- t.size - 1;
+    t.heap.(0) <- t.heap.(t.size);
+    t.heap.(t.size) <- vacant;
+    sift_down t 0
 
   let pop t =
     match peek t with
@@ -219,13 +260,16 @@ let now t = t.clock
 
 let add_timer t ?(name = "timer") ~deadline wake =
   t.timer_seq <- t.timer_seq + 1;
-  Timerq.push t.timers { deadline; seq = t.timer_seq; name; wake; live = true }
+  Timerq.push t.timers
+    { deadline; seq = t.timer_seq; name; wake; live = true; queued = false }
 
 let add_timer_cancel t ?(name = "timer") ~deadline wake =
   t.timer_seq <- t.timer_seq + 1;
-  let e = { Timerq.deadline; seq = t.timer_seq; name; wake; live = true } in
+  let e =
+    { Timerq.deadline; seq = t.timer_seq; name; wake; live = true; queued = false }
+  in
   Timerq.push t.timers e;
-  fun () -> e.Timerq.live <- false
+  fun () -> Timerq.cancel t.timers e
 
 (* Fiber life-cycle events (cat "sched", space -1: the scheduler is
    global).  Guarded so the disabled hot path pays one branch. *)
@@ -465,7 +509,9 @@ let read_timeout t iv ~timeout =
   if Ivar.is_filled iv then Some (Ivar.read iv)
   else begin
     (* Race the fill against a timer; whichever fires first resumes the
-       fiber exactly once. *)
+       fiber exactly once.  A fill cancels the timer: left armed, it
+       would sit in the heap until virtual time reached its deadline,
+       which under a driving loop that never idles is never. *)
     suspend (fun wake ->
         let woken = ref false in
         let once () =
@@ -474,8 +520,10 @@ let read_timeout t iv ~timeout =
             wake ()
           end
         in
-        Ivar.on_fill iv once;
-        timer t timeout once);
+        let cancel = timer_cancel t timeout once in
+        Ivar.on_fill iv (fun () ->
+            cancel ();
+            once ()));
     Ivar.peek iv
   end
 

@@ -58,6 +58,13 @@ val max_frame : int
     @raise Unsupported_mode on the reserved modes. *)
 val encode : ?mode:mode -> string -> string
 
+(** [write_header ~mode b off ~body_len] writes the {!overhead}-byte
+    header of a frame whose body is [body_len] bytes at [off] in [b], so
+    a sender can build header and body in one buffer.
+    @raise Unsupported_mode on the reserved modes.
+    @raise Corrupt if the frame would exceed {!val-max_frame}. *)
+val write_header : ?mode:mode -> bytes -> int -> body_len:int -> unit
+
 (** Bytes of framing overhead per frame (the length prefix plus the
     flag byte). *)
 val overhead : int

@@ -24,17 +24,29 @@ let initial_backoff = 0.05
 
 let max_backoff = 1.0
 
+(* A frame this large is written from its own string; smaller ones are
+   gathered, up to [gather_cap] bytes, into one buffer per write.
+   Copying a large frame would cost as much as the syscall it saves. *)
+let large_frame = 16 * 1024
+
+let gather_cap = 64 * 1024
+
 type inbound = { in_fd : Unix.file_descr; in_dec : Frame.decoder }
 
-(* One outgoing connection per remote address.  [p_wbuf]/[p_woff] hold
-   the frame currently on the wire; on connection loss the write offset
-   rewinds to 0 so the frame is retransmitted whole on the next
-   connection — the receiver binds its decoder to the connection
-   ([in_dec]), so the torn tail died with the socket and retransmission
-   cannot duplicate.  [p_dec] reads the peer's replies on this dialled
-   connection and outlives it, so it must be reset whenever the
-   connection drops: a reply frame torn by the old socket must not
-   prefix the fresh connection's stream. *)
+(* One outgoing connection per remote address.  The in-flight buffer
+   [p_out] holds the bytes currently on the wire: either every small
+   queued frame concatenated into the peer's reused [p_gather], or one
+   large frame's own bytes.  [p_ends] lists the end offset and message
+   count of each frame in it not yet wholly written, and [p_wstart] is
+   where the first of those begins.  On connection loss the write
+   offset rewinds to [p_wstart], so a torn frame is retransmitted whole
+   on the next connection and a wholly written one never is — the
+   receiver binds its decoder to the connection ([in_dec]), so the torn
+   tail died with the socket and retransmission cannot duplicate.
+   [p_dec] reads the peer's replies on this dialled connection and
+   outlives it, so it must be reset whenever the connection drops: a
+   reply frame torn by the old socket must not prefix the fresh
+   connection's stream. *)
 type peer = {
   p_addr : int;
   mutable p_fd : Unix.file_descr option;
@@ -42,8 +54,12 @@ type peer = {
   p_dec : Frame.decoder;
   p_queue : (string * int) Queue.t;
   mutable p_queued_bytes : int;
-  mutable p_wbuf : string;
+  mutable p_gather : Bytes.t;
+  mutable p_out : Bytes.t;
+  mutable p_out_len : int;
   mutable p_woff : int;
+  mutable p_wstart : int;
+  p_ends : (int * int) Queue.t;
   mutable p_backoff : float;
   mutable p_next_attempt : float;
   mutable p_failed_once : bool;
@@ -161,8 +177,12 @@ let peer_for t addr =
           p_dec = Frame.decoder ();
           p_queue = Queue.create ();
           p_queued_bytes = 0;
-          p_wbuf = "";
+          p_gather = Bytes.empty;
+          p_out = Bytes.empty;
+          p_out_len = 0;
           p_woff = 0;
+          p_wstart = 0;
+          p_ends = Queue.create ();
           p_backoff = initial_backoff;
           p_next_attempt = 0.0;
           p_failed_once = false;
@@ -171,8 +191,11 @@ let peer_for t addr =
       Hashtbl.add t.peers addr p;
       p
 
+(* Resend from the first frame not wholly written. *)
+let rewind p = p.p_woff <- p.p_wstart
+
 (* A failed connect or broken connection: drop the socket, rewind the
-   in-flight frame, and back off before the next attempt (doubling up to
+   in-flight buffer, and back off before the next attempt (doubling up to
    the cap).  Every post-failure attempt counts as a reconnect.  A
    learned connection (see [learn]) is also registered in [inbound], so
    it must leave that list when it dies or select would see a closed
@@ -185,7 +208,7 @@ let conn_lost t p =
   | None -> ());
   p.p_fd <- None;
   p.p_connecting <- false;
-  p.p_woff <- 0;
+  rewind p;
   Frame.reset p.p_dec;
   p.p_failed_once <- true;
   p.p_next_attempt <- Unix.gettimeofday () +. p.p_backoff;
@@ -208,7 +231,7 @@ let learn t ~src fd =
     | Some old when old != fd ->
         close_quietly old;
         t.inbound <- List.filter (fun c -> c.in_fd != old) t.inbound;
-        p.p_woff <- 0;
+        rewind p;
         Frame.reset p.p_dec
     | Some _ -> ()
     | None -> ());
@@ -278,22 +301,40 @@ let enqueue t ~dst ~count frame =
     p.p_queued_bytes <- p.p_queued_bytes + String.length frame
   end
 
-let body_header w ~src ~dst ~count =
-  Wire.Writer.uvarint w src;
-  Wire.Writer.uvarint w dst;
-  Wire.Writer.uvarint w count
+(* A frame is built in one buffer of its exact size: header, then the
+   body [uvarint src · uvarint dst · uvarint count · submessages], whose
+   length is known before anything is copied.  [fill] writes the
+   [sub_len] submessage bytes at the offset it is given. *)
+let build_frame ~src ~dst ~count ~sub_len fill =
+  let body_len =
+    Wire.uvarint_size src + Wire.uvarint_size dst + Wire.uvarint_size count
+    + sub_len
+  in
+  let b = Bytes.create (Frame.overhead + body_len) in
+  Frame.write_header b 0 ~body_len;
+  let off = Wire.put_uvarint b Frame.overhead src in
+  let off = Wire.put_uvarint b off dst in
+  let off = Wire.put_uvarint b off count in
+  fill b off;
+  (body_len, Bytes.unsafe_to_string b)
+
+(* A length-prefixed string, as [Wire.Writer.string] lays it out. *)
+let string_size s = Wire.uvarint_size (String.length s) + String.length s
+
+let put_string b off s =
+  let off = Wire.put_uvarint b off (String.length s) in
+  Bytes.blit_string s 0 b off (String.length s);
+  off + String.length s
 
 let send t ~src ~dst ~kind payload =
   account_logical t kind (String.length payload);
-  let body =
-    Wire.Writer.with_pooled (fun w ->
-        body_header w ~src ~dst ~count:1;
-        Wire.Writer.string w kind;
-        Wire.Writer.string w payload;
-        Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+  let body_len, frame =
+    build_frame ~src ~dst ~count:1
+      ~sub_len:(string_size kind + string_size payload)
+      (fun b off -> ignore (put_string b (put_string b off kind) payload))
   in
-  account_physical t (String.length body);
-  enqueue t ~dst ~count:1 (Frame.encode body)
+  account_physical t body_len;
+  enqueue t ~dst ~count:1 frame
 
 (* {2 Coalescing} — same discipline as the simulated network: [post]
    accumulates submessages per (src, dst) outbox; [flush] packs each
@@ -312,18 +353,16 @@ let flush t =
     List.iter
       (fun ((src, dst), ob) ->
         let count = ob.ob_n in
-        let body =
-          Wire.Writer.with_pooled (fun w ->
-              body_header w ~src ~dst ~count;
-              Wire.Writer.raw w
-                (Bytes.unsafe_to_string (Wire.Writer.to_bytes ob.ob_w));
-              Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+        let sub_len = Wire.Writer.length ob.ob_w in
+        let body_len, frame =
+          build_frame ~src ~dst ~count ~sub_len (fun b off ->
+              Wire.Writer.blit ob.ob_w 0 b off sub_len)
         in
         Wire.Writer.return ob.ob_w;
-        account_physical t (String.length body);
+        account_physical t body_len;
         t.frames <- t.frames + 1;
         t.coalesced <- t.coalesced + count;
-        enqueue t ~dst ~count (Frame.encode body))
+        enqueue t ~dst ~count frame)
       pending
   end
 
@@ -386,62 +425,115 @@ let drain_decoder t ?learn_fd dec =
   loop ();
   !n
 
-(* Read everything currently available on [fd] into [dec].  Returns
-   [(dispatched, alive)]. *)
+(* Read what [fd] has into [dec], feeding each chunk to the decoder
+   straight from [read_chunk] ([Frame.feed] copies it before the next
+   read reuses the chunk).  A short read ends the pass: [select] is
+   level-triggered, so whatever arrives after it is seen on the next
+   pump, and the read that would only have returned [EAGAIN] is saved.
+   Returns [(dispatched, alive)]. *)
 let read_into t ?learn_fd fd dec =
-  let dispatched = ref 0 in
-  let alive = ref true in
-  let continue = ref true in
-  while !continue do
-    match Unix.read fd read_chunk 0 (Bytes.length read_chunk) with
-    | 0 ->
-        alive := false;
-        continue := false
+  let cap = Bytes.length read_chunk in
+  let rec loop dispatched =
+    match Unix.read fd read_chunk 0 cap with
+    | 0 -> (dispatched, false)
     | n -> (
         match
-          Frame.feed dec (Bytes.sub_string read_chunk 0 n);
+          Frame.feed dec ~off:0 ~len:n (Bytes.unsafe_to_string read_chunk);
           drain_decoder t ?learn_fd dec
         with
-        | k -> dispatched := !dispatched + k
+        | k -> if n < cap then (dispatched + k, true) else loop (dispatched + k)
         | exception (Frame.Corrupt _ | Frame.Unsupported_mode _) ->
             (* A stream we cannot parse is a dead stream. *)
-            alive := false;
-            continue := false)
+            (dispatched, false))
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) ->
-        alive := false;
-        continue := false
-  done;
-  (!dispatched, !alive)
+        (dispatched, true)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop dispatched
+    | exception Unix.Unix_error (_, _, _) -> (dispatched, false)
+  in
+  loop 0
 
 (* {2 Writing} *)
 
+let peer_has_output p = p.p_woff < p.p_out_len || not (Queue.is_empty p.p_queue)
+
+let take_frame p =
+  let ((frame, _) as f) = Queue.take p.p_queue in
+  p.p_queued_bytes <- p.p_queued_bytes - String.length frame;
+  f
+
+(* Refill the drained in-flight buffer from the queue: a large frame
+   alone and uncopied, else every small frame up to the next large one
+   or [gather_cap]. *)
+let fill_out p =
+  match Queue.peek p.p_queue with
+  | frame, _ when String.length frame >= large_frame ->
+      let frame, count = take_frame p in
+      p.p_out <- Bytes.unsafe_of_string frame;
+      p.p_out_len <- String.length frame;
+      Queue.add (p.p_out_len, count) p.p_ends
+  | _ ->
+      let len = ref 0 in
+      let rec gather () =
+        match Queue.peek_opt p.p_queue with
+        | Some (frame, _)
+          when String.length frame < large_frame
+               && !len + String.length frame <= gather_cap ->
+            let frame, count = take_frame p in
+            let n = String.length frame in
+            if !len + n > Bytes.length p.p_gather then begin
+              let cap = Int.max 4096 (2 * (!len + n)) in
+              let g = Bytes.create (Int.min gather_cap cap) in
+              Bytes.blit p.p_gather 0 g 0 !len;
+              p.p_gather <- g
+            end;
+            Bytes.blit_string frame 0 p.p_gather !len n;
+            len := !len + n;
+            Queue.add (!len, count) p.p_ends;
+            gather ()
+        | _ -> ()
+      in
+      gather ();
+      p.p_out <- p.p_gather;
+      p.p_out_len <- !len
+
+(* Forget the frames the write offset has passed: they are on the wire
+   whole and must never be resent. *)
+let rec retire p =
+  match Queue.peek_opt p.p_ends with
+  | Some (stop, _) when stop <= p.p_woff ->
+      ignore (Queue.take p.p_ends);
+      p.p_wstart <- stop;
+      retire p
+  | _ -> ()
+
+(* One write per in-flight buffer: the whole of the peer's queue when it
+   is all small frames.  Frames wholly written leave [p_ends]; a short
+   write means the socket buffer is full, so the rest waits for the next
+   pump's writability. *)
 let rec write_pending t p fd =
-  if p.p_wbuf = "" then
-    match Queue.take_opt p.p_queue with
-    | None -> ()
-    | Some (frame, _count) ->
-        p.p_queued_bytes <- p.p_queued_bytes - String.length frame;
-        p.p_wbuf <- frame;
-        p.p_woff <- 0;
-        write_pending t p fd
+  if p.p_woff = p.p_out_len then begin
+    if not (Queue.is_empty p.p_queue) then begin
+      fill_out p;
+      write_pending t p fd
+    end
+  end
   else
-    let remaining = String.length p.p_wbuf - p.p_woff in
-    match Unix.write_substring fd p.p_wbuf p.p_woff remaining with
+    let want = p.p_out_len - p.p_woff in
+    match Unix.write fd p.p_out p.p_woff want with
     | n ->
         p.p_woff <- p.p_woff + n;
-        if p.p_woff = String.length p.p_wbuf then begin
-          p.p_wbuf <- "";
+        retire p;
+        if n = want then begin
+          (* Drop a large frame's bytes as soon as they are on the wire. *)
+          p.p_out <- p.p_gather;
+          p.p_out_len <- 0;
           p.p_woff <- 0;
+          p.p_wstart <- 0;
           write_pending t p fd
         end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_pending t p fd
     | exception Unix.Unix_error (_, _, _) -> conn_lost t p
-
-let peer_has_output p = p.p_wbuf <> "" || not (Queue.is_empty p.p_queue)
 
 let accept_all t lfd =
   let continue = ref true in
@@ -549,7 +641,7 @@ let pump t ~timeout =
                 | Some fd' when fd' == fd ->
                     p.p_fd <- None;
                     p.p_connecting <- false;
-                    p.p_woff <- 0;
+                    rewind p;
                     Frame.reset p.p_dec
                 | _ -> ())
               t.peers;
@@ -587,8 +679,9 @@ let connect t addr =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (* Messages still pending — posted but unflushed, or queued towards
-       an unreachable peer — never reach a socket: count them dropped,
+    (* Messages still pending — posted but unflushed, queued towards an
+       unreachable peer, or in a frame not wholly written — never reach
+       the receiver: count them dropped,
        and give checked-out outbox writers back to the pool. *)
     Hashtbl.iter
       (fun _ ob ->
@@ -602,6 +695,7 @@ let close t =
     t.inbound <- [];
     Hashtbl.iter
       (fun _ p ->
+        Queue.iter (fun (_, count) -> drop t count) p.p_ends;
         Queue.iter (fun (_, count) -> drop t count) p.p_queue;
         match p.p_fd with Some fd -> close_quietly fd | None -> ())
       t.peers;

@@ -17,11 +17,20 @@
     the constituent count, mirroring the simulated network's logical
     vs physical accounting.
 
+    Each pump writes a peer's queued frames with one [write]: small
+    frames are gathered into one reused buffer, a large frame goes out
+    from its own string.  A read pass on a socket ends at the first
+    short read; [select] is level-triggered, so the rest is seen on the
+    next pump.
+
     Loss semantics: a frame that was only partially written when a
     connection broke is retransmitted in full on the next connection
-    (the receiver discarded the torn tail), so no duplicate can arise
-    from reconnection; frames queued beyond the per-peer bound
-    ([8 MiB]) while a peer is unreachable are dropped and counted.
+    (the receiver discarded the torn tail) and a frame wholly written is
+    never resent — the in-flight buffer rewinds to a frame boundary —
+    so no duplicate can arise from reconnection.  Frames queued beyond
+    the per-peer bound ([8 MiB]) while a peer is unreachable, and
+    frames not wholly written when the transport is closed, are
+    dropped and counted.
     The bare backend has no fault hooks ({!Transport.no_faults}) —
     wrap it in {!Faulty} to aim a nemesis at real sockets. *)
 

@@ -205,6 +205,37 @@ let test_read_timeout () =
   Alcotest.(check (option int)) "filled in time" (Some 42)
     (List.assoc "b" !outcomes)
 
+(* A fill must cancel the race's timer: left armed, the no-op timer would
+   drag the clock to its 5.0 deadline before [run] could quiesce. *)
+let test_read_timeout_cancels_timer () =
+  let s = Sched.create () in
+  let v = Sched.Ivar.create () in
+  let got = ref None in
+  Sched.spawn s (fun () -> got := Sched.read_timeout s v ~timeout:5.0);
+  Sched.timer s 0.1 (fun () -> Sched.Ivar.fill v 7);
+  ignore (Sched.run s);
+  Alcotest.(check (option int)) "filled" (Some 7) !got;
+  Alcotest.(check (float 1e-9)) "clock stopped at the fill" 0.1 (Sched.now s)
+
+(* Cancelling most timers triggers heap rebuilds; the survivors must still
+   fire in (deadline, arming) order, same-deadline ties included. *)
+let test_cancel_rebuild_order () =
+  let s = Sched.create () in
+  let fired = ref [] in
+  let cancels =
+    List.init 300 (fun i ->
+        let dt = float_of_int ((i * 37) mod 50) in
+        (i, dt, Sched.timer_cancel s dt (fun () -> fired := i :: !fired)))
+  in
+  List.iter (fun (i, _, cancel) -> if i mod 3 <> 0 then cancel ()) cancels;
+  let expect =
+    List.filter (fun (i, _, _) -> i mod 3 = 0) cancels
+    |> List.map (fun (i, dt, _) -> (dt, i))
+    |> List.sort compare |> List.map snd
+  in
+  ignore (Sched.run s);
+  Alcotest.(check (list int)) "survivors in order" expect (List.rev !fired)
+
 let test_timer_callback () =
   let s = Sched.create () in
   let fired_at = ref nan in
@@ -245,6 +276,10 @@ let () =
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "sleep zero" `Quick test_sleep_zero_yields;
           Alcotest.test_case "read timeout" `Quick test_read_timeout;
+          Alcotest.test_case "read timeout cancels its timer" `Quick
+            test_read_timeout_cancels_timer;
+          Alcotest.test_case "cancel rebuild keeps order" `Quick
+            test_cancel_rebuild_order;
           Alcotest.test_case "timer callback" `Quick test_timer_callback;
         ] );
       ( "sync",

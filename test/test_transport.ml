@@ -292,24 +292,29 @@ let test_tcp_reconnect () =
               Alcotest.(check bool) "reconnects counted" true
                 (s.Transport.reconnects >= 1)))
 
-(* A reply torn mid-frame by a dying connection must not pollute the
-   stream of the next connection: the dial-out decoder is reset on
-   connection loss, so the whole reply resent after reconnect decodes
-   cleanly.  The remote end is a raw socket so the test controls frame
-   boundaries exactly: it sends a 3-byte prefix of the reply (a torn
-   length field), kills the connection, then resends the reply whole on
-   the client's redial. *)
-let test_tcp_torn_reply_reconnect () =
+(* A raw listening socket on an ephemeral loopback port, so a test
+   controls exactly what the far end reads and writes; [None] (after a
+   skip notice) where loopback is unavailable.  [rcvbuf] shrinks the
+   receive buffer accepted sockets inherit, so a receiver that stops
+   reading backs the sender up quickly.  [f] gets a closer for the
+   listener, safe to call early: the listener is closed exactly once. *)
+let with_raw_listener ?rcvbuf f =
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "skipping: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
   | lfd -> (
-      Fun.protect ~finally:(fun () ->
-          try Unix.close lfd with Unix.Unix_error _ -> ())
-      @@ fun () ->
+      let closed = ref false in
+      let close () =
+        if not !closed then begin
+          closed := true;
+          try Unix.close lfd with Unix.Unix_error _ -> ()
+        end
+      in
+      Fun.protect ~finally:close @@ fun () ->
       match
         Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+        Option.iter (Unix.setsockopt_int lfd Unix.SO_RCVBUF) rcvbuf;
         Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
         Unix.listen lfd 4;
         Unix.set_nonblock lfd;
@@ -320,68 +325,185 @@ let test_tcp_torn_reply_reconnect () =
       | exception Unix.Unix_error (e, _, _) ->
           Printf.printf "skipping: loopback unavailable (%s)\n%!"
             (Unix.error_message e)
-      | port ->
-          with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched tr ->
-              let accept_deadline () =
-                let t0 = Unix.gettimeofday () in
-                let rec loop () =
-                  match Unix.accept lfd with
-                  | fd, _ -> fd
-                  | exception
-                      Unix.Unix_error
-                        ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                    ->
-                      if Unix.gettimeofday () -. t0 > 10.0 then
-                        Alcotest.fail "accept: timed out"
-                      else begin
-                        ignore (Transport.pump tr ~timeout:0.02);
-                        ignore (Sched.run sched);
-                        loop ()
-                      end
-                in
-                loop ()
-              in
-              let write_all fd s =
-                let off = ref 0 in
-                while !off < String.length s do
-                  off :=
-                    !off + Unix.write_substring fd s !off (String.length s - !off)
-                done
-              in
-              let reply =
-                Frame.encode
-                  (Wire.Writer.with_pooled (fun w ->
-                       Wire.Writer.uvarint w 1;
-                       Wire.Writer.uvarint w 0;
-                       Wire.Writer.uvarint w 1;
-                       Wire.Writer.string w "pong";
-                       Wire.Writer.string w "resent whole";
-                       Bytes.unsafe_to_string (Wire.Writer.to_bytes w)))
-              in
-              let got = ref [] in
-              Transport.set_handler tr 0 (fun ~src ~kind ~payload ~off ~len ->
-                  got := (src, kind, String.sub payload off len) :: !got);
-              Transport.send tr ~src:0 ~dst:1 ~kind:"ping" "one";
-              let afd = accept_deadline () in
-              write_all afd (String.sub reply 0 3);
-              (* Let the client buffer the torn prefix... *)
-              let t0 = Unix.gettimeofday () in
-              while Unix.gettimeofday () -. t0 < 0.2 do
-                ignore (Transport.pump tr ~timeout:0.02)
-              done;
-              (* ...then tear the connection under it. *)
-              Unix.close afd;
-              Transport.send tr ~src:0 ~dst:1 ~kind:"ping" "two";
-              let afd2 = accept_deadline () in
-              Fun.protect ~finally:(fun () ->
-                  try Unix.close afd2 with Unix.Unix_error _ -> ())
-              @@ fun () ->
-              write_all afd2 reply;
-              drive sched tr ~until:(fun () -> !got <> []);
-              Alcotest.(check (list (triple int string string)))
-                "reply decodes cleanly after reconnect"
-                [ (1, "pong", "resent whole") ]
-                !got))
+      | port -> f lfd port close)
+
+(* Accept on [lfd], pumping [tr] meanwhile so its connect can finish. *)
+let accept_pumping sched tr lfd =
+  let t0 = Unix.gettimeofday () in
+  let rec loop () =
+    match Unix.accept lfd with
+    | fd, _ -> fd
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        if Unix.gettimeofday () -. t0 > 10.0 then
+          Alcotest.fail "accept: timed out"
+        else begin
+          ignore (Transport.pump tr ~timeout:0.02);
+          ignore (Sched.run sched);
+          loop ()
+        end
+  in
+  loop ()
+
+let pump_for tr seconds =
+  let t0 = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. t0 < seconds do
+    ignore (Transport.pump tr ~timeout:0.02)
+  done
+
+(* Read [fd] until nothing more arrives for [quiet] seconds (or EOF),
+   feeding every byte to [dec]. *)
+let drain_raw ?(quiet = 0.2) fd dec =
+  let buf = Bytes.create 65536 in
+  let rec loop () =
+    match Unix.select [ fd ] [] [] quiet with
+    | [], _, _ -> ()
+    | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> ()
+        | n ->
+            Frame.feed dec (Bytes.sub_string buf 0 n);
+            loop ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) ->
+            loop ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ())
+  in
+  loop ()
+
+(* The payloads of every complete frame in [dec], in wire order. *)
+let decoded_payloads dec =
+  let rec loop acc =
+    match Frame.next dec with
+    | None -> List.rev acc
+    | Some (_, body) ->
+        let r = Wire.Reader.of_string body in
+        let _src = Wire.Reader.uvarint r in
+        let _dst = Wire.Reader.uvarint r in
+        let count = Wire.Reader.uvarint r in
+        let acc = ref acc in
+        for _ = 1 to count do
+          let _kind = Wire.Reader.string r in
+          acc := Wire.Reader.string r :: !acc
+        done;
+        loop !acc
+  in
+  loop []
+
+(* A reply torn mid-frame by a dying connection must not pollute the
+   stream of the next connection: the dial-out decoder is reset on
+   connection loss, so the whole reply resent after reconnect decodes
+   cleanly.  The remote end is a raw socket so the test controls frame
+   boundaries exactly: it sends a 3-byte prefix of the reply (a torn
+   length field), kills the connection, then resends the reply whole on
+   the client's redial. *)
+let test_tcp_torn_reply_reconnect () =
+  with_raw_listener @@ fun lfd port _close ->
+  with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched tr ->
+      let write_all fd s =
+        let off = ref 0 in
+        while !off < String.length s do
+          off := !off + Unix.write_substring fd s !off (String.length s - !off)
+        done
+      in
+      let reply =
+        Frame.encode
+          (Wire.Writer.with_pooled (fun w ->
+               Wire.Writer.uvarint w 1;
+               Wire.Writer.uvarint w 0;
+               Wire.Writer.uvarint w 1;
+               Wire.Writer.string w "pong";
+               Wire.Writer.string w "resent whole";
+               Bytes.unsafe_to_string (Wire.Writer.to_bytes w)))
+      in
+      let got = ref [] in
+      Transport.set_handler tr 0 (fun ~src ~kind ~payload ~off ~len ->
+          got := (src, kind, String.sub payload off len) :: !got);
+      Transport.send tr ~src:0 ~dst:1 ~kind:"ping" "one";
+      let afd = accept_pumping sched tr lfd in
+      write_all afd (String.sub reply 0 3);
+      (* Let the client buffer the torn prefix... *)
+      pump_for tr 0.2;
+      (* ...then tear the connection under it. *)
+      Unix.close afd;
+      Transport.send tr ~src:0 ~dst:1 ~kind:"ping" "two";
+      let afd2 = accept_pumping sched tr lfd in
+      Fun.protect ~finally:(fun () ->
+          try Unix.close afd2 with Unix.Unix_error _ -> ())
+      @@ fun () ->
+      write_all afd2 reply;
+      drive sched tr ~until:(fun () -> !got <> []);
+      Alcotest.(check (list (triple int string string)))
+        "reply decodes cleanly after reconnect"
+        [ (1, "pong", "resent whole") ]
+        !got)
+
+(* Numbered frames, each its own [send], padded so a gathered write
+   spans many of them and its byte count rarely lands on a boundary. *)
+let numbered_frames = 3000
+
+let numbered i = Printf.sprintf "%06d%s" i (String.make 1017 'x')
+
+let number_of payload = int_of_string (String.sub payload 0 6)
+
+(* A gathered write torn by a dying connection: the receiver stops
+   reading until the sender's socket buffer is full, so the sender is
+   left with a partly written gather buffer.  The receiver then reads
+   everything that did reach the wire and dies.  The sender reconnects
+   to a fresh listener on the same port and must resume at the first
+   frame not wholly written: ids arrive strictly increasing across both
+   receivers (no frame wholly written is resent), and every frame after
+   the loss point arrives. *)
+let test_tcp_torn_gather_reconnect () =
+  with_raw_listener ~rcvbuf:4096 @@ fun lfd port close_listener ->
+  with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched tr ->
+      for i = 0 to numbered_frames - 1 do
+        Transport.send tr ~src:0 ~dst:1 ~kind:"n" (numbered i)
+      done;
+      let afd = accept_pumping sched tr lfd in
+      (* Never read while the sender fills its socket buffer... *)
+      pump_for tr 0.3;
+      (* ...then take everything it wrote, and die. *)
+      let dec = Frame.decoder () in
+      drain_raw afd dec;
+      let first = List.map number_of (decoded_payloads dec) in
+      let torn = Frame.pending dec in
+      Unix.close afd;
+      close_listener ();
+      Alcotest.(check bool) "sender backed up" true
+        (List.length first < numbered_frames);
+      Alcotest.(check bool) "a frame was torn" true (torn > 0);
+      with_tcp ~serving:[ 1 ] ~endpoints:[ (1, ep port) ] (fun sched2 tr2 ->
+          let second = ref [] in
+          Transport.set_handler tr2 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
+              second := number_of (String.sub payload off len) :: !second);
+          let t0 = Unix.gettimeofday () in
+          while
+            (match !second with
+            | last :: _ -> last < numbered_frames - 1
+            | [] -> true)
+            && Unix.gettimeofday () -. t0 < 10.0
+          do
+            ignore (Transport.pump tr ~timeout:0.01);
+            ignore (Transport.pump tr2 ~timeout:0.01);
+            ignore (Sched.run sched);
+            ignore (Sched.run sched2)
+          done;
+          let ids = first @ List.rev !second in
+          let rec increasing = function
+            | a :: (b :: _ as rest) -> a < b && increasing rest
+            | _ -> true
+          in
+          Alcotest.(check bool) "strictly increasing, none twice" true
+            (increasing ids);
+          Alcotest.(check (option int)) "resumed at the torn frame"
+            (Some (List.length first))
+            (List.nth_opt (List.rev !second) 0);
+          Alcotest.(check (option int)) "ran to the last frame"
+            (Some (numbered_frames - 1))
+            (List.nth_opt !second 0);
+          Alcotest.(check bool) "reconnected" true
+            ((Transport.stats tr).Transport.reconnects >= 1)))
 
 (* Closing with work still pending — unflushed posts, frames queued to
    an unreachable peer — must account the messages as dropped (and, for
@@ -399,7 +521,27 @@ let test_tcp_close_drops_pending () =
           Transport.send tr ~src:0 ~dst:1 ~kind:"c" "queued, never wired";
           Transport.close tr;
           let s = Transport.stats tr in
-          Alcotest.(check int) "pending counted dropped" 3 s.Transport.dropped)
+          Alcotest.(check int) "pending counted dropped" 3 s.Transport.dropped);
+  (* Frames in the in-flight buffer but not wholly written are dropped
+     too: against a receiver that never reads, the sender backs up with
+     a gathered write in flight.  Everything wholly written still
+     arrives after the close, so drops and arrivals must add up. *)
+  with_raw_listener ~rcvbuf:4096 @@ fun lfd port _close ->
+  with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched tr ->
+      for i = 0 to numbered_frames - 1 do
+        Transport.send tr ~src:0 ~dst:1 ~kind:"n" (numbered i)
+      done;
+      let afd = accept_pumping sched tr lfd in
+      Fun.protect ~finally:(fun () -> Unix.close afd) @@ fun () ->
+      pump_for tr 0.3;
+      Transport.close tr;
+      let dec = Frame.decoder () in
+      drain_raw afd dec;
+      let arrived = List.length (decoded_payloads dec) in
+      Alcotest.(check bool) "sender backed up" true (arrived < numbered_frames);
+      Alcotest.(check int) "every frame not wholly written dropped"
+        (numbered_frames - arrived)
+        (Transport.stats tr).Transport.dropped)
 
 (* A blocking pump (negative timeout) must still wake for reconnect
    backoff deadlines instead of selecting forever on an empty fd set. *)
@@ -522,6 +664,8 @@ let () =
           Alcotest.test_case "reconnect with backoff" `Quick test_tcp_reconnect;
           Alcotest.test_case "torn reply survives reconnect" `Quick
             test_tcp_torn_reply_reconnect;
+          Alcotest.test_case "torn gathered write resumes at a frame" `Quick
+            test_tcp_torn_gather_reconnect;
           Alcotest.test_case "close drops pending" `Quick
             test_tcp_close_drops_pending;
           Alcotest.test_case "blocking pump honours backoff" `Quick
