@@ -17,6 +17,15 @@ let rec put_uvarint b off n =
     put_uvarint b (off + 1) (n lsr 7)
   end
 
+(* A string is its length as a uvarint, then its bytes. *)
+let string_size s = uvarint_size (String.length s) + String.length s
+
+let put_string b off s =
+  let n = String.length s in
+  let off = put_uvarint b off n in
+  Bytes.blit_string s 0 b off n;
+  off + n
+
 let () =
   Printexc.register_printer (function
     | Error { pos; msg } ->
@@ -93,16 +102,19 @@ module Writer = struct
 
   let byte w n = Buffer.add_char w (Char.chr (n land 0xff))
 
+  (* Scratch is per-domain: a module-level [Bytes.t] would be a
+     write-write race when two domains encode concurrently.  Ten bytes
+     hold any native int as a uvarint, and every fixed-width value. *)
+  let scratch_key : Bytes.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Bytes.create 10)
+
   let uvarint w n =
     if n < 0 then invalid_arg "Wire.Writer.uvarint: negative";
-    let rec go n =
-      if n < 0x80 then byte w n
-      else begin
-        byte w (0x80 lor (n land 0x7f));
-        go (n lsr 7)
-      end
-    in
-    go n
+    if n < 0x80 then byte w n
+    else begin
+      let scratch = Domain.DLS.get scratch_key in
+      Buffer.add_subbytes w scratch 0 (put_uvarint scratch 0 n)
+    end
 
   (* Unsigned LEB128 over the full 64-bit range. *)
   let uvarint64 w n =
@@ -121,11 +133,6 @@ module Writer = struct
   let varint w n =
     let n64 = Int64.of_int n in
     uvarint64 w Int64.(logxor (shift_left n64 1) (shift_right n64 63))
-
-  (* Fixed-width scratch is per-domain: a module-level [Bytes.t] would be
-     a write-write race when two domains encode concurrently. *)
-  let scratch_key : Bytes.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Bytes.create 8)
 
   let int32 w n =
     let scratch = Domain.DLS.get scratch_key in

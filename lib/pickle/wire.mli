@@ -26,6 +26,14 @@ val uvarint_size : int -> int
     returns the offset just past it.  Requires [n >= 0]. *)
 val put_uvarint : bytes -> int -> int -> int
 
+(** Bytes {!Writer.string} spends on [s]. *)
+val string_size : string -> int
+
+(** [put_string b off s] writes [s] as {!Writer.string} does (its length
+    as a uvarint, then its bytes) at [off] and returns the offset just
+    past it. *)
+val put_string : bytes -> int -> string -> int
+
 module Writer : sig
   type t
 

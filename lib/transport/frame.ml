@@ -49,20 +49,18 @@ let checked_len mode body_len =
     raise (Corrupt (Printf.sprintf "frame too large: %d bytes" len));
   len
 
-let put_header b off mode len =
+let write_header ?(mode = Raw) b off ~body_len =
+  let len = checked_len mode body_len in
   Bytes.set_int32_be b off (Int32.of_int len);
   Bytes.set_uint8 b (off + 4) (mode_to_byte mode)
 
-let write_header ?(mode = Raw) b off ~body_len =
-  put_header b off mode (checked_len mode body_len)
-
 let encode ?(mode = Raw) body =
-  let n = String.length body in
-  let len = checked_len mode n in
-  let b = Bytes.create (overhead + n) in
-  put_header b 0 mode len;
-  Bytes.blit_string body 0 b overhead n;
-  Bytes.unsafe_to_string b
+  let len = checked_len mode (String.length body) in
+  Wire.Writer.with_pooled (fun w ->
+      Wire.Writer.u32_be w len;
+      Wire.Writer.byte w (mode_to_byte mode);
+      Wire.Writer.raw w body;
+      Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
 
 (* The decoder accumulates raw bytes in a growable buffer and consumes
    complete frames off the front.  [pos] is the read cursor; the

@@ -24,21 +24,18 @@ let initial_backoff = 0.05
 
 let max_backoff = 1.0
 
-(* A frame this large is written from its own string; smaller ones are
-   gathered, up to [gather_cap] bytes, into one buffer per write.
-   Copying a large frame would cost as much as the syscall it saves. *)
-let large_frame = 16 * 1024
-
+(* Queued frames are gathered, up to this many bytes, into one buffer
+   per write; a frame too big to fit is written from its own string. *)
 let gather_cap = 64 * 1024
 
 type inbound = { in_fd : Unix.file_descr; in_dec : Frame.decoder }
 
 (* One outgoing connection per remote address.  The in-flight buffer
-   [p_out] holds the bytes currently on the wire: either every small
-   queued frame concatenated into the peer's reused [p_gather], or one
-   large frame's own bytes.  [p_ends] lists the end offset and message
-   count of each frame in it not yet wholly written, and [p_wstart] is
-   where the first of those begins.  On connection loss the write
+   [p_out] holds the bytes currently on the wire: either queued frames
+   concatenated into the peer's reused [p_gather], or the own bytes of
+   one frame larger than [gather_cap].  [p_ends] lists the end offset
+   and message count of each frame in it not yet wholly written, and
+   [p_wstart] is where the first of those begins.  On connection loss the write
    offset rewinds to [p_wstart], so a torn frame is retransmitted whole
    on the next connection and a wholly written one never is — the
    receiver binds its decoder to the connection ([in_dec]), so the torn
@@ -318,20 +315,13 @@ let build_frame ~src ~dst ~count ~sub_len fill =
   fill b off;
   (body_len, Bytes.unsafe_to_string b)
 
-(* A length-prefixed string, as [Wire.Writer.string] lays it out. *)
-let string_size s = Wire.uvarint_size (String.length s) + String.length s
-
-let put_string b off s =
-  let off = Wire.put_uvarint b off (String.length s) in
-  Bytes.blit_string s 0 b off (String.length s);
-  off + String.length s
-
 let send t ~src ~dst ~kind payload =
   account_logical t kind (String.length payload);
   let body_len, frame =
     build_frame ~src ~dst ~count:1
-      ~sub_len:(string_size kind + string_size payload)
-      (fun b off -> ignore (put_string b (put_string b off kind) payload))
+      ~sub_len:(Wire.string_size kind + Wire.string_size payload)
+      (fun b off ->
+        ignore (Wire.put_string b (Wire.put_string b off kind) payload))
   in
   account_physical t body_len;
   enqueue t ~dst ~count:1 frame
@@ -461,12 +451,12 @@ let take_frame p =
   p.p_queued_bytes <- p.p_queued_bytes - String.length frame;
   f
 
-(* Refill the drained in-flight buffer from the queue: a large frame
-   alone and uncopied, else every small frame up to the next large one
-   or [gather_cap]. *)
+(* Refill the drained in-flight buffer from the queue: a frame larger
+   than [gather_cap] alone and uncopied, else every frame that fits in
+   [gather_cap]. *)
 let fill_out p =
   match Queue.peek p.p_queue with
-  | frame, _ when String.length frame >= large_frame ->
+  | frame, _ when String.length frame > gather_cap ->
       let frame, count = take_frame p in
       p.p_out <- Bytes.unsafe_of_string frame;
       p.p_out_len <- String.length frame;
@@ -475,9 +465,7 @@ let fill_out p =
       let len = ref 0 in
       let rec gather () =
         match Queue.peek_opt p.p_queue with
-        | Some (frame, _)
-          when String.length frame < large_frame
-               && !len + String.length frame <= gather_cap ->
+        | Some (frame, _) when !len + String.length frame <= gather_cap ->
             let frame, count = take_frame p in
             let n = String.length frame in
             if !len + n > Bytes.length p.p_gather then begin
@@ -507,7 +495,7 @@ let rec retire p =
   | _ -> ()
 
 (* One write per in-flight buffer: the whole of the peer's queue when it
-   is all small frames.  Frames wholly written leave [p_ends]; a short
+   fits in [gather_cap].  Frames wholly written leave [p_ends]; a short
    write means the socket buffer is full, so the rest waits for the next
    pump's writability. *)
 let rec write_pending t p fd =
@@ -524,7 +512,7 @@ let rec write_pending t p fd =
         p.p_woff <- p.p_woff + n;
         retire p;
         if n = want then begin
-          (* Drop a large frame's bytes as soon as they are on the wire. *)
+          (* Drop an oversized frame's bytes once they are on the wire. *)
           p.p_out <- p.p_gather;
           p.p_out_len <- 0;
           p.p_woff <- 0;
