@@ -17,9 +17,9 @@
     the constituent count, mirroring the simulated network's logical
     vs physical accounting.
 
-    Each pump writes a peer's queued frames with one [write]: small
-    frames are gathered into one reused buffer, a large frame goes out
-    from its own string.  A read pass on a socket ends at the first
+    Each pump writes a peer's queued frames with one [write]: they are
+    gathered into one reused 64 KiB buffer, and a frame too big to fit
+    goes out from its own string.  A read pass on a socket ends at the first
     short read; [select] is level-triggered, so the rest is seen on the
     next pump.
 
