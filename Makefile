@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-compare chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke perf-smoke verify examples check clean doc
+.PHONY: all build test bench bench-json bench-compare par-smoke perf-smoke verify examples check clean doc
 
 all: build
 
@@ -22,64 +22,11 @@ bench-compare:
 	dune exec bench/main.exe -- --json /tmp/bench_current.json
 	dune exec tools/bench_compare.exe -- BENCH_netobj.json /tmp/bench_current.json
 
-# One quick fixed-seed chaos run (partitions, crash+restart, bursts);
-# exits non-zero if a safety or liveness oracle trips.  The cram test
-# test/cram/chaos.t runs the same scenario under dune runtest.
-chaos-smoke:
-	dune exec bin/netobj_sim.exe -- chaos --seed 7
-
-# Quick model-checking pass: exhaust the two-space transfer scenario
-# within default bounds (must be clean), re-find the historical lookup
-# agent-root leak with the bug flag re-enabled (must be found), and
-# explore the fsync-vs-crash recovery schedules (must be clean).
-# test/cram/mc.t runs the same scenarios under dune runtest.
-mc-smoke:
-	dune exec bin/netobj_sim.exe -- mc --scenario dgc2
-	! dune exec bin/netobj_sim.exe -- mc --scenario lookup --leak
-	dune exec bin/netobj_sim.exe -- mc --scenario recover --max-schedules 300
-
-# Durable-space smoke: the scripted crash/recovery narrative (WAL
-# replay, reassert reconciliation, post-recovery drain) under the two
-# interesting disk faults, plus one seeded chaos run with crash+recover
-# and armed disk faults in the schedule so the survival oracle fires.
-# test/cram/recover.t runs the same scenarios under dune runtest.
-recover-smoke:
-	dune exec bin/netobj_sim.exe -- recover --disk-fault lost-suffix
-	dune exec bin/netobj_sim.exe -- recover --disk-fault torn-tail
-	dune exec bin/netobj_sim.exe -- chaos --seed 3 --crashes 1 \
-	  --crash-recovers 2 --disk-faults 2 --partitions 2 \
-	  --loss-bursts 2 --dup-bursts 1 --spikes 1
-
-# Real-socket smoke: the loopback conformance suite (same scenario
-# scripts against the simulated network and TCP, traces diffed) plus
-# the cross-process serve/connect kill-and-recover narrative.  Seconds
-# scale; skips gracefully where loopback is unavailable.
-# test/cram/transport.t runs the same narrative under dune runtest.
-transport-smoke:
-	dune exec test/test_transport_conformance.exe
-	dune exec bin/netobj_sim.exe -- transport-demo --seed 7
-
-# Cycle-collection smoke: the deterministic three-space ring narrative
-# (leak under the listing collector, reclaim under trial deletion), a
-# seeded chaos run with the cycle workload and detector demon armed,
-# and the model checker over the probe-vs-transfer race: the confirm
-# round must keep it clean and dropping it (skip-confirm bug) must be
-# caught.  test/cram/cycles.t pins the narrative under dune runtest.
-cycles-smoke:
-	dune exec bin/netobj_sim.exe -- cycles
-	dune exec bin/netobj_sim.exe -- chaos --seed 11 --cycles 4
-	dune exec bin/netobj_sim.exe -- mc --scenario dgc-cycle --max-schedules 1200
-	! dune exec bin/netobj_sim.exe -- mc --scenario dgc-cycle-broken
-
-# Lease-plane-at-scale smoke: the deterministic aggregated-lease
-# narrative (incremental aggregates vs a from-scratch table fold,
-# per-pair heartbeats over thousands of entries, whole-aggregate
-# eviction on a crashed client, sharded agent homes) plus the
-# dedicated unit/property suite for the same machinery.
-# test/cram/scale.t pins the narrative under dune runtest.
-scale-smoke:
-	dune exec bin/netobj_sim.exe -- scale
-	dune exec test/test_scale.exe
+# The seeded chaos, model-checking, recovery, transport, cycle, scale
+# and reliability scenarios run under `dune runtest`: test/cram/*.t pins
+# their output and exit codes, and the unit suites (test_transport_
+# conformance, test_scale, ...) run alongside.  The two smoke targets
+# below are what cram cannot express.
 
 # Domain-parallel smoke: the multi-space invoke storm across a forced
 # 4-domain pool (the default pool adapts to the host's core count and
@@ -88,19 +35,6 @@ scale-smoke:
 # at quiescence, dirty sets drain.
 par-smoke:
 	NETOBJ_DOMAINS_POOL=4 dune exec bin/netobj_sim.exe -- par --seed 7 --spaces 8 --domains 4 --calls 200
-
-# Call-reliability smoke: the deterministic narrative (retry after a
-# lost call, dedup after a lost reply, shedding under a herd, cancel
-# releasing reply pins), the model checker over the retry/dedup race —
-# the default config must exhaust clean and re-enabling the historical
-# retry-without-dedup bug must find the double execution — and a
-# seeded chaos run with call storms arming the plane.
-# test/cram/reliability.t pins the narrative under dune runtest.
-reliability-smoke:
-	dune exec bin/netobj_sim.exe -- reliability
-	dune exec bin/netobj_sim.exe -- mc --scenario call-retry
-	! dune exec bin/netobj_sim.exe -- mc --scenario call-retry-no-dedup
-	dune exec bin/netobj_sim.exe -- chaos --seed 3 --storms 2
 
 # Call-benchmark smoke: a short traced run of the two TCP workloads that
 # carry per-message cost.  Each must end with "correct": true, which
@@ -115,8 +49,8 @@ perf-smoke:
 	done
 
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), then the nine smoke targets.
-verify: build test chaos-smoke mc-smoke recover-smoke transport-smoke par-smoke cycles-smoke scale-smoke reliability-smoke perf-smoke
+# property, cram), then the two smoke targets.
+verify: build test par-smoke perf-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -61,6 +61,7 @@ module F = Netobj_dgc.Fifo_machine
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
@@ -532,7 +533,7 @@ let e8_fault () =
   ignore (R.run rt);
   (* Two surrogates (agent + counter) will be cleaned; lose both cleans. *)
   let lost = ref 0 in
-  Net.set_filter (R.net rt)
+  Transport.set_filter (R.transport rt)
     (Some
        (fun ~src:_ ~dst:_ ~kind ->
          if kind = "clean" && !lost < 2 then begin
@@ -1247,7 +1248,6 @@ let e20_recover () =
 
 (* ------------------------------------------------------------------ E21 *)
 
-module Transport = Netobj_transport.Transport
 module Tcp = Netobj_transport.Tcp
 module Frame = Netobj_transport.Frame
 

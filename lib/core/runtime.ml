@@ -226,8 +226,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
   }
 
 (* The one builder: derive a variant config by overriding any subset of
-   the rebindable knobs.  The legacy [with_*] accessors are thin
-   deprecated aliases over this. *)
+   the rebindable knobs. *)
 let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
   let upd v = function Some x -> x | None -> v in
   {
@@ -240,14 +239,6 @@ let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
     engine = (match engine with Some e -> Some e | None -> cfg.engine);
     domains = upd cfg.domains domains;
   }
-
-let with_seed cfg seed = override ~seed cfg
-
-let with_policy cfg policy = override ~policy cfg
-
-let with_edge cfg edge = override ~edge cfg
-
-let with_coalesce cfg coalesce = override ~coalesce cfg
 
 let config_nspaces cfg = cfg.nspaces
 

@@ -127,7 +127,7 @@ type config
       scheduler and its simulated network (invoked once per shard), it
       returns the {!Netobj_transport.Transport.t} that shard's protocol
       traffic rides (default: each engine's native backend —
-      {!Netobj_transport.Transport_sim.of_net} on the sim engine, the
+      {!Netobj_transport.Faulty.of_net} on the sim engine, the
       inter-domain hub on the domains engine).  Real backends need
       their I/O pumped — see {!transport} and {!Netobj_transport.Tcp};
     - [engine] swaps the execution engine, exactly as [transport] swaps
@@ -189,18 +189,6 @@ val override :
   config ->
   config
 
-val with_seed : config -> int64 -> config
-[@@ocaml.deprecated "use Runtime.override ~seed"]
-
-val with_policy : config -> Sched.policy -> config
-[@@ocaml.deprecated "use Runtime.override ~policy"]
-
-val with_edge : config -> Net.edge_config -> config
-[@@ocaml.deprecated "use Runtime.override ~edge"]
-
-val with_coalesce : config -> bool -> config
-[@@ocaml.deprecated "use Runtime.override ~coalesce"]
-
 val config_nspaces : config -> int
 
 val config_seed : config -> int64
@@ -220,14 +208,16 @@ val create : config -> t
     reach the others). *)
 val sched : t -> Sched.t
 
-(** Shard 0's simulated network (the mc/chaos fault surface — sim
-    engine only). *)
+(** Shard 0's simulated network: the channel model (edge semantics,
+    latency, the model checker's delivery-choice hook).  Faults are
+    injected through {!transport}, not here. *)
 val net : t -> Net.t
 
 (** Shard 0's transport.  Harness fault operations ({!crash} and
-    friends) go through each shard's fault hooks, so a real backend
-    must be wrapped in {!Netobj_transport.Faulty} before the chaos
-    machinery can drive it. *)
+    friends) go through each shard's fault hooks, which
+    {!Netobj_transport.Faulty} implements: the sim engine's default
+    transport already sits behind it, and a custom backend (e.g. TCP)
+    must be wrapped in it before the chaos machinery can drive it. *)
 val transport : t -> Netobj_transport.Transport.t
 
 (** The engine's identifier: ["sim"], ["domains"], ... *)

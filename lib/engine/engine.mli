@@ -43,7 +43,8 @@ type shard = {
     from its config.  [p_mk_transport] (the [?transport] config hook) is
     invoked once per shard with that shard's scheduler and network;
     [None] selects each engine's native backend
-    ({!Netobj_transport.Transport_sim} / the inter-domain hub).
+    ({!Netobj_transport.Faulty.of_net} over the simulated network / the
+    inter-domain hub).
     [p_domains] is the requested parallelism; engines without real
     parallelism ignore it. *)
 type params = {

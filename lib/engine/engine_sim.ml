@@ -1,6 +1,6 @@
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
-module Transport_sim = Netobj_transport.Transport_sim
+module Faulty = Netobj_transport.Faulty
 module Obs = Netobj_obs.Obs
 
 type t = { shard : Engine.shard }
@@ -23,11 +23,13 @@ let create (p : Engine.params) =
   Net.set_all_edges net p.p_edge;
   (* The simulated network is always created (the model checker's
      delivery-choice hook and edge shaping live there); a custom
-     transport simply routes traffic elsewhere and leaves it idle. *)
+     transport simply routes traffic elsewhere and leaves it idle.  The
+     default stacks the fault gates on the network, drawing from its
+     RNG, so fault draws interleave with latency draws deterministically. *)
   let tr =
     match p.p_mk_transport with
     | Some f -> f sched net
-    | None -> Transport_sim.of_net net
+    | None -> Faulty.of_net ~sched net
   in
   {
     shard =

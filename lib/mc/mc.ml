@@ -1,5 +1,6 @@
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
 module Runtime = Netobj_core.Runtime
 module Store = Netobj_store.Store
 module Chaos = Netobj_chaos.Chaos
@@ -356,13 +357,13 @@ type scenario = {
 }
 
 let apply_fault rt (fault : Chaos.fault) =
-  let sched = R.sched rt and net = R.net rt in
+  let sched = R.sched rt and tr = R.transport rt in
   let now = Sched.now sched in
   match fault with
   | Chaos.Partition { a; b; duration } ->
-      Net.set_partitioned net a b true;
+      Transport.set_partitioned tr a b true;
       Sched.timer sched ~name:"nemesis-heal" duration (fun () ->
-          Net.set_partitioned net a b false)
+          Transport.set_partitioned tr a b false)
   | Chaos.Crash { victim; downtime } ->
       R.crash rt victim;
       Sched.timer sched ~name:"nemesis-restart" downtime (fun () ->
@@ -375,11 +376,11 @@ let apply_fault rt (fault : Chaos.fault) =
       if R.durable (R.space rt victim) then
         R.set_disk_fault rt victim (Some fault)
   | Chaos.Loss_burst { src; dst; loss; duration } ->
-      Net.set_burst net ~src ~dst ~loss ~until:(now +. duration) ()
+      Transport.set_burst tr ~src ~dst ~loss ~until:(now +. duration) ()
   | Chaos.Dup_burst { src; dst; dup; duration } ->
-      Net.set_burst net ~src ~dst ~dup ~until:(now +. duration) ()
+      Transport.set_burst tr ~src ~dst ~dup ~until:(now +. duration) ()
   | Chaos.Latency_spike { src; dst; factor; duration } ->
-      Net.set_latency_spike net ~src ~dst ~factor ~until:(now +. duration)
+      Transport.set_latency_spike tr ~src ~dst ~factor ~until:(now +. duration)
   | Chaos.Call_storm _ ->
       (* A storm is extra workload, not an environment fault; under mc
          the workload is the scenario itself, so a scripted storm in a

@@ -15,10 +15,6 @@ let m_delivered = Metrics.counter Metrics.global "net.delivered"
 
 let m_dropped = Metrics.counter Metrics.global "net.dropped"
 
-let m_drop_src_crashed = Metrics.counter Metrics.global "net.dropped.src_crashed"
-
-let m_drop_dst_crashed = Metrics.counter Metrics.global "net.dropped.dst_crashed"
-
 let m_duplicated = Metrics.counter Metrics.global "net.duplicated"
 
 let m_frames = Metrics.counter Metrics.global "net.frames"
@@ -51,14 +47,9 @@ type edge_state = {
   mutable config : edge_config;
   mutable last_deadline : float;  (* enforces FIFO by monotone deadlines *)
   mutable in_flight : int;  (* scheduled but not yet delivered/dropped *)
-  (* Scheduled fault windows, consulted against the virtual clock so they
-     expire without a timer.  While [now < burst_until] the burst
-     loss/dup probabilities override the configured ones (whichever is
-     larger wins); while [now < spike_until] drawn latencies are
-     multiplied by [spike_factor]. *)
-  mutable burst_loss : float;
-  mutable burst_dup : float;
-  mutable burst_until : float;
+  (* Latency spike window, consulted against the virtual clock so it
+     expires without a timer: while [now < spike_until] drawn latencies
+     are multiplied by [spike_factor]. *)
   mutable spike_factor : float;
   mutable spike_until : float;
 }
@@ -67,8 +58,6 @@ type stats = {
   sent : int;
   delivered : int;
   dropped : int;
-  dropped_src_crashed : int;
-  dropped_dst_crashed : int;
   duplicated : int;
   bytes : int;
   frames : int;
@@ -88,15 +77,10 @@ type t = {
   rng : Rng.t;
   edges : (addr * addr, edge_state) Hashtbl.t;
   handlers : (addr, handler) Hashtbl.t;
-  partitions : (addr * addr, unit) Hashtbl.t;
-  crashed : (addr, unit) Hashtbl.t;
-  mutable filter : (src:addr -> dst:addr -> kind:string -> bool) option;
   mutable default : edge_config;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable dropped_src_crashed : int;
-  mutable dropped_dst_crashed : int;
   mutable duplicated : int;
   mutable bytes : int;
   mutable frames : int;
@@ -117,15 +101,10 @@ let create ~sched ~seed () =
     rng = Rng.create seed;
     edges = Hashtbl.create 64;
     handlers = Hashtbl.create 16;
-    partitions = Hashtbl.create 8;
-    crashed = Hashtbl.create 8;
-    filter = None;
     default = default_edge;
     sent = 0;
     delivered = 0;
     dropped = 0;
-    dropped_src_crashed = 0;
-    dropped_dst_crashed = 0;
     duplicated = 0;
     bytes = 0;
     frames = 0;
@@ -143,6 +122,8 @@ let set_delivery_choice t ?(slots = 2) choose =
 
 let clear_delivery_choice t = t.delivery_choice <- None
 
+let rng t = t.rng
+
 let edge t src dst =
   match Hashtbl.find_opt t.edges (src, dst) with
   | Some e -> e
@@ -152,9 +133,6 @@ let edge t src dst =
           config = t.default;
           last_deadline = 0.0;
           in_flight = 0;
-          burst_loss = 0.0;
-          burst_dup = 0.0;
-          burst_until = neg_infinity;
           spike_factor = 1.0;
           spike_until = neg_infinity;
         }
@@ -170,50 +148,10 @@ let set_all_edges t config =
 
 let set_handler t addr h = Hashtbl.replace t.handlers addr h
 
-let pair a b = if a <= b then (a, b) else (b, a)
-
-let set_partitioned t a b on =
-  if on then Hashtbl.replace t.partitions (pair a b) ()
-  else Hashtbl.remove t.partitions (pair a b)
-
-let partitioned t a b = Hashtbl.mem t.partitions (pair a b)
-
-let heal_all t = Hashtbl.reset t.partitions
-
-(* [partition_window] schedules a future partition and its healing on the
-   virtual clock.  Windows for the same pair must not overlap with each
-   other or with manual [set_partitioned] toggles: healing is
-   unconditional, so an overlapping window would end early. *)
-let partition_window t a b ~after ~duration =
-  Sched.timer t.sched ~name:"net-partition" after (fun () ->
-      set_partitioned t a b true);
-  Sched.timer t.sched ~name:"net-heal" (after +. duration) (fun () ->
-      set_partitioned t a b false)
-
-let crash t a = Hashtbl.replace t.crashed a ()
-
-let restore t a = Hashtbl.remove t.crashed a
-
-let is_crashed t a = Hashtbl.mem t.crashed a
-
-let set_burst t ~src ~dst ?(loss = 0.0) ?(dup = 0.0) ~until () =
-  let e = edge t src dst in
-  e.burst_loss <- loss;
-  e.burst_dup <- dup;
-  e.burst_until <- until
-
 let set_latency_spike t ~src ~dst ~factor ~until =
   let e = edge t src dst in
   e.spike_factor <- factor;
   e.spike_until <- until
-
-let effective_loss t e =
-  if Sched.now t.sched < e.burst_until then Float.max e.config.loss e.burst_loss
-  else e.config.loss
-
-let effective_dup t e =
-  if Sched.now t.sched < e.burst_until then Float.max e.config.dup e.burst_dup
-  else e.config.dup
 
 let draw_latency t e =
   let lat =
@@ -234,8 +172,7 @@ let obs_msg_args ~src ~dst ~kind len =
 (* [count] is the number of logical messages lost — a dropped coalesced
    frame is [count] drop events, not one, so the metric and the trace
    agree with the per-constituent [stats.dropped] accounting. *)
-let obs_drop t ?(count = 1) ~src ~dst ~kind len reason =
-  ignore t;
+let obs_drop ?(count = 1) ~src ~dst ~kind len reason =
   if Obs.on () then begin
     Metrics.add m_dropped count;
     Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
@@ -337,7 +274,7 @@ let schedule_delivery t ~src ~dst ~kind ~count payload dispatch =
         ~args:[ ("delivered", Trace.I (Bool.to_int delivered)) ]
         kind;
       if delivered then Metrics.add m_delivered count
-      else obs_drop t ~count ~src ~dst ~kind len reason
+      else obs_drop ~count ~src ~dst ~kind len reason
     end
   in
   e.in_flight <- e.in_flight + 1;
@@ -346,99 +283,51 @@ let schedule_delivery t ~src ~dst ~kind ~count payload dispatch =
     (fun () ->
       Sched.sleep t.sched (deadline -. Sched.now t.sched);
       e.in_flight <- e.in_flight - 1;
-      (* Delivery-time drops distinguish their cause: a message in flight
-         towards a crashed destination is lost, and one whose source died
-         mid-flight models the RPC bouncing (connection reset). *)
-      if is_crashed t dst then begin
-        t.dropped <- t.dropped + count;
-        t.dropped_dst_crashed <- t.dropped_dst_crashed + count;
-        if Obs.on () then Metrics.add m_drop_dst_crashed count;
-        obs_arrival false "dst-crashed"
-      end
-      else if is_crashed t src then begin
-        t.dropped <- t.dropped + count;
-        t.dropped_src_crashed <- t.dropped_src_crashed + count;
-        if Obs.on () then Metrics.add m_drop_src_crashed count;
-        obs_arrival false "src-crashed"
-      end
-      else if partitioned t src dst then begin
-        t.dropped <- t.dropped + count;
-        obs_arrival false "partitioned"
-      end
-      else
-        match Hashtbl.find_opt t.handlers dst with
-        | None ->
-            t.dropped <- t.dropped + count;
-            obs_arrival false "no-handler"
-        | Some h ->
-            t.delivered <- t.delivered + count;
-            obs_arrival true "";
-            dispatch h)
+      match Hashtbl.find_opt t.handlers dst with
+      | None ->
+          t.dropped <- t.dropped + count;
+          obs_arrival false "no-handler"
+      | Some h ->
+          t.delivered <- t.delivered + count;
+          obs_arrival true "";
+          dispatch h)
 
-let set_filter t f = t.filter <- f
+(* The edge's loss axiom, drawn at send time.  Returns [true] when the
+   message was dropped (and accounted). *)
+let lost_at_send t ~src ~dst ~kind len =
+  let p = (edge t src dst).config.loss in
+  if p > 0.0 && Rng.chance t.rng p then begin
+    t.dropped <- t.dropped + 1;
+    obs_drop ~src ~dst ~kind len "loss";
+    true
+  end
+  else false
 
-(* Shared send-time drop tests.  Returns [true] when the message was
-   dropped (and accounted). *)
-let dropped_at_send t ~src ~dst ~kind len =
-  (* A crashed source cannot emit at all; a live source talking to a
-     crashed destination loses the message on the wire.  The source check
-     wins when both are down. *)
-  if is_crashed t src then begin
-    t.dropped <- t.dropped + 1;
-    t.dropped_src_crashed <- t.dropped_src_crashed + 1;
-    if Obs.on () then Metrics.incr m_drop_src_crashed;
-    obs_drop t ~src ~dst ~kind len "src-crashed";
+(* The edge's duplication axiom, drawn once the original is on its way.
+   Returns [true] when a second copy must travel (already accounted). *)
+let duplicated_at_send t ~src ~dst ~kind len =
+  let p = (edge t src dst).config.dup in
+  if p > 0.0 && Rng.chance t.rng p then begin
+    t.duplicated <- t.duplicated + 1;
+    if Obs.on () then begin
+      Metrics.incr m_duplicated;
+      Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
+        ~args:(obs_msg_args ~src ~dst ~kind len)
+        "dup"
+    end;
     true
   end
-  else if is_crashed t dst then begin
-    t.dropped <- t.dropped + 1;
-    t.dropped_dst_crashed <- t.dropped_dst_crashed + 1;
-    if Obs.on () then Metrics.incr m_drop_dst_crashed;
-    obs_drop t ~src ~dst ~kind len "dst-crashed";
-    true
-  end
-  else if partitioned t src dst then begin
-    t.dropped <- t.dropped + 1;
-    obs_drop t ~src ~dst ~kind len "partitioned";
-    true
-  end
-  else if
-    match t.filter with Some keep -> not (keep ~src ~dst ~kind) | None -> false
-  then begin
-    t.dropped <- t.dropped + 1;
-    obs_drop t ~src ~dst ~kind len "filtered";
-    true
-  end
-  else begin
-    let p = effective_loss t (edge t src dst) in
-    if p > 0.0 && Rng.chance t.rng p then begin
-      t.dropped <- t.dropped + 1;
-      obs_drop t ~src ~dst ~kind len "loss";
-      true
-    end
-    else false
-  end
+  else false
 
 let send t ~src ~dst ~kind payload =
   let len = String.length payload in
   account_logical t kind len;
   account_physical t len;
-  if not (dropped_at_send t ~src ~dst ~kind len) then begin
-    schedule_delivery t ~src ~dst ~kind ~count:1 payload (fun h ->
-        h ~src ~kind ~payload ~off:0 ~len);
-    let e = edge t src dst in
-    let dup = effective_dup t e in
-    if dup > 0.0 && Rng.chance t.rng dup then begin
-      t.duplicated <- t.duplicated + 1;
-      if Obs.on () then begin
-        Metrics.incr m_duplicated;
-        Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
-          ~args:(obs_msg_args ~src ~dst ~kind len)
-          "dup"
-      end;
-      schedule_delivery t ~src ~dst ~kind ~count:1 payload (fun h ->
-          h ~src ~kind ~payload ~off:0 ~len)
-    end
+  if not (lost_at_send t ~src ~dst ~kind len) then begin
+    let deliver h = h ~src ~kind ~payload ~off:0 ~len in
+    schedule_delivery t ~src ~dst ~kind ~count:1 payload deliver;
+    if duplicated_at_send t ~src ~dst ~kind len then
+      schedule_delivery t ~src ~dst ~kind ~count:1 payload deliver
   end
 
 (* {2 Coalescing}
@@ -450,8 +339,8 @@ let send t ~src ~dst ~kind payload =
    run loop drains every ready fiber before releasing due timers, so any
    messages its peers post at the same instant join the same frame).
 
-   Loss, duplication and the drop filter are applied per logical message
-   at post time, so the fault model and its accounting are unchanged;
+   Loss and duplication are applied per logical message at post time, so
+   the edge axioms and their accounting are the same as for [send];
    only latency is drawn per frame.  Within a frame submessages are
    dispatched in post order, and frames on a Fifo edge keep the monotone
    deadline clamp, so Fifo edges still deliver in order. *)
@@ -515,23 +404,14 @@ let flush t =
 let post t ~src ~dst ~kind payload =
   let len = String.length payload in
   account_logical t kind len;
-  if not (dropped_at_send t ~src ~dst ~kind len) then begin
+  if not (lost_at_send t ~src ~dst ~kind len) then begin
     let ob = outbox_for t (src, dst) in
-    submsg_append ob.ob_w ~kind payload;
-    ob.ob_n <- ob.ob_n + 1;
-    let e = edge t src dst in
-    let dup = effective_dup t e in
-    if dup > 0.0 && Rng.chance t.rng dup then begin
-      t.duplicated <- t.duplicated + 1;
-      if Obs.on () then begin
-        Metrics.incr m_duplicated;
-        Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
-          ~args:(obs_msg_args ~src ~dst ~kind len)
-          "dup"
-      end;
+    let append () =
       submsg_append ob.ob_w ~kind payload;
       ob.ob_n <- ob.ob_n + 1
-    end;
+    in
+    append ();
+    if duplicated_at_send t ~src ~dst ~kind len then append ();
     if not t.flush_armed then begin
       t.flush_armed <- true;
       Sched.timer t.sched ~name:"net-flush" 0.0 (fun () -> flush t)
@@ -543,8 +423,6 @@ let stats t =
     sent = t.sent;
     delivered = t.delivered;
     dropped = t.dropped;
-    dropped_src_crashed = t.dropped_src_crashed;
-    dropped_dst_crashed = t.dropped_dst_crashed;
     duplicated = t.duplicated;
     bytes = t.bytes;
     frames = t.frames;
@@ -559,8 +437,6 @@ let reset_stats t =
   t.sent <- 0;
   t.delivered <- 0;
   t.dropped <- 0;
-  t.dropped_src_crashed <- 0;
-  t.dropped_dst_crashed <- 0;
   t.duplicated <- 0;
   t.bytes <- 0;
   t.frames <- 0;

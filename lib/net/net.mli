@@ -9,6 +9,13 @@
     over FIFO channels for the §5.1 variant, or over a hostile lossy
     network for the §6 experiments.
 
+    It is a channel model only.  Crashed or unreachable processes, drop
+    filters and loss/duplication bursts are injected one layer up, by
+    the {!Netobj_transport.Faulty} gates that every runtime transport
+    (simulated or TCP) sits behind; on the simulated network those gates
+    draw from this network's {!rng} and forward latency spikes to
+    {!set_latency_spike}, so a seed fixes the whole run.
+
     Delivery is driven by the {!Netobj_sched} virtual clock: each message
     is assigned a latency from the edge's model and handed to the
     destination's handler in a fresh fiber (modelling the RPC runtime
@@ -80,9 +87,9 @@ val send : t -> src:addr -> dst:addr -> kind:string -> string -> unit
 (** [post t ~src ~dst ~kind payload] queues a message into the
     per-destination outbox instead of sending it immediately.  Every
     message posted to the same directed edge before the next flush
-    travels in one framed payload.  Loss, duplication and the drop
-    filter are applied per posted message (so fault accounting matches
-    {!send}); latency is drawn once per frame.  Outboxes flush
+    travels in one framed payload.  Loss and duplication are applied
+    per posted message (so their accounting matches {!send}); latency
+    is drawn once per frame.  Outboxes flush
     automatically when the scheduler finishes the current instant, or
     explicitly via {!flush}.  Fifo edges still deliver in order. *)
 val post : t -> src:addr -> dst:addr -> kind:string -> string -> unit
@@ -91,38 +98,15 @@ val post : t -> src:addr -> dst:addr -> kind:string -> string -> unit
     deterministic edge order). *)
 val flush : t -> unit
 
-(** Sever / restore both directions between two spaces.  Messages sent
-    while partitioned are dropped (counted). *)
-val set_partitioned : t -> addr -> addr -> bool -> unit
-
-val partitioned : t -> addr -> addr -> bool
-
-(** Remove every partition at once (the nemesis "heal" step). *)
-val heal_all : t -> unit
-
-(** [partition_window t a b ~after ~duration] partitions [a]-[b] starting
-    [after] seconds from now and heals it [duration] seconds later, on
-    the virtual clock.  Windows for the same pair must not overlap each
-    other or manual {!set_partitioned} toggles: the healing timer clears
-    the partition unconditionally. *)
-val partition_window : t -> addr -> addr -> after:float -> duration:float -> unit
-
-(** [set_burst t ~src ~dst ~loss ~dup ~until ()] raises the directed
-    edge's loss/dup probabilities until virtual time [until]; whichever
-    of the burst and configured probability is larger wins.  The window
-    expires by clock comparison, so re-arming simply overwrites it. *)
-val set_burst :
-  t -> src:addr -> dst:addr -> ?loss:float -> ?dup:float -> until:float -> unit -> unit
-
 (** [set_latency_spike t ~src ~dst ~factor ~until] multiplies latencies
-    drawn for the directed edge by [factor] until virtual time [until]. *)
+    drawn for the directed edge by [factor] until virtual time [until].
+    A later call for the same edge overwrites the window. *)
 val set_latency_spike : t -> src:addr -> dst:addr -> factor:float -> until:float -> unit
 
-(** Install a drop filter evaluated at send time: return [false] to drop
-    the message (counted as dropped).  Use for targeted fault injection,
-    e.g. losing only ["clean"] messages.  [None] removes the filter. *)
-val set_filter :
-  t -> (src:addr -> dst:addr -> kind:string -> bool) option -> unit
+(** The seeded generator behind every latency, loss and duplication
+    draw.  Fault gates layered over this network draw from it too, so
+    their draws interleave with the latency draws in traffic order. *)
+val rng : t -> Netobj_util.Rng.t
 
 (** {1 Controlled delivery order (model checking)}
 
@@ -146,22 +130,6 @@ val set_delivery_choice :
     again. *)
 val clear_delivery_choice : t -> unit
 
-(** Simulate a crash.  A crashed space neither receives nor emits:
-    messages {e to} it are dropped at send time and on delivery
-    (counted as [dropped_dst_crashed]); messages {e from} it — including
-    {!post}ed ones — are dropped at the source before they reach the
-    wire, and in-flight messages whose source crashes before delivery
-    bounce (both counted as [dropped_src_crashed]).  When both endpoints
-    are down the source-crash accounting wins.  Undo with {!restore}. *)
-val crash : t -> addr -> unit
-
-(** Undo {!crash}: the space resumes sending and receiving.  Messages
-    dropped while it was down stay dropped — recovering state is the
-    runtime's job (see [Runtime.restart]). *)
-val restore : t -> addr -> unit
-
-val is_crashed : t -> addr -> bool
-
 (** {1 Accounting}
 
     [sent]/[bytes] count {e physical} payloads handed to the network (a
@@ -174,13 +142,7 @@ val is_crashed : t -> addr -> bool
 type stats = {
   sent : int;
   delivered : int;
-  dropped : int;
-  dropped_src_crashed : int;
-      (** messages lost because their {e source} was crashed, at send
-          time or mid-flight; subset of [dropped] *)
-  dropped_dst_crashed : int;
-      (** messages lost because their {e destination} was crashed; subset
-          of [dropped] *)
+  dropped : int;  (** lost to the edge's [loss] or to a missing handler *)
   duplicated : int;
   bytes : int;
   frames : int;

@@ -1,23 +1,46 @@
 module Sched = Netobj_sched.Sched
 module Rng = Netobj_util.Rng
+module Net = Netobj_net.Net
+module Obs = Netobj_obs.Obs
+module Trace = Netobj_obs.Trace
+module Metrics = Netobj_obs.Metrics
 
 (* Fault gates sit on both sides of the wrapped backend: the send gate
    drops before a message reaches the backend (crash/partition/filter/
    loss), the receive gate drops between the backend's delivery fiber
-   and the user handler (so a crash injected while a frame is in flight
-   on real sockets still eats it, like the simulated network's
-   delivery-time checks).  Burst windows and spikes expire against the
-   {e virtual} clock, matching [Net], so chaos schedules drive both
-   backends identically. *)
+   and the user handler (so a crash or partition that happens while a
+   message is in flight still eats it).  Burst and spike windows expire
+   against the {e virtual} clock, so a chaos schedule drives every
+   backend identically. *)
+
+(* The fault-drop metrics keep the names the simulated network first
+   gave them, so dumps read the same on every backend. *)
+let m_dropped = Metrics.counter Metrics.global "net.dropped"
+
+let m_drop_src_crashed = Metrics.counter Metrics.global "net.dropped.src_crashed"
+
+let m_drop_dst_crashed = Metrics.counter Metrics.global "net.dropped.dst_crashed"
+
+let m_duplicated = Metrics.counter Metrics.global "net.duplicated"
 
 type burst = { mutable b_loss : float; mutable b_dup : float; mutable b_until : float }
 
 type spike = { mutable sp_factor : float; mutable sp_until : float }
 
-(* Stall applied per delivery while a latency spike is active: the
-   decorator cannot stretch the wire's real latency, so it sleeps the
-   delivery fiber [factor × base] on the virtual clock instead. *)
+(* Stall applied per delivery while a latency spike is active over an
+   opaque backend: the decorator cannot stretch the wire's real latency,
+   so it sleeps the delivery fiber [factor × base] on the virtual clock
+   instead. *)
 let spike_base = 0.001
+
+type cause = Src_crashed | Dst_crashed | Partitioned | Filtered | Loss
+
+let reason = function
+  | Src_crashed -> "src-crashed"
+  | Dst_crashed -> "dst-crashed"
+  | Partitioned -> "partitioned"
+  | Filtered -> "filtered"
+  | Loss -> "loss"
 
 type state = {
   sched : Sched.t;
@@ -25,16 +48,15 @@ type state = {
   crashed : (int, unit) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
   bursts : (int * int, burst) Hashtbl.t;
-  spikes : (int * int, spike) Hashtbl.t;
+  stalls : (int * int, spike) Hashtbl.t;
+      (* spikes to stall on; stays empty when spikes scale a latency model *)
   mutable filter : (src:int -> dst:int -> kind:string -> bool) option;
-  (* send-gate / receive-gate fault accounting, per logical message *)
-  mutable g_dropped : int;
-  mutable g_drop_src : int;
-  mutable g_drop_dst : int;
-  mutable g_dup : int;
-  mutable r_dropped : int;
-  mutable r_drop_src : int;
-  mutable r_drop_dst : int;
+  (* fault accounting, per logical message *)
+  mutable dropped : int;
+  mutable drop_src : int;
+  mutable drop_dst : int;
+  mutable dup : int;
+  mutable rx_dropped : int;  (* receive-gate drops the backend counted delivered *)
 }
 
 let pair a b = if a <= b then (a, b) else (b, a)
@@ -56,138 +78,150 @@ let effective st key get =
   | Some b when Sched.now st.sched < b.b_until -> get b
   | _ -> 0.0
 
-(* Send gate: [true] when the message is dropped (and accounted). *)
-let dropped_at_send st ~src ~dst ~kind =
-  ignore kind;
-  if is_crashed st src then begin
-    st.g_dropped <- st.g_dropped + 1;
-    st.g_drop_src <- st.g_drop_src + 1;
-    true
-  end
-  else if is_crashed st dst then begin
-    st.g_dropped <- st.g_dropped + 1;
-    st.g_drop_dst <- st.g_drop_dst + 1;
-    true
-  end
-  else if partitioned st src dst then begin
-    st.g_dropped <- st.g_dropped + 1;
-    true
-  end
-  else if
-    match st.filter with Some keep -> not (keep ~src ~dst ~kind) | None -> false
-  then begin
-    st.g_dropped <- st.g_dropped + 1;
-    true
-  end
-  else begin
-    let p = effective st (src, dst) (fun b -> b.b_loss) in
-    if p > 0.0 && Rng.chance st.rng p then begin
-      st.g_dropped <- st.g_dropped + 1;
-      true
-    end
-    else false
+let msg_args ~src ~dst ~kind len =
+  [
+    ("kind", Trace.S kind);
+    ("src", Trace.I src);
+    ("dst", Trace.I dst);
+    ("bytes", Trace.I len);
+  ]
+
+let drop st ~src ~dst ~kind len cause =
+  st.dropped <- st.dropped + 1;
+  (match cause with
+  | Src_crashed -> st.drop_src <- st.drop_src + 1
+  | Dst_crashed -> st.drop_dst <- st.drop_dst + 1
+  | Partitioned | Filtered | Loss -> ());
+  if Obs.on () then begin
+    Metrics.incr m_dropped;
+    (match cause with
+    | Src_crashed -> Metrics.incr m_drop_src_crashed
+    | Dst_crashed -> Metrics.incr m_drop_dst_crashed
+    | Partitioned | Filtered | Loss -> ());
+    Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
+      ~args:
+        (msg_args ~src ~dst ~kind len
+        @ [ ("reason", Trace.S (reason cause)); ("count", Trace.I 1) ])
+      "drop"
   end
 
-let duplicate_at_send st ~src ~dst =
+(* Send gate: why the message must not reach the backend, if it must
+   not.  A crashed source cannot emit at all; a live source talking to a
+   crashed destination loses the message on the wire.  The source check
+   wins when both are down. *)
+let send_cause st ~src ~dst ~kind =
+  if is_crashed st src then Some Src_crashed
+  else if is_crashed st dst then Some Dst_crashed
+  else if partitioned st src dst then Some Partitioned
+  else if
+    match st.filter with Some keep -> not (keep ~src ~dst ~kind) | None -> false
+  then Some Filtered
+  else
+    let p = effective st (src, dst) (fun b -> b.b_loss) in
+    if p > 0.0 && Rng.chance st.rng p then Some Loss else None
+
+let duplicate_at_send st ~src ~dst ~kind len =
   let p = effective st (src, dst) (fun b -> b.b_dup) in
   if p > 0.0 && Rng.chance st.rng p then begin
-    st.g_dup <- st.g_dup + 1;
+    st.dup <- st.dup + 1;
+    if Obs.on () then begin
+      Metrics.incr m_duplicated;
+      Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
+        ~args:(msg_args ~src ~dst ~kind len)
+        "dup"
+    end;
     true
   end
   else false
 
-(* Receive gate, run inside the backend's delivery fiber.  [true] when
-   the message survives; a live spike stalls it first. *)
-let survives_receive st ~src ~dst =
-  if is_crashed st dst then begin
-    st.r_dropped <- st.r_dropped + 1;
-    st.r_drop_dst <- st.r_drop_dst + 1;
-    false
-  end
-  else if is_crashed st src then begin
-    st.r_dropped <- st.r_dropped + 1;
-    st.r_drop_src <- st.r_drop_src + 1;
-    false
-  end
-  else if partitioned st src dst then begin
-    st.r_dropped <- st.r_dropped + 1;
-    false
-  end
-  else begin
-    (match Hashtbl.find_opt st.spikes (src, dst) with
+(* Receive gate, run inside the backend's delivery fiber after any spike
+   stall, so a fault that forms during the stall still applies.  A
+   message in flight towards a crashed destination is lost; one whose
+   source died mid-flight models the RPC bouncing (connection reset). *)
+let receive_cause st ~src ~dst =
+  if is_crashed st dst then Some Dst_crashed
+  else if is_crashed st src then Some Src_crashed
+  else if partitioned st src dst then Some Partitioned
+  else None
+
+let stall st ~src ~dst =
+  if Hashtbl.length st.stalls > 0 then
+    match Hashtbl.find_opt st.stalls (src, dst) with
     | Some sp when Sched.now st.sched < sp.sp_until ->
         Sched.sleep st.sched (spike_base *. sp.sp_factor)
-    | _ -> ());
-    true
-  end
+    | _ -> ()
 
-let wrap ~sched ~seed base =
+let record_stall st ~src ~dst ~factor ~until =
+  match Hashtbl.find_opt st.stalls (src, dst) with
+  | Some sp ->
+      sp.sp_factor <- factor;
+      sp.sp_until <- until
+  | None -> Hashtbl.add st.stalls (src, dst) { sp_factor = factor; sp_until = until }
+
+(* [latency_spike] is the backend's own latency model, when it has one;
+   without it spikes stall the delivery fiber. *)
+let stack ~sched ~rng ?latency_spike base =
   let st =
     {
       sched;
-      rng = Rng.create seed;
+      rng;
       crashed = Hashtbl.create 8;
       partitions = Hashtbl.create 8;
       bursts = Hashtbl.create 8;
-      spikes = Hashtbl.create 8;
+      stalls = Hashtbl.create 8;
       filter = None;
-      g_dropped = 0;
-      g_drop_src = 0;
-      g_drop_dst = 0;
-      g_dup = 0;
-      r_dropped = 0;
-      r_drop_src = 0;
-      r_drop_dst = 0;
+      dropped = 0;
+      drop_src = 0;
+      drop_dst = 0;
+      dup = 0;
+      rx_dropped = 0;
     }
   in
-  let send ~src ~dst ~kind payload =
-    if not (dropped_at_send st ~src ~dst ~kind) then begin
-      base.Transport.t_send ~src ~dst ~kind payload;
-      if duplicate_at_send st ~src ~dst then
-        base.Transport.t_send ~src ~dst ~kind payload
-    end
-  in
-  let post ~src ~dst ~kind payload =
-    if not (dropped_at_send st ~src ~dst ~kind) then begin
-      base.Transport.t_post ~src ~dst ~kind payload;
-      if duplicate_at_send st ~src ~dst then
-        base.Transport.t_post ~src ~dst ~kind payload
-    end
+  let gated forward ~src ~dst ~kind payload =
+    match send_cause st ~src ~dst ~kind with
+    | Some cause -> drop st ~src ~dst ~kind (String.length payload) cause
+    | None ->
+        forward ~src ~dst ~kind payload;
+        if duplicate_at_send st ~src ~dst ~kind (String.length payload) then
+          forward ~src ~dst ~kind payload
   in
   let set_handler addr h =
-    base.Transport.t_set_handler addr
-      (fun ~src ~kind ~payload ~off ~len ->
-        if survives_receive st ~src ~dst:addr then
-          h ~src ~kind ~payload ~off ~len)
+    base.Transport.t_set_handler addr (fun ~src ~kind ~payload ~off ~len ->
+        stall st ~src ~dst:addr;
+        match receive_cause st ~src ~dst:addr with
+        | None -> h ~src ~kind ~payload ~off ~len
+        | Some cause ->
+            st.rx_dropped <- st.rx_dropped + 1;
+            drop st ~src ~dst:addr ~kind len cause)
   in
   let stats () =
     let s = base.Transport.t_stats () in
     {
       s with
-      Transport.delivered = s.Transport.delivered - st.r_dropped;
-      dropped = s.Transport.dropped + st.g_dropped + st.r_dropped;
-      dropped_src_crashed =
-        s.Transport.dropped_src_crashed + st.g_drop_src + st.r_drop_src;
-      dropped_dst_crashed =
-        s.Transport.dropped_dst_crashed + st.g_drop_dst + st.r_drop_dst;
-      duplicated = s.Transport.duplicated + st.g_dup;
+      Transport.delivered = s.Transport.delivered - st.rx_dropped;
+      dropped = s.Transport.dropped + st.dropped;
+      dropped_src_crashed = s.Transport.dropped_src_crashed + st.drop_src;
+      dropped_dst_crashed = s.Transport.dropped_dst_crashed + st.drop_dst;
+      duplicated = s.Transport.duplicated + st.dup;
     }
   in
   let reset_stats () =
     base.Transport.t_reset_stats ();
-    st.g_dropped <- 0;
-    st.g_drop_src <- 0;
-    st.g_drop_dst <- 0;
-    st.g_dup <- 0;
-    st.r_dropped <- 0;
-    st.r_drop_src <- 0;
-    st.r_drop_dst <- 0
+    st.dropped <- 0;
+    st.drop_src <- 0;
+    st.drop_dst <- 0;
+    st.dup <- 0;
+    st.rx_dropped <- 0
   in
   {
     base with
     Transport.t_name = base.Transport.t_name ^ "+faulty";
-    t_send = send;
-    t_post = post;
+    t_send =
+      (fun ~src ~dst ~kind payload ->
+        gated base.Transport.t_send ~src ~dst ~kind payload);
+    t_post =
+      (fun ~src ~dst ~kind payload ->
+        gated base.Transport.t_post ~src ~dst ~kind payload);
     t_set_handler = set_handler;
     t_stats = stats;
     t_reset_stats = reset_stats;
@@ -209,14 +243,15 @@ let wrap ~sched ~seed base =
             b.b_dup <- dup;
             b.b_until <- until);
         f_set_latency_spike =
-          (fun ~src ~dst ~factor ~until ->
-            match Hashtbl.find_opt st.spikes (src, dst) with
-            | Some sp ->
-                sp.sp_factor <- factor;
-                sp.sp_until <- until
-            | None ->
-                Hashtbl.add st.spikes (src, dst)
-                  { sp_factor = factor; sp_until = until });
+          (match latency_spike with Some f -> f | None -> record_stall st);
         f_set_filter = (fun f -> st.filter <- f);
       };
   }
+
+let wrap ~sched ~seed base = stack ~sched ~rng:(Rng.create seed) base
+
+let of_net ~sched net =
+  stack ~sched ~rng:(Net.rng net)
+    ~latency_spike:(fun ~src ~dst ~factor ~until ->
+      Net.set_latency_spike net ~src ~dst ~factor ~until)
+    (Transport_sim.of_net net)

@@ -1,22 +1,34 @@
-(** Fault-injection decorator over any {!Transport} backend.
+(** Fault injection: the one place crashes, partitions, drop filters,
+    loss/duplication bursts and latency spikes come from.
 
-    [wrap ~sched ~seed base] returns a transport with the same delivery
-    path as [base] plus a full {!Transport.faults} implementation
-    layered on top: crashes and partitions drop matching messages at
-    the decorator's send and receive gates, loss/duplication bursts
-    draw from a seeded {!Netobj_util.Rng} (deterministic given the
-    seed and traffic order), drop filters apply at the send gate, and
-    latency spikes stall the delivery fiber on the virtual clock
-    before the handler runs.
+    Every fault-capable transport is a {!Transport} backend behind these
+    gates.  The send gate drops crashed-source, crashed-destination,
+    partitioned and filtered messages and draws burst loss/duplication
+    before the backend sees the message; the receive gate, run in the
+    backend's delivery fiber just before the user handler, drops a
+    message whose destination crashed, source crashed or pair
+    partitioned while it was in flight.  Drops are attributed per
+    logical message in the combined {!Transport.stats} and, with
+    observability on, emitted as ["drop"] trace instants (reason
+    [src-crashed], [dst-crashed], [partitioned], [filtered] or [loss])
+    and the [net.dropped], [net.dropped.src_crashed],
+    [net.dropped.dst_crashed] and [net.duplicated] metrics.
 
-    This is how the chaos nemesis drives real sockets: stack
-    [Faulty.wrap] over {!Tcp.transport} and every nemesis operation
-    that the simulated network implements natively works unchanged —
-    the decorator cannot re-order the wire, but crash/partition/loss/
-    dup/filter/spike all behave identically from the runtime's point
-    of view.  Fault drops are attributed per logical message in the
-    combined {!Transport.stats}, mirroring the simulated network's
-    accounting. *)
+    The gates cannot re-order the wire, but from the runtime's point of
+    view every nemesis operation behaves the same over the simulated
+    network and over real sockets. *)
 
+(** [wrap ~sched ~seed base] gates an opaque backend (e.g.
+    {!Tcp.transport}): burst draws come from a generator seeded with
+    [seed], and a latency spike stalls each delivery on the edge for
+    [factor] milliseconds of virtual time before the receive gate runs. *)
 val wrap :
   sched:Netobj_sched.Sched.t -> seed:int64 -> Transport.t -> Transport.t
+
+(** [of_net ~sched net] gates {!Transport_sim.of_net}[ net], the sim
+    engine's default transport.  Burst draws come from the network's own
+    generator ({!Netobj_net.Net.rng}), interleaved with its latency
+    draws in traffic order, and a latency spike scales the edge's
+    latency model ({!Netobj_net.Net.set_latency_spike}) instead of
+    stalling — so a seed fixes the whole run. *)
+val of_net : sched:Netobj_sched.Sched.t -> Netobj_net.Net.t -> Transport.t

@@ -7,8 +7,8 @@
     writer pool, per-destination coalescing policy, epoch stamps,
     retries and backoff — is backend-independent, so the same runtime
     runs over the deterministic simulated network
-    ({!Transport_sim.of_net}), over real Unix/TCP sockets ({!Tcp}), or
-    over either wrapped in the chaos fault decorator ({!Faulty}).
+    ({!Transport_sim.of_net}) or over real Unix/TCP sockets ({!Tcp});
+    faults come from one decorator stacked on either ({!Faulty}).
 
     Contracts every backend must honour:
 
@@ -20,6 +20,9 @@
       [delivered]/[dropped]/{!stats_by_kind} count logical messages (a
       frame's submessages count individually) — including fault events,
       which are attributed per constituent message, never per frame.
+      A message {!Faulty} drops at its send gate never reaches the
+      backend, so it counts in [dropped] but not in [sent], [bytes] or
+      {!stats_by_kind}.
     - {b At-most-once, unordered.}  A transport may drop, delay or
       reorder; it must not corrupt or invent messages.  Duplication
       only happens where a fault model injects it.  The protocol layers
@@ -52,10 +55,12 @@ type stats = {
 
 val zero_stats : stats
 
-(** Fault-injection hooks.  The simulated backend implements them
-    natively; {!Faulty} implements them as a decorator over any
-    backend; bare {!Tcp} rejects them (see {!no_faults}) — stack the
-    decorator on top to drive a nemesis against real sockets. *)
+(** Fault-injection hooks.  {!Faulty} implements them, as a decorator
+    over any backend; bare backends ({!Transport_sim.of_net}, {!Tcp})
+    reject them (see {!no_faults}).  The sim engine's default transport
+    is already decorated; stack the decorator on a custom backend to
+    drive a nemesis against it.  (The domains engine's hub keeps its own
+    crash flags and nothing else.) *)
 type faults = {
   f_crash : addr -> unit;
   f_restore : addr -> unit;

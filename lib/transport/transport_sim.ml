@@ -4,16 +4,14 @@ let of_net net =
   let stats () =
     let s = Net.stats net in
     {
-      Transport.sent = s.Net.sent;
+      Transport.zero_stats with
+      sent = s.Net.sent;
       delivered = s.Net.delivered;
       dropped = s.Net.dropped;
-      dropped_src_crashed = s.Net.dropped_src_crashed;
-      dropped_dst_crashed = s.Net.dropped_dst_crashed;
       duplicated = s.Net.duplicated;
       bytes = s.Net.bytes;
       frames = s.Net.frames;
       coalesced = s.Net.coalesced;
-      reconnects = 0;
     }
   in
   {
@@ -28,20 +26,5 @@ let of_net net =
     t_stats = stats;
     t_stats_by_kind = (fun () -> Net.stats_by_kind net);
     t_reset_stats = (fun () -> Net.reset_stats net);
-    t_faults =
-      {
-        Transport.f_crash = Net.crash net;
-        f_restore = Net.restore net;
-        f_is_crashed = Net.is_crashed net;
-        f_set_partitioned = Net.set_partitioned net;
-        f_partitioned = Net.partitioned net;
-        f_heal_all = (fun () -> Net.heal_all net);
-        f_set_burst =
-          (fun ~src ~dst ~loss ~dup ~until ->
-            Net.set_burst net ~src ~dst ~loss ~dup ~until ());
-        f_set_latency_spike =
-          (fun ~src ~dst ~factor ~until ->
-            Net.set_latency_spike net ~src ~dst ~factor ~until);
-        f_set_filter = Net.set_filter net;
-      };
+    t_faults = Transport.no_faults ~name:"sim";
   }

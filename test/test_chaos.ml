@@ -7,6 +7,7 @@ module Chaos = Netobj_chaos.Chaos
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
@@ -154,7 +155,7 @@ let retries_with ~backoff ~backoff_cap =
   let owner = R.space rt 0 and client = R.space rt 1 in
   let h = counter_obj owner in
   R.publish owner "c" h;
-  Net.set_partitioned (R.net rt) 0 1 true;
+  Transport.set_partitioned (R.transport rt) 0 1 true;
   R.spawn rt (fun () ->
       match R.lookup client ~at:0 "c" with
       | (_ : R.handle) -> Alcotest.fail "lookup through a partition"
@@ -211,11 +212,11 @@ let test_clean_retry_stops_after_ack () =
       ignore (Stub.call client s m_incr 1);
       R.release client s);
   ignore (R.run ~until:2.0 rt);
-  Net.set_partitioned (R.net rt) 0 1 true;
+  Transport.set_partitioned (R.transport rt) 0 1 true;
   R.collect client;
   (* cleans sent into the partition are dropped; retries arm *)
   ignore (R.run ~until:4.0 rt);
-  Net.set_partitioned (R.net rt) 0 1 false;
+  Transport.set_partitioned (R.transport rt) 0 1 false;
   ignore (R.run ~until:10.0 rt);
   let r1 = (R.gc_stats client).R.retries in
   Alcotest.(check bool) "retries happened" true (r1 >= 1);

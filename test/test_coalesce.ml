@@ -5,6 +5,8 @@ module Wire = Netobj_pickle.Wire
 module P = Netobj_pickle.Pickle
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
+module Faulty = Netobj_transport.Faulty
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Metrics = Netobj_obs.Metrics
@@ -174,19 +176,21 @@ let test_frame_drop_counts_constituents () =
       let s = Sched.create () in
       let net = Net.create ~sched:s ~seed:1L () in
       Net.set_all_edges net (Net.fifo_edge ());
-      Net.set_handler net 1 (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
+      let tr = Faulty.of_net ~sched:s net in
+      Transport.set_handler tr 1
+        (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
           Alcotest.fail "nothing must be delivered");
       for i = 1 to 5 do
-        Net.post net ~src:0 ~dst:1 ~kind:"seq" (string_of_int i)
+        Transport.post tr ~src:0 ~dst:1 ~kind:"seq" (string_of_int i)
       done;
       (* Crash the destination after the frame is in flight (flush fires
          at the 0-delay timer; delivery happens one latency later). *)
-      Sched.timer s 0.001 (fun () -> Net.crash net 1);
+      Sched.timer s 0.001 (fun () -> Transport.crash tr 1);
       ignore (Sched.run s);
-      let st = Net.stats net in
-      Alcotest.(check int) "stats: all five dropped" 5 st.Net.dropped;
+      let st = Transport.stats tr in
+      Alcotest.(check int) "stats: all five dropped" 5 st.Transport.dropped;
       Alcotest.(check int) "stats: attributed to dst crash" 5
-        st.Net.dropped_dst_crashed;
+        st.Transport.dropped_dst_crashed;
       Alcotest.(check int) "metric matches stats" 5
         (Metrics.counter_value (Metrics.counter Metrics.global "net.dropped")))
 

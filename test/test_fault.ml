@@ -266,7 +266,18 @@ let test_upper_lower_branches () =
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
+module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
+
+(* Partition [a]-[b] [after] seconds from now and heal it [duration]
+   seconds later, on the virtual clock. *)
+let partition_window rt a b ~after ~duration =
+  let tr = R.transport rt and sched = R.sched rt in
+  Sched.timer sched ~name:"net-partition" after (fun () ->
+      Transport.set_partitioned tr a b true);
+  Sched.timer sched ~name:"net-heal" (after +. duration) (fun () ->
+      Transport.set_partitioned tr a b false)
 
 let m_incr = Stub.declare "incr" P.int P.int
 
@@ -302,7 +313,7 @@ let lease_scenario ?(lease_grace = 0.0) ~duration () =
       ignore (Stub.call client s m_incr 1)
       (* [s] stays rooted: the client is alive and interested the whole
          time, only the network misbehaves. *));
-  Net.partition_window (R.net rt) 0 1 ~after:4.4 ~duration;
+  partition_window rt 0 1 ~after:4.4 ~duration;
   ignore (R.run ~until:14.0 rt);
   ((R.gc_stats owner).R.evictions, R.dirty_set owner h)
 

@@ -1,13 +1,21 @@
-(* Tests for the simulated network: delivery, FIFO vs bag ordering, loss,
-   duplication, partitions, crash and accounting. *)
+(* Tests for the simulated network: delivery, FIFO vs bag ordering, the
+   loss and duplication axioms and accounting — plus partitions and
+   crashes, which the fault gates stacked on the network inject. *)
 
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
+module Faulty = Netobj_transport.Faulty
 
 let setup ?policy ?(seed = 1L) () =
   let s = Sched.create ?policy () in
   let net = Net.create ~sched:s ~seed () in
   (s, net)
+
+(* The sim engine's default stack: the fault gates over the network. *)
+let setup_gated () =
+  let s, net = setup () in
+  (s, net, Faulty.of_net ~sched:s net)
 
 let collect_handler received =
   fun ~src ~kind ~payload ~off ~len ->
@@ -91,38 +99,38 @@ let test_duplication () =
   Alcotest.(check int) "duplicated counted" 5 (Net.stats net).Net.duplicated
 
 let test_partition () =
-  let s, net = setup () in
+  let s, _, tr = setup_gated () in
   let received = ref [] in
-  Net.set_handler net 1 (collect_handler received);
-  Net.set_partitioned net 0 1 true;
-  Net.send net ~src:0 ~dst:1 ~kind:"x" "p1";
+  Transport.set_handler tr 1 (collect_handler received);
+  Transport.set_partitioned tr 0 1 true;
+  Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p1";
   ignore (Sched.run s);
   Alcotest.(check int) "partitioned: nothing" 0 (List.length !received);
-  Net.set_partitioned net 0 1 false;
-  Net.send net ~src:0 ~dst:1 ~kind:"x" "p2";
+  Transport.set_partitioned tr 0 1 false;
+  Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p2";
   ignore (Sched.run s);
   Alcotest.(check int) "healed: delivered" 1 (List.length !received)
 
 let test_partition_in_flight () =
   (* A message already in flight when the partition forms is lost too:
      the simulated cut severs the wire. *)
-  let s, net = setup () in
+  let s, net, tr = setup_gated () in
   Net.set_all_edges net (Net.fifo_edge ~latency:5.0 ());
   let received = ref [] in
-  Net.set_handler net 1 (collect_handler received);
-  Net.send net ~src:0 ~dst:1 ~kind:"x" "p";
+  Transport.set_handler tr 1 (collect_handler received);
+  Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p";
   ignore (Sched.run ~until:1.0 s);
-  Net.set_partitioned net 0 1 true;
+  Transport.set_partitioned tr 0 1 true;
   ignore (Sched.run s);
   Alcotest.(check int) "in-flight dropped" 0 (List.length !received)
 
 let test_crash () =
-  let s, net = setup () in
+  let s, _, tr = setup_gated () in
   let received = ref [] in
-  Net.set_handler net 1 (collect_handler received);
-  Net.crash net 1;
-  Alcotest.(check bool) "crashed" true (Net.is_crashed net 1);
-  Net.send net ~src:0 ~dst:1 ~kind:"x" "p";
+  Transport.set_handler tr 1 (collect_handler received);
+  Transport.crash tr 1;
+  Alcotest.(check bool) "crashed" true (Transport.is_crashed tr 1);
+  Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p";
   ignore (Sched.run s);
   Alcotest.(check int) "crashed space receives nothing" 0
     (List.length !received)

@@ -5,6 +5,7 @@
 module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
@@ -133,13 +134,13 @@ let test_call_timeout () =
         ignore (Stub.call client h m_incr 1);
         h)
   in
-  Net.set_partitioned (R.net rt) 0 1 true;
+  Transport.set_partitioned (R.transport rt) 0 1 true;
   in_fiber rt (fun () ->
       match Stub.call client h m_incr 1 with
       | _ -> Alcotest.fail "expected timeout"
       | exception R.Timeout _ -> ());
   (* heal: calls work again *)
-  Net.set_partitioned (R.net rt) 0 1 false;
+  Transport.set_partitioned (R.transport rt) 0 1 false;
   in_fiber rt (fun () ->
       Alcotest.(check int) "healed" 2 (Stub.call client h m_incr 1);
       R.release client h)
@@ -153,7 +154,7 @@ let test_dirty_timeout () =
   let owner = R.space rt 0 in
   let client = R.space rt 1 in
   R.publish owner "c" (counter_obj owner);
-  Net.set_partitioned (R.net rt) 0 1 true;
+  Transport.set_partitioned (R.transport rt) 0 1 true;
   in_fiber rt (fun () ->
       match R.lookup client ~at:0 "c" with
       | _ -> Alcotest.fail "expected timeout"

@@ -13,6 +13,7 @@ module R = Netobj_core.Runtime
 module Stub = Netobj_core.Stub
 module Proto = Netobj_core.Proto
 module Net = Netobj_net.Net
+module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
@@ -27,6 +28,15 @@ let counter_obj sp =
             v := !v + n;
             !v);
       ]
+
+(* Partition [a]-[b] [after] seconds from now and heal it [duration]
+   seconds later, on the virtual clock. *)
+let partition_window rt a b ~after ~duration =
+  let tr = R.transport rt and sched = R.sched rt in
+  Sched.timer sched ~name:"net-partition" after (fun () ->
+      Transport.set_partitioned tr a b true);
+  Sched.timer sched ~name:"net-heal" (after +. duration) (fun () ->
+      Transport.set_partitioned tr a b false)
 
 let no_failures rt =
   match Sched.failures (R.sched rt) with
@@ -59,13 +69,13 @@ let replay_scenario ~bug () =
       let s = R.lookup client ~at:0 "c" in
       ignore (Stub.call client s m_incr 1)
       (* [s] stays rooted: only the network misbehaves. *));
-  let net = R.net rt and sched = R.sched rt in
+  let tr = R.transport rt and sched = R.sched rt in
   (* The gate lets the nemesis' own injections through the sever
-     filter: [Net.send] evaluates the filter synchronously, so
+     filter: [Transport.send] evaluates the filter synchronously, so
      toggling around the call is exact. *)
   let gate = ref true in
   Sched.timer sched ~name:"sever" 4.4 (fun () ->
-      Net.set_filter net
+      Transport.set_filter tr
         (Some
            (fun ~src ~dst ~kind ->
              not (src = 1 && dst = 0 && kind = "ping_ack" && !gate))));
@@ -85,7 +95,7 @@ let replay_scenario ~bug () =
       (float_of_int i +. 0.5)
       (fun () ->
         gate := false;
-        Net.send net ~src:1 ~dst:0 ~kind:"ping_ack" replay;
+        Transport.send tr ~src:1 ~dst:0 ~kind:"ping_ack" replay;
         gate := true)
   done;
   ignore (R.run ~until:14.0 rt);
@@ -193,7 +203,7 @@ let scale_scenario ~n ~lease_grace ~duration () =
       got := Stub.call client s m_all ();
       R.release client s
       (* the [n] surrogates in [got] stay rooted throughout *));
-  Net.partition_window (R.net rt) 0 1 ~after:4.4 ~duration;
+  partition_window rt 0 1 ~after:4.4 ~duration;
   ignore (R.run ~until:14.0 rt);
   no_failures rt;
   Alcotest.(check int) "client imported everything" n (List.length !got);
@@ -265,7 +275,7 @@ let test_multi_owner_single_loss () =
       ignore (Stub.call client sa m_incr 1);
       ignore (Stub.call client s m_incr 1);
       sb := Some s);
-  Net.partition_window (R.net rt) 0 2 ~after:4.4 ~duration:6.0;
+  partition_window rt 0 2 ~after:4.4 ~duration:6.0;
   ignore (R.run ~until:14.0 rt);
   no_failures rt;
   Alcotest.(check int) "partitioned owner evicted the client" 1

@@ -11,6 +11,9 @@ module Tcp = Netobj_transport.Tcp
 module Faulty = Netobj_transport.Faulty
 module Frame = Netobj_transport.Frame
 module Wire = Netobj_pickle.Wire
+module Obs = Netobj_obs.Obs
+module Trace = Netobj_obs.Trace
+module Metrics = Netobj_obs.Metrics
 
 (* --- frame codec: exact behaviours -------------------------------------- *)
 
@@ -674,6 +677,69 @@ let test_faulty_burst_deterministic () =
   ignore (Sched.run sched);
   Alcotest.(check int) "burst expired" 5 !got
 
+(* The [reason] of every ["drop"] instant in the current trace. *)
+let drop_reasons () =
+  List.filter_map
+    (fun e ->
+      match (e.Trace.name, List.assoc_opt "reason" e.Trace.args) with
+      | "drop", Some (Trace.S r) -> Some r
+      | _ -> None)
+    (Trace.events (Obs.trace ()))
+
+let with_obs f =
+  Metrics.reset Metrics.global;
+  Obs.enable ~capacity:4096 ();
+  Fun.protect ~finally:Obs.disable f
+
+(* Over an opaque backend a spike stalls the delivery fiber; the receive
+   gate must run after the stall, so a partition that forms mid-stall
+   still eats the message. *)
+let test_faulty_gate_after_stall () =
+  with_obs (fun () ->
+      let sched = Sched.create () in
+      let net = Net.create ~sched ~seed:42L () in
+      Net.set_all_edges net (Net.fifo_edge ~latency:0.005 ());
+      let tr = Faulty.wrap ~sched ~seed:42L (Transport_sim.of_net net) in
+      let got = ref 0 in
+      Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
+          incr got);
+      (* arrives at 5 ms, then stalls 100 × 1 ms; the cut forms at 55 ms *)
+      Transport.set_latency_spike tr ~src:0 ~dst:1 ~factor:100.0 ~until:infinity;
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "x";
+      Sched.timer sched 0.055 (fun () -> Transport.set_partitioned tr 0 1 true);
+      ignore (Sched.run sched);
+      let s = Transport.stats tr in
+      Alcotest.(check int) "nothing delivered" 0 !got;
+      Alcotest.(check int) "dropped" 1 s.Transport.dropped;
+      Alcotest.(check int) "delivered stat" 0 s.Transport.delivered;
+      Alcotest.(check (list string)) "reason" [ "partitioned" ] (drop_reasons ()))
+
+(* TCP runs report fault drops exactly as sim runs do: a [drop] instant
+   per message with its reason, and the [net.dropped] metric. *)
+let test_faulty_tcp_drop_obs () =
+  with_obs (fun () ->
+      with_tcp ~serving:[ 0; 1 ] ~endpoints:[ (0, ep 0); (1, ep 0) ]
+        (fun sched tcp ->
+          let tr = Faulty.wrap ~sched ~seed:5L tcp in
+          Transport.set_handler tr 1
+            (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
+              Alcotest.fail "nothing must be delivered");
+          Transport.set_partitioned tr 0 1 true;
+          Transport.send tr ~src:0 ~dst:1 ~kind:"m" "cut";
+          Transport.heal_all tr;
+          Transport.crash tr 1;
+          Transport.send tr ~src:0 ~dst:1 ~kind:"m" "dead";
+          ignore (Sched.run sched);
+          ignore (Transport.pump tr ~timeout:0.01);
+          Alcotest.(check (list string))
+            "reasons" [ "partitioned"; "dst-crashed" ] (drop_reasons ());
+          Alcotest.(check int) "net.dropped" 2
+            (Metrics.counter_value (Metrics.counter Metrics.global "net.dropped"));
+          let s = Transport.stats tr in
+          Alcotest.(check int) "dropped" 2 s.Transport.dropped;
+          Alcotest.(check int) "dst-crashed" 1 s.Transport.dropped_dst_crashed;
+          Alcotest.(check int) "never reached the wire" 0 s.Transport.sent))
+
 (* Bare TCP advertises no fault hooks; predicates answer "no fault". *)
 let test_no_faults () =
   let nf = Transport.no_faults ~name:"tcp" in
@@ -716,6 +782,10 @@ let () =
           Alcotest.test_case "receive gate" `Quick test_faulty_receive_gate;
           Alcotest.test_case "partition and filter" `Quick
             test_faulty_partition_filter;
+          Alcotest.test_case "gate after spike stall" `Quick
+            test_faulty_gate_after_stall;
+          Alcotest.test_case "drop reasons over tcp" `Quick
+            test_faulty_tcp_drop_obs;
           Alcotest.test_case "burst windows" `Quick
             test_faulty_burst_deterministic;
           Alcotest.test_case "bare backend refuses faults" `Quick
