@@ -113,9 +113,10 @@ let assert_clean rt =
   | [] -> ()
   | p :: _ -> Alcotest.failf "consistency violation: %s" p
 
-(* A [config] that routes protocol traffic through the [Faulty]
-   decorator over the simulated network — the detector must behave over
-   a decorated transport exactly as over the bare one. *)
+(* A [config] that routes protocol traffic through [Faulty.wrap] over
+   the simulated network — the opaque-backend gates TCP runs use, with
+   their own RNG — and the detector must behave as under the default
+   stack. *)
 let faulty_cfg ?call_timeout ~seed n =
   R.config ~seed:5L ~nspaces:n ?call_timeout
     ~transport:(fun sched net ->
