@@ -36,12 +36,14 @@ bench-compare:
 par-smoke:
 	NETOBJ_DOMAINS_POOL=4 dune exec bin/netobj_sim.exe -- par --seed 7 --spaces 8 --domains 4 --calls 200
 
-# Call-benchmark smoke: a short traced run of the two TCP workloads that
-# carry per-message cost.  Each must end with "correct": true, which
-# covers the workload oracles, zero residue/dropped/reconnects, and the
-# layer breakdown summing to the whole within 5%.
+# Call-benchmark smoke: a short traced run of each TCP workload: the two
+# that carry per-message cost, and bulk-tcp, the only one whose frames
+# are larger than the 64 KiB gather buffer.  Each must end with
+# "correct": true, which covers the workload oracles, zero
+# residue/dropped/reconnects, and the layer breakdown summing to the
+# whole within 5%.
 perf-smoke:
-	@for w in null-tcp refs-tcp; do \
+	@for w in null-tcp refs-tcp bulk-tcp; do \
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace 1 \
 	    | tail -n 1 | grep -q '"correct": true' \
 	    || { echo "perf-smoke: $$w not correct"; exit 1; }; \

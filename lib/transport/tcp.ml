@@ -82,6 +82,7 @@ type t = {
   mutable coalesced : int;
   mutable reconnects : int;
   mutable closed : bool;
+  names : (int * int * string, string) Hashtbl.t;
 }
 
 let resolve host =
@@ -117,6 +118,7 @@ let create ~sched ~serving ~endpoints () =
       coalesced = 0;
       reconnects = 0;
       closed = false;
+      names = Hashtbl.create 16;
     }
   in
   (try
@@ -378,12 +380,47 @@ let post t ~src ~dst ~kind payload =
 
 let read_chunk = Bytes.create 65536
 
+(* Delivery fibers are named after their route and kind, for traces
+   and failure reports.  Formatting a name costs more than the rest of
+   a message's dispatch, and a space sees few distinct (src, dst, kind)
+   triples, so names are kept once made, up to [max_names]; past that a
+   peer sending ever-new kinds gets its names formatted afresh. *)
+let max_names = 1024
+
+let delivery_name t ~src ~dst kind =
+  let key = (src, dst, kind) in
+  match Hashtbl.find_opt t.names key with
+  | Some name -> name
+  | None ->
+      let name = Printf.sprintf "tcp-delivery-%d>%d:%s" src dst kind in
+      if Hashtbl.length t.names < max_names then Hashtbl.add t.names key name;
+      name
+
+(* The body is parsed whole — src, dst, count, every submessage and
+   nothing after them — before a route is learned or any delivery
+   spawned, so a malformed body acts on nothing: it raises
+   [Frame.Corrupt] and the connection dies like any unparseable stream. *)
 let dispatch_body t ?learn_fd body =
   let r = Wire.Reader.of_string body in
-  let src = Wire.Reader.uvarint r in
-  let dst = Wire.Reader.uvarint r in
+  let src, dst, count, first =
+    try
+      let src = Wire.Reader.uvarint r in
+      let dst = Wire.Reader.uvarint r in
+      let count = Wire.Reader.uvarint r in
+      let first = Wire.Reader.pos r in
+      for _ = 1 to count do
+        Wire.Reader.skip r (Wire.Reader.uvarint r);
+        Wire.Reader.skip r (Wire.Reader.uvarint r)
+      done;
+      if not (Wire.Reader.at_end r) then
+        Wire.Reader.fail r "trailing bytes after the submessages";
+      (src, dst, count, first)
+    with Wire.Error { pos; msg } ->
+      raise (Frame.Corrupt (Printf.sprintf "bad frame body at %d: %s" pos msg))
+  in
   (match learn_fd with Some fd -> learn t ~src fd | None -> ());
-  let count = Wire.Reader.uvarint r in
+  let r = Wire.Reader.of_string body in
+  Wire.Reader.skip r first;
   let n = ref 0 in
   for _ = 1 to count do
     let kind = Wire.Reader.string r in
@@ -396,9 +433,8 @@ let dispatch_body t ?learn_fd body =
         t.delivered <- t.delivered + 1;
         if Obs.on () then Metrics.incr m_delivered;
         incr n;
-        Sched.spawn t.sched
-          ~name:(Printf.sprintf "tcp-delivery-%d>%d:%s" src dst kind)
-          (fun () -> h ~src ~kind ~payload:body ~off ~len)
+        Sched.spawn t.sched ~name:(delivery_name t ~src ~dst kind) (fun () ->
+            h ~src ~kind ~payload:body ~off ~len)
   done;
   !n
 
@@ -538,64 +574,76 @@ let accept_all t lfd =
     | exception Unix.Unix_error (_, _, _) -> continue := false
   done
 
+(* One pump: write the drained peers, one [select], accept and read,
+   then write the peers that became writable.  A peer whose in-flight
+   buffer is drained writes its queue before the [select], so on
+   loopback that same [select] already sees the bytes readable and one
+   pump carries a message from sender to receiver.  A backed-up peer
+   (bytes still in flight from an earlier pump) writes only once
+   [select] reports it writable, after its read pass, so an EOF that
+   arrived meanwhile is seen before more bytes go into the dying
+   connection.  A pump that wrote polls rather than waits: it would
+   have returned at once on the writable socket anyway. *)
 let pump t ~timeout =
   if t.closed then 0
   else begin
     let now = Unix.gettimeofday () in
+    let wrote = ref false in
+    let soonest = ref Float.infinity in
+    let established = ref [] and connecting = ref [] in
+    let rds = ref [] and wrs = ref [] in
     Hashtbl.iter
       (fun _ p ->
         (* Peers with no configured endpoint were learned from incoming
            connections: we cannot dial them, only wait for them to dial
            us again. *)
+        let dialable = has_endpoint t p.p_addr in
         if
-          p.p_fd = None
-          && peer_has_output p
-          && has_endpoint t p.p_addr
+          p.p_fd = None && dialable && peer_has_output p
           && now >= p.p_next_attempt
-        then start_connect t p)
+        then start_connect t p;
+        (match p.p_fd with
+        | Some fd
+          when (not p.p_connecting)
+               && p.p_woff = p.p_out_len
+               && not (Queue.is_empty p.p_queue) ->
+            wrote := true;
+            write_pending t p fd
+        | _ -> ());
+        match p.p_fd with
+        | Some fd when p.p_connecting ->
+            connecting := (fd, p) :: !connecting;
+            wrs := fd :: !wrs
+        | Some fd ->
+            established := (fd, p) :: !established;
+            rds := fd :: !rds;
+            if peer_has_output p then wrs := fd :: !wrs
+        | None ->
+            (* The soonest reconnect deadline bounds the wait, so backoff
+               expiry doesn't stall behind a long select. *)
+            if dialable && peer_has_output p then
+              soonest :=
+                Float.min !soonest (Float.max 0.0 (p.p_next_attempt -. now)))
       t.peers;
-    let listeners = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.listeners [] in
-    let inbound_fds = List.map (fun c -> c.in_fd) t.inbound in
-    let established, connecting =
-      Hashtbl.fold
-        (fun _ p (est, conn) ->
-          match p.p_fd with
-          | Some fd when p.p_connecting -> (est, (fd, p) :: conn)
-          | Some fd -> ((fd, p) :: est, conn)
-          | None -> (est, conn))
-        t.peers ([], [])
-    in
-    let rds = listeners @ inbound_fds @ List.map fst established in
-    let wrs =
-      List.map fst connecting
-      @ List.filter_map
-          (fun (fd, p) -> if peer_has_output p then Some fd else None)
-          established
-    in
-    (* When nothing is ready, the soonest reconnect deadline bounds the
-       wait so backoff expiry doesn't stall behind a long select.  A
-       negative caller timeout means "block" and must not enter the
-       [Float.min] — it would undercut every deadline and the pending
+    (* Listed after the walk: a write that failed there closed its fd
+       and took it off [t.inbound]. *)
+    List.iter (fun c -> rds := c.in_fd :: !rds) t.inbound;
+    Hashtbl.iter (fun _ fd -> rds := fd :: !rds) t.listeners;
+    (* A negative caller timeout means "block" and must not enter the
+       [Float.min]: it would undercut every deadline and the pending
        reconnects would never fire. *)
+    let timeout = if !wrote then 0.0 else timeout in
     let timeout =
-      let soonest =
-        Hashtbl.fold
-          (fun _ p acc ->
-            if p.p_fd = None && peer_has_output p && has_endpoint t p.p_addr
-            then Float.min acc (Float.max 0.0 (p.p_next_attempt -. now))
-            else acc)
-          t.peers Float.infinity
-      in
-      if soonest = Float.infinity then timeout
-      else if timeout < 0.0 then soonest
-      else Float.min timeout soonest
+      if !soonest = Float.infinity then timeout
+      else if timeout < 0.0 then !soonest
+      else Float.min timeout !soonest
     in
-    match Unix.select rds wrs [] timeout with
+    match Unix.select !rds !wrs [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
     | readable, writable, _ ->
         let dispatched = ref 0 in
         (* Completed (or failed) connection attempts first, so their
-           queued frames can ride this round's write pass. *)
+           queued frames go out in this pump. *)
         List.iter
           (fun (fd, p) ->
             if List.memq fd writable then
@@ -605,10 +653,10 @@ let pump t ~timeout =
                   p.p_backoff <- initial_backoff;
                   if peer_has_output p then write_pending t p fd
               | Some _ -> conn_lost t p)
-          connecting;
-        List.iter
-          (fun lfd -> if List.memq lfd readable then accept_all t lfd)
-          listeners;
+          !connecting;
+        Hashtbl.iter
+          (fun _ lfd -> if List.memq lfd readable then accept_all t lfd)
+          t.listeners;
         (* Inbound reads: iterate a snapshot ([learn] may drop superseded
            entries from [t.inbound] as we go), collect the dead, then
            prune whatever list state the reads left behind. *)
@@ -652,11 +700,13 @@ let pump t ~timeout =
                    if not alive then conn_lost t p
                  end);
                 (match p.p_fd with
-                | Some fd'' when fd'' == fd && not p.p_connecting ->
-                    if peer_has_output p then write_pending t p fd
+                | Some fd''
+                  when fd'' == fd && List.memq fd writable && peer_has_output p
+                  ->
+                    write_pending t p fd
                 | _ -> ())
             | _ -> ())
-          established;
+          !established;
         !dispatched
   end
 

@@ -85,8 +85,12 @@ type t = {
   t_connect : addr -> unit;
       (** pre-establish the link to a peer (no-op where meaningless) *)
   t_pump : timeout:float -> int;
-      (** drive real I/O for up to [timeout] {e wall-clock} seconds;
-          returns the number of logical messages dispatched.  Returns 0
+      (** drive real I/O for up to [timeout] {e wall-clock} seconds
+          (negative: until something is ready); returns the number of
+          logical messages dispatched.  Over sockets one pump writes
+          what it can, then waits for and dispatches what arrived, so
+          on loopback a message written by a pump is dispatched by that
+          same pump; a pump that wrote does not wait.  Returns 0
           immediately on backends whose delivery rides the virtual
           clock. *)
   t_close : unit -> unit;

@@ -180,8 +180,9 @@ let lo = "127.0.0.1"
 
 let ep port = { Tcp.host = lo; port }
 
-(* Containers without a loopback interface skip rather than fail. *)
-let with_tcp ~serving ~endpoints f =
+(* Containers without a loopback interface skip rather than fail.
+   [with_tcp'] also hands [f] the backend, for its bound ports. *)
+let with_tcp' ~serving ~endpoints f =
   let sched = Sched.create () in
   match Tcp.create ~sched ~serving ~endpoints () with
   | exception Unix.Unix_error (e, _, _) ->
@@ -189,7 +190,12 @@ let with_tcp ~serving ~endpoints f =
         (Unix.error_message e)
   | t ->
       let tr = Tcp.transport t in
-      Fun.protect ~finally:(fun () -> Transport.close tr) (fun () -> f sched tr)
+      Fun.protect
+        ~finally:(fun () -> Transport.close tr)
+        (fun () -> f sched t tr)
+
+let with_tcp ~serving ~endpoints f =
+  with_tcp' ~serving ~endpoints (fun sched _ tr -> f sched tr)
 
 (* Alternate draining the cooperative scheduler (handler fibers, the
    0-delay flush timer) with real socket I/O until [until] holds. *)
@@ -598,6 +604,86 @@ let test_tcp_blocking_pump_backoff () =
           done;
           Alcotest.(check bool) "pump returned" true true)
 
+(* A drained peer writes before the pump's [select], so on loopback the
+   same pump reads what it wrote: once the connection is warm, one
+   non-waiting pump carries a message from sender to receiver. *)
+let test_tcp_same_pump_delivery () =
+  with_tcp ~serving:[ 0; 1 ] ~endpoints:[ (0, ep 0); (1, ep 0) ]
+    (fun sched tr ->
+      let got = ref 0 in
+      Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
+          incr got);
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "warm";
+      drive sched tr ~until:(fun () -> !got = 1);
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "one pump";
+      Alcotest.(check int) "dispatched by the pump that wrote" 1
+        (Transport.pump tr ~timeout:0.0);
+      ignore (Sched.run sched);
+      Alcotest.(check int) "handler ran" 2 !got)
+
+(* A pump that wrote must poll, not wait out its timeout: the receiver
+   here accepts but never reads or replies, so nothing would wake a
+   waiting [select]. *)
+let test_tcp_pump_after_write_polls () =
+  with_raw_listener @@ fun lfd port _close ->
+  with_tcp ~serving:[] ~endpoints:[ (1, ep port) ] (fun sched tr ->
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "connect";
+      let afd = accept_pumping sched tr lfd in
+      Fun.protect ~finally:(fun () -> Unix.close afd) @@ fun () ->
+      pump_for tr 0.1;
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "then this";
+      let t0 = Unix.gettimeofday () in
+      ignore (Transport.pump tr ~timeout:2.0);
+      let waited = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "returned promptly (%.3f s)" waited)
+        true (waited < 0.5))
+
+(* A blocking loopback connection to [port], for writing raw bytes. *)
+let raw_connect port =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  fd
+
+(* A well-formed frame whose body promises five submessages but holds
+   one and a torn second must act on nothing: [pump] does not raise, no
+   submessage is delivered, and the connection is closed like any other
+   unparseable stream.  A fresh connection from the same source still
+   delivers. *)
+let test_tcp_malformed_body () =
+  with_tcp' ~serving:[ 0 ] ~endpoints:[ (0, ep 0) ] (fun sched tcp tr ->
+      let got = ref [] in
+      Transport.set_handler tr 0 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
+          got := String.sub payload off len :: !got);
+      let port = Tcp.bound_port tcp 0 in
+      let send_raw fd body =
+        let frame = Frame.encode body in
+        ignore (Unix.write_substring fd frame 0 (String.length frame))
+      in
+      let bad = raw_connect port in
+      Fun.protect ~finally:(fun () -> Unix.close bad) (fun () ->
+          (* src 1, dst 0, count 5; "m" with an empty payload; then a
+             kind whose length byte promises more than the body holds *)
+          send_raw bad "\x01\x00\x05\x01\x6d\x00\x01";
+          let buf = Bytes.create 16 in
+          let eof = ref false in
+          let t0 = Unix.gettimeofday () in
+          while (not !eof) && Unix.gettimeofday () -. t0 < 10.0 do
+            ignore (Transport.pump tr ~timeout:0.02);
+            ignore (Sched.run sched);
+            match Unix.select [ bad ] [] [] 0.0 with
+            | [], _, _ -> ()
+            | _ -> eof := Unix.read bad buf 0 (Bytes.length buf) = 0
+          done;
+          Alcotest.(check bool) "connection closed" true !eof;
+          Alcotest.(check (list string)) "nothing delivered" [] !got);
+      let good = raw_connect port in
+      Fun.protect ~finally:(fun () -> Unix.close good) (fun () ->
+          send_raw good "\x01\x00\x01\x01m\x02ok";
+          drive sched tr ~until:(fun () -> !got <> []);
+          Alcotest.(check (list string)) "fresh connection delivers" [ "ok" ]
+            !got))
+
 (* --- faulty decorator ----------------------------------------------------- *)
 
 let faulty_pair ?(seed = 42L) () =
@@ -740,6 +826,36 @@ let test_faulty_tcp_drop_obs () =
           Alcotest.(check int) "dst-crashed" 1 s.Transport.dropped_dst_crashed;
           Alcotest.(check int) "never reached the wire" 0 s.Transport.sent))
 
+(* Delivery fibers are named "tcp-delivery-src>dst:kind" whether the
+   name was kept from an earlier message or, past the bound on kept
+   names, formatted afresh. *)
+let test_tcp_delivery_names () =
+  with_obs (fun () ->
+      with_tcp ~serving:[ 0; 1 ] ~endpoints:[ (0, ep 0); (1, ep 0) ]
+        (fun sched tr ->
+          let got = ref 0 in
+          Transport.set_handler tr 1
+            (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ -> incr got);
+          let fresh = List.init 1030 (Printf.sprintf "k%d") in
+          let again = [ "k0"; "k1"; "k1028"; "k1029"; "k0" ] in
+          let kinds = fresh @ again in
+          List.iter (fun kind -> Transport.send tr ~src:0 ~dst:1 ~kind "") kinds;
+          drive sched tr ~until:(fun () -> !got = List.length kinds);
+          let spawned =
+            List.filter_map
+              (fun e ->
+                match (e.Trace.name, List.assoc_opt "fiber" e.Trace.args) with
+                | "spawn", Some (Trace.S f)
+                  when String.starts_with ~prefix:"tcp-delivery-" f ->
+                    Some f
+                | _ -> None)
+              (Trace.events (Obs.trace ()))
+          in
+          Alcotest.(check (list string))
+            "names"
+            (List.map (Printf.sprintf "tcp-delivery-0>1:%s") kinds)
+            spawned))
+
 (* Bare TCP advertises no fault hooks; predicates answer "no fault". *)
 let test_no_faults () =
   let nf = Transport.no_faults ~name:"tcp" in
@@ -775,6 +891,14 @@ let () =
             test_tcp_close_drops_pending;
           Alcotest.test_case "blocking pump honours backoff" `Quick
             test_tcp_blocking_pump_backoff;
+          Alcotest.test_case "one pump carries a message" `Quick
+            test_tcp_same_pump_delivery;
+          Alcotest.test_case "a pump that wrote polls" `Quick
+            test_tcp_pump_after_write_polls;
+          Alcotest.test_case "malformed body acts on nothing" `Quick
+            test_tcp_malformed_body;
+          Alcotest.test_case "delivery fiber names" `Quick
+            test_tcp_delivery_names;
         ] );
       ( "faulty",
         [
