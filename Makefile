@@ -8,7 +8,7 @@ build:
 test:
 	dune runtest
 
-# Every experiment table (E1-E18); see EXPERIMENTS.md.
+# Every experiment table (E1-E25, E17 retired); see EXPERIMENTS.md.
 bench:
 	dune exec bench/main.exe
 

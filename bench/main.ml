@@ -1,7 +1,7 @@
 (* Benchmark and experiment harness.
 
-   Each experiment E1–E15 regenerates one table/figure of the
-   reproduction (see DESIGN.md for the experiment index and
+   Each experiment E1–E25 (E17 retired) regenerates one table/figure of
+   the reproduction (see DESIGN.md for the experiment index and
    EXPERIMENTS.md for recorded outcomes):
 
      E1  race        naive RC/listing race vs the safe family (Figure 1)
@@ -20,7 +20,6 @@
      E14 cycleleak   distributed cycles: the leak and the hybrid fix
      E15 scale       per-client GC cost vs system size
      E16 pool        writer pool + slice decode on the marshalling path
-     E17 coalesce    per-destination message coalescing vs single sends
      E18 chaos       seeded chaos runs: survival, drain time, retry traffic
      E19 mc          systematic schedule exploration: states, pruning,
                      schedules-to-first-bug on the lookup-leak scenario
@@ -1013,56 +1012,6 @@ let e16_pool () =
     misses
     (float_of_int hits /. float_of_int (hits + misses))
 
-(* ------------------------------------------------------------------ E17 *)
-
-(* Chatter-heavy workload: 3 clients each touch 16 remote objects, then
-   every space collects, so dirty, call, reply, clean-batch and ack
-   traffic all cross the same few edges in bursts. *)
-let e17_coalesce () =
-  section "E17: per-destination coalescing (frames vs single messages)";
-  let run ~coalesce =
-    let cfg =
-      R.config ~seed:13L ~clean_batch:0.05 ~piggyback_acks:true ~coalesce
-        ~nspaces:4 ()
-    in
-    let rt = R.create cfg in
-    let owner = R.space rt 0 in
-    let objs = List.init 16 (fun i -> (i, counter_obj owner)) in
-    List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
-    for cl = 1 to 3 do
-      R.spawn rt (fun () ->
-          let sp = R.space rt cl in
-          List.iter
-            (fun (i, _) ->
-              let h = R.lookup sp ~at:0 (Printf.sprintf "o%d" i) in
-              ignore (Stub.call sp h m_incr 1);
-              R.release sp h)
-            objs)
-    done;
-    ignore (R.run rt);
-    R.collect_all rt;
-    ignore (R.run rt);
-    (Net.stats (R.net rt), R.gc_stats (R.space rt 1))
-  in
-  let off_st, off_gc = run ~coalesce:false in
-  let on_st, on_gc = run ~coalesce:true in
-  row "%-22s %10s %10s %10s %10s@." "mode" "physical" "delivered" "bytes"
-    "frames";
-  row "%-22s %10d %10d %10d %10d@." "single messages" off_st.Net.sent
-    off_st.Net.delivered off_st.Net.bytes off_st.Net.frames;
-  row "%-22s %10d %10d %10d %10d@." "coalesced" on_st.Net.sent
-    on_st.Net.delivered on_st.Net.bytes on_st.Net.frames;
-  row "packing ratio: %.2f logical msgs/frame; physical sends %d -> %d (%.1f%%)@."
-    (float_of_int on_st.Net.coalesced /. float_of_int (max 1 on_st.Net.frames))
-    off_st.Net.sent on_st.Net.sent
-    (100.0
-    *. float_of_int (off_st.Net.sent - on_st.Net.sent)
-    /. float_of_int (max 1 off_st.Net.sent));
-  row "gc_stats parity (dirty/clean/acks): %b@."
-    (off_gc.R.dirty_calls = on_gc.R.dirty_calls
-    && off_gc.R.clean_calls = on_gc.R.clean_calls
-    && off_gc.R.copy_acks = on_gc.R.copy_acks)
-
 (* ------------------------------------------------------------------ E18 *)
 
 module Chaos = Netobj_chaos.Chaos
@@ -1926,7 +1875,6 @@ let experiments =
     ("cycleleak", e14_cycles);
     ("scale", e15_scale);
     ("pool", e16_pool);
-    ("coalesce", e17_coalesce);
     ("chaos", e18_chaos);
     ("mc", e19_mc);
     ("recover", e20_recover);

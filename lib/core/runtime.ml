@@ -142,7 +142,6 @@ type config = {
   pin_timeout : float option;
   clean_batch : float option;
   piggyback_acks : bool;
-  coalesce : bool;
   bug_lookup_leak : bool;
   bug_ping_ack_replay : bool;
   bug_no_dedup : bool;
@@ -163,7 +162,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?(call_retries = 0) ?deadline ?max_inflight ?dirty_timeout
     ?clean_retry ?dirty_retry ?(backoff = 1.0) ?(backoff_cap = infinity)
     ?(backoff_jitter = 0.0) ?(lease_grace = 0.0) ?pin_timeout ?clean_batch
-    ?(piggyback_acks = false) ?(coalesce = false) ?(bug_lookup_leak = false)
+    ?(piggyback_acks = false) ?(bug_lookup_leak = false)
     ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
     ?(durable = false) ?(fsync_delay = 0.02)
     ?snapshot_period
@@ -209,7 +208,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     pin_timeout;
     clean_batch;
     piggyback_acks;
-    coalesce;
     bug_lookup_leak;
     bug_ping_ack_replay;
     bug_no_dedup;
@@ -227,14 +225,13 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
 
 (* The one builder: derive a variant config by overriding any subset of
    the rebindable knobs. *)
-let override ?seed ?policy ?edge ?coalesce ?transport ?engine ?domains cfg =
+let override ?seed ?policy ?edge ?transport ?engine ?domains cfg =
   let upd v = function Some x -> x | None -> v in
   {
     cfg with
     seed = upd cfg.seed seed;
     policy = upd cfg.policy policy;
     edge = upd cfg.edge edge;
-    coalesce = upd cfg.coalesce coalesce;
     transport = (match transport with Some f -> Some f | None -> cfg.transport);
     engine = (match engine with Some e -> Some e | None -> cfg.engine);
     domains = upd cfg.domains domains;
@@ -683,11 +680,8 @@ let next_seqno sp wr =
   wal sp (Wal.Seqno { wr; n });
   n
 
-(* With coalescing on, every protocol message goes through the outbox:
-   clean batches, piggybacked acks and ordinary calls posted at the same
-   instant share one frame per destination.  Every envelope is stamped
-   with our incarnation epoch and the destination epoch we know of (see
-   Proto.packet). *)
+(* Every envelope is stamped with our incarnation epoch and the
+   destination epoch we know of (see Proto.packet). *)
 let send_env sp ~dst env =
   let send () =
     let packet =
@@ -700,10 +694,8 @@ let send_env sp ~dst env =
       }
     in
     let payload = Pickle.encode Proto.packet_codec packet in
-    let kind = Proto.kind env in
-    if sp.rt.config.coalesce then
-      Transport.post (stransport sp) ~src:sp.id ~dst ~kind payload
-    else Transport.send (stransport sp) ~src:sp.id ~dst ~kind payload
+    Transport.send (stransport sp) ~src:sp.id ~dst ~kind:(Proto.kind env)
+      payload
   in
   (* Commit-before-externalize: a message that makes state observable —
      a dirty/reassert acknowledgement, or a call/reply whose payload
@@ -1092,62 +1084,6 @@ let global_collect rt =
 
 (* --- cleaning demon ------------------------------------------------------ *)
 
-(* Transition a scheduled surrogate to Cleaning and return its fresh
-   sequence number, unless a fresh copy cancelled the clean meanwhile
-   (the Note 4 cancellation). *)
-let begin_clean sp wr =
-  match Wirerep.Tbl.find_opt sp.table wr with
-  | Some (Surrogate st) -> (
-      match !st with
-      | Usable u when u.clean_scheduled ->
-          st := Cleaning { resurrect = None; retry_cancel = None };
-          Some (next_seqno sp wr)
-      | Usable _ | Creating _ | Cleaning _ -> None)
-  | Some (Concrete _) | None -> None
-
-(* Batched cleaning demon: gather everything scheduled within the window
-   and send one clean_batch per owner. *)
-let cleaning_demon_batched sp window () =
-  let rec loop () =
-    let wr0 = Sched.Mailbox.recv sp.clean_mb in
-    Sched.sleep (ssched sp) window;
-    let rec drain acc =
-      match Sched.Mailbox.try_recv sp.clean_mb with
-      | Some wr -> drain (wr :: acc)
-      | None -> List.rev acc
-    in
-    let wrs = wr0 :: drain [] in
-    if not sp.crashed then begin
-      let by_owner = Hashtbl.create 4 in
-      List.iter
-        (fun wr ->
-          match begin_clean sp wr with
-          | None -> ()
-          | Some seq ->
-              sp.s_clean <- sp.s_clean + 1;
-              obs_begin_clean sp wr;
-              let owner = wr.Wirerep.space in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt by_owner owner)
-              in
-              Hashtbl.replace by_owner owner ((wr, seq) :: prev))
-        wrs;
-      Hashtbl.iter
-        (fun owner items ->
-          if Obs.on () then
-            Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-              ~args:
-                [ ("owner", Trace.I owner); ("n", Trace.I (List.length items)) ]
-              "clean_batch";
-          send_env sp ~dst:owner (Proto.Clean_batch { items }))
-        by_owner
-    end;
-    loop ()
-  in
-  loop ()
-
-(* Sends the clean call for a surrogate the collector found unreachable,
-   unless a fresh copy arrived meanwhile (the Note 4 cancellation). *)
 (* TR §2.3: an unacknowledged clean is repeated until it succeeds
    (sequence numbers make the repeats idempotent), with capped
    exponential backoff between attempts.  The pending timer's cancel is
@@ -1187,6 +1123,67 @@ let schedule_clean_retry sp cl wr =
       in
       arm 0
 
+(* Transition a scheduled surrogate to Cleaning and return its new
+   Cleaning state and fresh sequence number, unless a fresh copy
+   cancelled the clean meanwhile (the Note 4 cancellation). *)
+let begin_clean sp wr =
+  match Wirerep.Tbl.find_opt sp.table wr with
+  | Some (Surrogate st) -> (
+      match !st with
+      | Usable u when u.clean_scheduled ->
+          let cl = { resurrect = None; retry_cancel = None } in
+          st := Cleaning cl;
+          Some (cl, next_seqno sp wr)
+      | Usable _ | Creating _ | Cleaning _ -> None)
+  | Some (Concrete _) | None -> None
+
+(* Batched cleaning demon: gather everything scheduled within the window
+   and send one clean_batch per owner.  Each item arms its own retry,
+   which repeats it as a single clean; the batch ack cancels them all. *)
+let cleaning_demon_batched sp window () =
+  let rec loop () =
+    let wr0 = Sched.Mailbox.recv sp.clean_mb in
+    Sched.sleep (ssched sp) window;
+    let rec drain acc =
+      match Sched.Mailbox.try_recv sp.clean_mb with
+      | Some wr -> drain (wr :: acc)
+      | None -> List.rev acc
+    in
+    let wrs = wr0 :: drain [] in
+    if not sp.crashed then begin
+      let by_owner = Hashtbl.create 4 in
+      List.iter
+        (fun wr ->
+          match begin_clean sp wr with
+          | None -> ()
+          | Some (cl, seq) ->
+              sp.s_clean <- sp.s_clean + 1;
+              obs_begin_clean sp wr;
+              let owner = wr.Wirerep.space in
+              let prev =
+                Option.value ~default:[] (Hashtbl.find_opt by_owner owner)
+              in
+              Hashtbl.replace by_owner owner ((wr, seq, cl) :: prev))
+        wrs;
+      Hashtbl.iter
+        (fun owner items ->
+          if Obs.on () then
+            Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
+              ~args:
+                [ ("owner", Trace.I owner); ("n", Trace.I (List.length items)) ]
+              "clean_batch";
+          send_env sp ~dst:owner
+            (Proto.Clean_batch
+               { items = List.map (fun (wr, seq, _) -> (wr, seq)) items });
+          List.iter (fun (wr, _, cl) -> schedule_clean_retry sp cl wr) items)
+        by_owner
+    end;
+    loop ()
+  in
+  loop ()
+
+(* Sends the clean call for a surrogate the collector found unreachable,
+   unless a fresh copy arrived meanwhile (the Note 4 cancellation). *)
 let cleaning_demon sp () =
   let rec loop () =
     let wr = Sched.Mailbox.recv sp.clean_mb in

@@ -90,9 +90,6 @@ type config
     - [piggyback_acks] elides copy_acks for messages that carried no
       references and rides a call's ack on its reply — the paper's
       "piggy-back GC messages onto mutator messages";
-    - [coalesce] routes every protocol message through the network's
-      per-destination outbox ({!Net.post}), packing messages emitted at
-      the same instant into one frame per edge;
     - [bug_lookup_leak] reintroduces the historical {!lookup} bug (the
       agent root released only on the success path, so a [Timeout]
       strands the agent surrogate and its dirty entry forever) as a
@@ -157,7 +154,6 @@ val config :
   ?pin_timeout:float ->
   ?clean_batch:float ->
   ?piggyback_acks:bool ->
-  ?coalesce:bool ->
   ?bug_lookup_leak:bool ->
   ?bug_ping_ack_replay:bool ->
   ?bug_no_dedup:bool ->
@@ -177,12 +173,12 @@ val config :
 
 (** Derive a config overriding any subset of the rebindable knobs — the
     single builder for config variants ([override ~seed:7L cfg],
-    [override ~policy:(Sched.Random s) ~coalesce:true cfg], ...). *)
+    [override ~policy:(Sched.Random s) ~edge:(Net.fifo_edge ()) cfg],
+    ...). *)
 val override :
   ?seed:int64 ->
   ?policy:Sched.policy ->
   ?edge:Net.edge_config ->
-  ?coalesce:bool ->
   ?transport:(Sched.t -> Net.t -> Netobj_transport.Transport.t) ->
   ?engine:(module Engine.S) ->
   ?domains:int ->

@@ -133,16 +133,12 @@ let view t ~shard ~sched =
       bytes = Atomic.get t.bytes;
     }
   in
+  let send ~src ~dst ~kind payload = send t ~from:shard ~src ~dst ~kind payload in
   {
     Transport.t_name = "hub";
-    t_send =
-      (fun ~src ~dst ~kind payload -> send t ~from:shard ~src ~dst ~kind payload);
-    (* No coalescing across domains: the mailbox handoff is already one
-       lock round-trip per message, and batching would only delay the
-       destination shard. *)
-    t_post =
-      (fun ~src ~dst ~kind payload -> send t ~from:shard ~src ~dst ~kind payload);
-    t_flush = (fun () -> ());
+    t_send = send;
+    t_post = send;
+    t_flush = ignore;
     t_set_handler = (fun a h -> t.handlers.(a) <- Some h);
     t_connect = (fun _ -> ());
     t_pump = (fun ~timeout:_ -> pump t ~shard ~sched);

@@ -7,9 +7,8 @@
     drains the {e owning} shard's mailbox, invoking each message's
     handler in a fresh fiber of that shard's scheduler (the transport
     delivery contract).  Messages are reliable, unordered across
-    mailboxes, at-most-once; there is no coalescing ([post] degenerates
-    to [send]) and no virtual-clock latency — a message is deliverable
-    as soon as the destination shard next pumps.
+    mailboxes, at-most-once; there is no virtual-clock latency — a
+    message is deliverable as soon as the destination shard next pumps.
 
     Fault surface: only [crash]/[restore]/[is_crashed] are implemented
     (a crashed space drops its traffic at both ends, like every other

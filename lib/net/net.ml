@@ -3,7 +3,6 @@ module Rng = Netobj_util.Rng
 module Obs = Netobj_obs.Obs
 module Trace = Netobj_obs.Trace
 module Metrics = Netobj_obs.Metrics
-module Wire = Netobj_pickle.Wire
 
 (* Global-registry mirrors of the per-network stats, so enabled runs get
    per-experiment message/byte counts in metrics dumps for free. *)
@@ -16,10 +15,6 @@ let m_delivered = Metrics.counter Metrics.global "net.delivered"
 let m_dropped = Metrics.counter Metrics.global "net.dropped"
 
 let m_duplicated = Metrics.counter Metrics.global "net.duplicated"
-
-let m_frames = Metrics.counter Metrics.global "net.frames"
-
-let m_coalesced = Metrics.counter Metrics.global "net.coalesced"
 
 type addr = int
 
@@ -60,17 +55,10 @@ type stats = {
   dropped : int;
   duplicated : int;
   bytes : int;
-  frames : int;
-  coalesced : int;
 }
 
 type handler =
   src:addr -> kind:string -> payload:string -> off:int -> len:int -> unit
-
-(* Pending coalesced messages for one directed edge: submessages are
-   serialised into the writer as they are posted ([string kind; string
-   payload] each), so flushing is a single buffer snapshot. *)
-type outbox = { ob_w : Wire.Writer.t; mutable ob_n : int }
 
 type t = {
   sched : Sched.t;
@@ -83,11 +71,7 @@ type t = {
   mutable dropped : int;
   mutable duplicated : int;
   mutable bytes : int;
-  mutable frames : int;
-  mutable coalesced : int;
   by_kind : (string, (int * int) ref) Hashtbl.t;
-  outboxes : (addr * addr, outbox) Hashtbl.t;
-  mutable flush_armed : bool;
   mutable obs_seq : int;  (* correlation ids for message-flight spans *)
   (* Controlled delivery order (model checking): when set, Bag-edge
      deliveries stop drawing a random latency and instead ask the
@@ -107,11 +91,7 @@ let create ~sched ~seed () =
     dropped = 0;
     duplicated = 0;
     bytes = 0;
-    frames = 0;
-    coalesced = 0;
     by_kind = Hashtbl.create 16;
-    outboxes = Hashtbl.create 16;
-    flush_armed = false;
     obs_seq = 0;
     delivery_choice = None;
   }
@@ -169,26 +149,28 @@ let obs_msg_args ~src ~dst ~kind len =
     ("bytes", Trace.I len);
   ]
 
-(* [count] is the number of logical messages lost — a dropped coalesced
-   frame is [count] drop events, not one, so the metric and the trace
-   agree with the per-constituent [stats.dropped] accounting. *)
-let obs_drop ?(count = 1) ~src ~dst ~kind len reason =
+(* The instant keeps {!Faulty}'s drop schema, [count] included, so one
+   reader sums drops from either layer. *)
+let obs_drop ~src ~dst ~kind len reason =
   if Obs.on () then begin
-    Metrics.add m_dropped count;
+    Metrics.incr m_dropped;
     Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
       ~args:
         (obs_msg_args ~src ~dst ~kind len
-        @ [ ("reason", Trace.S reason); ("count", Trace.I count) ])
+        @ [ ("reason", Trace.S reason); ("count", Trace.I 1) ])
       "drop"
   end
 
-(* Logical accounting: one unit per application message, whether it later
-   travels alone or packed into a frame.  [stats_by_kind] and the
-   per-kind metrics always see logical counts. *)
-let account_logical t kind len =
+(* One unit per message, in [stats], [stats_by_kind] and their
+   metrics. *)
+let account t kind len =
+  t.sent <- t.sent + 1;
+  t.bytes <- t.bytes + len;
   if Obs.on () then begin
     Metrics.incr (Metrics.counter Metrics.global ("net.sent." ^ kind));
-    Metrics.add (Metrics.counter Metrics.global ("net.bytes." ^ kind)) len
+    Metrics.add (Metrics.counter Metrics.global ("net.bytes." ^ kind)) len;
+    Metrics.incr m_sent;
+    Metrics.add m_bytes len
   end;
   let cell =
     match Hashtbl.find_opt t.by_kind kind with
@@ -201,22 +183,9 @@ let account_logical t kind len =
   let n, b = !cell in
   cell := (n + 1, b + len)
 
-(* Physical accounting: one unit per payload actually handed to the
-   network.  [stats.sent]/[stats.bytes] count these, so a coalesced run
-   reports fewer, larger sends. *)
-let account_physical t len =
-  t.sent <- t.sent + 1;
-  t.bytes <- t.bytes + len;
-  if Obs.on () then begin
-    Metrics.incr m_sent;
-    Metrics.add m_bytes len
-  end
-
-(* [count] is the number of logical messages riding on this payload (1
-   for a direct send); drop/delivery counters advance by [count] so
-   coalesced and direct runs agree on logical totals.  [dispatch h] is
-   called with the destination handler once the payload arrives. *)
-let schedule_delivery t ~src ~dst ~kind ~count payload dispatch =
+(* Hand [payload] to [dst]'s handler after the edge's latency, in a
+   fresh fiber. *)
+let schedule_delivery t ~src ~dst ~kind payload =
   let e = edge t src dst in
   let deadline =
     match (e.config.semantics, t.delivery_choice) with
@@ -273,8 +242,8 @@ let schedule_delivery t ~src ~dst ~kind ~count payload dispatch =
       Trace.async_end (Obs.trace ()) ~cat:"net" ~space:dst ~id:obs_id
         ~args:[ ("delivered", Trace.I (Bool.to_int delivered)) ]
         kind;
-      if delivered then Metrics.add m_delivered count
-      else obs_drop ~count ~src ~dst ~kind len reason
+      if delivered then Metrics.incr m_delivered
+      else obs_drop ~src ~dst ~kind len reason
     end
   in
   e.in_flight <- e.in_flight + 1;
@@ -285,12 +254,12 @@ let schedule_delivery t ~src ~dst ~kind ~count payload dispatch =
       e.in_flight <- e.in_flight - 1;
       match Hashtbl.find_opt t.handlers dst with
       | None ->
-          t.dropped <- t.dropped + count;
+          t.dropped <- t.dropped + 1;
           obs_arrival false "no-handler"
       | Some h ->
-          t.delivered <- t.delivered + count;
+          t.delivered <- t.delivered + 1;
           obs_arrival true "";
-          dispatch h)
+          h ~src ~kind ~payload ~off:0 ~len)
 
 (* The edge's loss axiom, drawn at send time.  Returns [true] when the
    message was dropped (and accounted). *)
@@ -321,101 +290,11 @@ let duplicated_at_send t ~src ~dst ~kind len =
 
 let send t ~src ~dst ~kind payload =
   let len = String.length payload in
-  account_logical t kind len;
-  account_physical t len;
+  account t kind len;
   if not (lost_at_send t ~src ~dst ~kind len) then begin
-    let deliver h = h ~src ~kind ~payload ~off:0 ~len in
-    schedule_delivery t ~src ~dst ~kind ~count:1 payload deliver;
+    schedule_delivery t ~src ~dst ~kind payload;
     if duplicated_at_send t ~src ~dst ~kind len then
-      schedule_delivery t ~src ~dst ~kind ~count:1 payload deliver
-  end
-
-(* {2 Coalescing}
-
-   [post] queues a message into the per-edge outbox instead of sending it
-   immediately; all outboxes are flushed as single framed payloads either
-   explicitly ([flush]) or automatically once the scheduler reaches the
-   end of the current instant (a 0-delay timer armed on first post — the
-   run loop drains every ready fiber before releasing due timers, so any
-   messages its peers post at the same instant join the same frame).
-
-   Loss and duplication are applied per logical message at post time, so
-   the edge axioms and their accounting are the same as for [send];
-   only latency is drawn per frame.  Within a frame submessages are
-   dispatched in post order, and frames on a Fifo edge keep the monotone
-   deadline clamp, so Fifo edges still deliver in order. *)
-
-let frame_kind = "frame"
-
-let submsg_append w ~kind payload =
-  Wire.Writer.string w kind;
-  Wire.Writer.string w payload
-
-let outbox_for t key =
-  match Hashtbl.find_opt t.outboxes key with
-  | Some ob -> ob
-  | None ->
-      let ob = { ob_w = Wire.Writer.checkout (); ob_n = 0 } in
-      Hashtbl.add t.outboxes key ob;
-      ob
-
-(* Each submessage gets its own fiber, matching the fresh-fiber-per-
-   delivery contract of direct sends (handlers may block); spawn order
-   follows frame order, so Fifo edges stay in order under a Fifo
-   scheduling policy. *)
-let dispatch_frame t ~src ~count payload h =
-  let r = Wire.Reader.of_string payload in
-  for _ = 1 to count do
-    let kind = Wire.Reader.string r in
-    let len = Wire.Reader.uvarint r in
-    let off = Wire.Reader.pos r in
-    Wire.Reader.skip r len;
-    Sched.spawn t.sched
-      ~name:(Printf.sprintf "net-delivery-%d:%s" src kind)
-      (fun () -> h ~src ~kind ~payload ~off ~len)
-  done
-
-let flush t =
-  t.flush_armed <- false;
-  if Hashtbl.length t.outboxes > 0 then begin
-    let pending =
-      Hashtbl.fold (fun key ob acc -> (key, ob) :: acc) t.outboxes []
-      |> List.sort (fun ((a, b), _) ((c, d), _) ->
-             match Int.compare a c with 0 -> Int.compare b d | n -> n)
-    in
-    Hashtbl.reset t.outboxes;
-    List.iter
-      (fun ((src, dst), ob) ->
-        let payload = Bytes.unsafe_to_string (Wire.Writer.to_bytes ob.ob_w) in
-        let count = ob.ob_n in
-        Wire.Writer.return ob.ob_w;
-        account_physical t (String.length payload);
-        t.frames <- t.frames + 1;
-        t.coalesced <- t.coalesced + count;
-        if Obs.on () then begin
-          Metrics.incr m_frames;
-          Metrics.add m_coalesced count
-        end;
-        schedule_delivery t ~src ~dst ~kind:frame_kind ~count payload
-          (dispatch_frame t ~src ~count payload))
-      pending
-  end
-
-let post t ~src ~dst ~kind payload =
-  let len = String.length payload in
-  account_logical t kind len;
-  if not (lost_at_send t ~src ~dst ~kind len) then begin
-    let ob = outbox_for t (src, dst) in
-    let append () =
-      submsg_append ob.ob_w ~kind payload;
-      ob.ob_n <- ob.ob_n + 1
-    in
-    append ();
-    if duplicated_at_send t ~src ~dst ~kind len then append ();
-    if not t.flush_armed then begin
-      t.flush_armed <- true;
-      Sched.timer t.sched ~name:"net-flush" 0.0 (fun () -> flush t)
-    end
+      schedule_delivery t ~src ~dst ~kind payload
   end
 
 let stats t =
@@ -425,8 +304,6 @@ let stats t =
     dropped = t.dropped;
     duplicated = t.duplicated;
     bytes = t.bytes;
-    frames = t.frames;
-    coalesced = t.coalesced;
   }
 
 let stats_by_kind t =
@@ -439,6 +316,4 @@ let reset_stats t =
   t.dropped <- 0;
   t.duplicated <- 0;
   t.bytes <- 0;
-  t.frames <- 0;
-  t.coalesced <- 0;
   Hashtbl.reset t.by_kind

@@ -19,12 +19,8 @@
     Delivery is driven by the {!Netobj_sched} virtual clock: each message
     is assigned a latency from the edge's model and handed to the
     destination's handler in a fresh fiber (modelling the RPC runtime
-    forking a server thread per incoming packet).
-
-    Messages can travel one per payload ({!send}) or be coalesced into
-    per-destination frames ({!post}/{!flush}) the way the Network Objects
-    cleaning demon batches its GC traffic — fewer, larger payloads with
-    identical logical accounting. *)
+    forking a server thread per incoming packet).  Every message travels
+    as its own payload ({!send}). *)
 
 (** Space address (process identifier). *)
 type addr = int
@@ -58,8 +54,9 @@ type t
 (** A message handler.  [payload] is the delivered buffer; the message
     body is the slice [off, off+len) — decode it in place (e.g. with
     {!Netobj_pickle.Pickle.decode_slice}) rather than copying it out.
-    For a direct {!send} the slice covers the whole payload; for
-    coalesced messages it points into the shared frame. *)
+    This network's slice covers the whole payload; a backend that
+    receives framed bytes ({!Netobj_transport.Tcp}) points it into the
+    frame body. *)
 type handler =
   src:addr -> kind:string -> payload:string -> off:int -> len:int -> unit
 
@@ -83,20 +80,6 @@ val set_handler : t -> addr -> handler -> unit
     delivery. Messages to unregistered destinations are counted as
     dropped. *)
 val send : t -> src:addr -> dst:addr -> kind:string -> string -> unit
-
-(** [post t ~src ~dst ~kind payload] queues a message into the
-    per-destination outbox instead of sending it immediately.  Every
-    message posted to the same directed edge before the next flush
-    travels in one framed payload.  Loss and duplication are applied
-    per posted message (so their accounting matches {!send}); latency
-    is drawn once per frame.  Outboxes flush
-    automatically when the scheduler finishes the current instant, or
-    explicitly via {!flush}.  Fifo edges still deliver in order. *)
-val post : t -> src:addr -> dst:addr -> kind:string -> string -> unit
-
-(** Flush all pending outboxes now, one frame per directed edge (in
-    deterministic edge order). *)
-val flush : t -> unit
 
 (** [set_latency_spike t ~src ~dst ~factor ~until] multiplies latencies
     drawn for the directed edge by [factor] until virtual time [until].
@@ -132,12 +115,9 @@ val clear_delivery_choice : t -> unit
 
 (** {1 Accounting}
 
-    [sent]/[bytes] count {e physical} payloads handed to the network (a
-    frame counts once); {!stats_by_kind} counts {e logical} messages (a
-    frame's submessages count individually), as do [delivered] and
-    [dropped].  [frames] is the number of frames sent and [coalesced] the
-    logical messages they carried, so [coalesced /. frames] is the
-    packing ratio. *)
+    Every count is per message: [sent]/[bytes] and {!stats_by_kind}
+    count what {!send} was handed, [delivered] and [dropped] what
+    became of it. *)
 
 type stats = {
   sent : int;
@@ -145,8 +125,6 @@ type stats = {
   dropped : int;  (** lost to the edge's [loss] or to a missing handler *)
   duplicated : int;
   bytes : int;
-  frames : int;
-  coalesced : int;
 }
 
 val stats : t -> stats

@@ -146,8 +146,11 @@ let array c =
         Array.iter (c.write w) xs);
     read =
       (fun r ->
+        (* Read the elements before allocating the array, so a hostile
+           count costs only what the bytes actually decode to, never
+           [n] slots up front. *)
         let n = Wire.Reader.uvarint r in
-        Array.init n (fun _ -> c.read r));
+        Array.of_list (List.init n (fun _ -> c.read r)));
     descr = Printf.sprintf "(array %s)" c.descr;
   }
 

@@ -213,15 +213,15 @@ let stack ~sched ~rng ?latency_spike base =
     st.dup <- 0;
     st.rx_dropped <- 0
   in
+  let send ~src ~dst ~kind payload =
+    gated base.Transport.t_send ~src ~dst ~kind payload
+  in
   {
     base with
     Transport.t_name = base.Transport.t_name ^ "+faulty";
-    t_send =
-      (fun ~src ~dst ~kind payload ->
-        gated base.Transport.t_send ~src ~dst ~kind payload);
-    t_post =
-      (fun ~src ~dst ~kind payload ->
-        gated base.Transport.t_post ~src ~dst ~kind payload);
+    t_send = send;
+    t_post = send;
+    t_flush = ignore;
     t_set_handler = set_handler;
     t_stats = stats;
     t_reset_stats = reset_stats;

@@ -20,7 +20,7 @@
 
     Decoding is incremental: a {!decoder} accepts arbitrarily chunked
     byte arrivals (1-byte reads, split length prefixes, several frames
-    coalesced in one read) and yields exactly the frames whose bytes
+    in one read) and yields exactly the frames whose bytes
     have fully arrived.  A torn tail — a partial length prefix or a
     frame cut short — is silently retained until its remaining bytes
     arrive, so a prefix of a valid stream always decodes to the clean

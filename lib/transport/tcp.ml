@@ -33,13 +33,14 @@ type inbound = { in_fd : Unix.file_descr; in_dec : Frame.decoder }
 (* One outgoing connection per remote address.  The in-flight buffer
    [p_out] holds the bytes currently on the wire: either queued frames
    concatenated into the peer's reused [p_gather], or the own bytes of
-   one frame larger than [gather_cap].  [p_ends] lists the end offset
-   and message count of each frame in it not yet wholly written, and
-   [p_wstart] is where the first of those begins.  On connection loss the write
-   offset rewinds to [p_wstart], so a torn frame is retransmitted whole
-   on the next connection and a wholly written one never is — the
-   receiver binds its decoder to the connection ([in_dec]), so the torn
-   tail died with the socket and retransmission cannot duplicate.
+   one frame larger than [gather_cap].  Every frame carries one message.
+   [p_ends] lists the end offset of each frame in it not yet wholly
+   written, and [p_wstart] is where the first of those begins.  On
+   connection loss the write offset rewinds to [p_wstart], so a torn
+   frame is retransmitted whole on the next connection and a wholly
+   written one never is — the receiver binds its decoder to the
+   connection ([in_dec]), so the torn tail died with the socket and
+   retransmission cannot duplicate.
    [p_dec] reads the peer's replies on this dialled connection and
    outlives it, so it must be reset whenever the connection drops: a
    reply frame torn by the old socket must not prefix the fresh
@@ -49,20 +50,18 @@ type peer = {
   mutable p_fd : Unix.file_descr option;
   mutable p_connecting : bool;
   p_dec : Frame.decoder;
-  p_queue : (string * int) Queue.t;
+  p_queue : string Queue.t;
   mutable p_queued_bytes : int;
   mutable p_gather : Bytes.t;
   mutable p_out : Bytes.t;
   mutable p_out_len : int;
   mutable p_woff : int;
   mutable p_wstart : int;
-  p_ends : (int * int) Queue.t;
+  p_ends : int Queue.t;
   mutable p_backoff : float;
   mutable p_next_attempt : float;
   mutable p_failed_once : bool;
 }
-
-type outbox = { ob_w : Wire.Writer.t; mutable ob_n : int }
 
 type t = {
   sched : Sched.t;
@@ -71,15 +70,11 @@ type t = {
   mutable inbound : inbound list;
   peers : (int, peer) Hashtbl.t;
   handlers : (int, Transport.handler) Hashtbl.t;
-  outboxes : (int * int, outbox) Hashtbl.t;
-  mutable flush_armed : bool;
   by_kind : (string, (int * int) ref) Hashtbl.t;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
   mutable bytes : int;
-  mutable frames : int;
-  mutable coalesced : int;
   mutable reconnects : int;
   mutable closed : bool;
   names : (int * int * string, string) Hashtbl.t;
@@ -107,15 +102,11 @@ let create ~sched ~serving ~endpoints () =
       inbound = [];
       peers = Hashtbl.create 16;
       handlers = Hashtbl.create 16;
-      outboxes = Hashtbl.create 16;
-      flush_armed = false;
       by_kind = Hashtbl.create 16;
       sent = 0;
       delivered = 0;
       dropped = 0;
       bytes = 0;
-      frames = 0;
-      coalesced = 0;
       reconnects = 0;
       closed = false;
       names = Hashtbl.create 16;
@@ -259,11 +250,12 @@ let start_connect t p =
       close_quietly fd;
       conn_lost t p
 
-(* {2 Accounting} — mirrors [Net]: logical per application message,
-   physical per payload handed to the wire (frame bodies, excluding the
-   5-byte frame header). *)
+(* {2 Accounting} — one unit per message, as in [Net].  Per kind, bytes
+   are the payload's; in [stats.bytes] they are the frame body's (the
+   payload plus src, dst, count and kind, excluding the 5-byte frame
+   header). *)
 
-let account_logical t kind len =
+let account_kind t kind len =
   if Obs.on () then begin
     Metrics.incr (Metrics.counter Metrics.global ("net.sent." ^ kind));
     Metrics.add (Metrics.counter Metrics.global ("net.bytes." ^ kind)) len
@@ -279,7 +271,7 @@ let account_logical t kind len =
   let n, b = !cell in
   cell := (n + 1, b + len)
 
-let account_physical t len =
+let account_wire t len =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + len;
   if Obs.on () then begin
@@ -287,94 +279,41 @@ let account_physical t len =
     Metrics.add m_bytes len
   end
 
-let drop t count =
-  t.dropped <- t.dropped + count;
-  if Obs.on () then Metrics.add m_dropped count
+let drop t =
+  t.dropped <- t.dropped + 1;
+  if Obs.on () then Metrics.incr m_dropped
 
-let enqueue t ~dst ~count frame =
+let enqueue t ~dst frame =
   let p = peer_for t dst in
-  if p.p_queued_bytes + String.length frame > max_queued_bytes then
-    drop t count
+  if p.p_queued_bytes + String.length frame > max_queued_bytes then drop t
   else begin
-    Queue.add (frame, count) p.p_queue;
+    Queue.add frame p.p_queue;
     p.p_queued_bytes <- p.p_queued_bytes + String.length frame
   end
 
 (* A frame is built in one buffer of its exact size: header, then the
-   body [uvarint src · uvarint dst · uvarint count · submessages], whose
-   length is known before anything is copied.  [fill] writes the
-   [sub_len] submessage bytes at the offset it is given. *)
-let build_frame ~src ~dst ~count ~sub_len fill =
+   body [uvarint src · uvarint dst · uvarint count · string kind ·
+   string payload], whose length is known before anything is copied.
+   Every frame sent carries one message, so [count] is always 1; the
+   receiver still accepts any count (see [dispatch_body]). *)
+let build_frame ~src ~dst ~kind payload =
   let body_len =
-    Wire.uvarint_size src + Wire.uvarint_size dst + Wire.uvarint_size count
-    + sub_len
+    Wire.uvarint_size src + Wire.uvarint_size dst + Wire.uvarint_size 1
+    + Wire.string_size kind + Wire.string_size payload
   in
   let b = Bytes.create (Frame.overhead + body_len) in
   Frame.write_header b 0 ~body_len;
   let off = Wire.put_uvarint b Frame.overhead src in
   let off = Wire.put_uvarint b off dst in
-  let off = Wire.put_uvarint b off count in
-  fill b off;
+  let off = Wire.put_uvarint b off 1 in
+  ignore (Wire.put_string b (Wire.put_string b off kind) payload);
   (body_len, Bytes.unsafe_to_string b)
 
 let send t ~src ~dst ~kind payload =
-  account_logical t kind (String.length payload);
-  let body_len, frame =
-    build_frame ~src ~dst ~count:1
-      ~sub_len:(Wire.string_size kind + Wire.string_size payload)
-      (fun b off ->
-        ignore (Wire.put_string b (Wire.put_string b off kind) payload))
-  in
-  account_physical t body_len;
-  enqueue t ~dst ~count:1 frame
-
-(* {2 Coalescing} — same discipline as the simulated network: [post]
-   accumulates submessages per (src, dst) outbox; [flush] packs each
-   outbox into one frame, fired explicitly or by a 0-delay timer at the
-   end of the posting instant. *)
-
-let flush t =
-  t.flush_armed <- false;
-  if Hashtbl.length t.outboxes > 0 then begin
-    let pending =
-      Hashtbl.fold (fun key ob acc -> (key, ob) :: acc) t.outboxes []
-      |> List.sort (fun ((a, b), _) ((c, d), _) ->
-             match Int.compare a c with 0 -> Int.compare b d | n -> n)
-    in
-    Hashtbl.reset t.outboxes;
-    List.iter
-      (fun ((src, dst), ob) ->
-        let count = ob.ob_n in
-        let sub_len = Wire.Writer.length ob.ob_w in
-        let body_len, frame =
-          build_frame ~src ~dst ~count ~sub_len (fun b off ->
-              Wire.Writer.blit ob.ob_w 0 b off sub_len)
-        in
-        Wire.Writer.return ob.ob_w;
-        account_physical t body_len;
-        t.frames <- t.frames + 1;
-        t.coalesced <- t.coalesced + count;
-        enqueue t ~dst ~count frame)
-      pending
-  end
-
-let post t ~src ~dst ~kind payload =
-  account_logical t kind (String.length payload);
-  let ob =
-    match Hashtbl.find_opt t.outboxes (src, dst) with
-    | Some ob -> ob
-    | None ->
-        let ob = { ob_w = Wire.Writer.checkout (); ob_n = 0 } in
-        Hashtbl.add t.outboxes (src, dst) ob;
-        ob
-  in
-  Wire.Writer.string ob.ob_w kind;
-  Wire.Writer.string ob.ob_w payload;
-  ob.ob_n <- ob.ob_n + 1;
-  if not t.flush_armed then begin
-    t.flush_armed <- true;
-    Sched.timer t.sched ~name:"tcp-flush" 0.0 (fun () -> flush t)
-  end
+  account_kind t kind (String.length payload);
+  let body_len, frame = build_frame ~src ~dst ~kind payload in
+  account_wire t body_len;
+  enqueue t ~dst frame
 
 (* {2 Receiving} *)
 
@@ -428,7 +367,7 @@ let dispatch_body t ?learn_fd body =
     let off = Wire.Reader.pos r in
     Wire.Reader.skip r len;
     match Hashtbl.find_opt t.handlers dst with
-    | None -> drop t 1
+    | None -> drop t
     | Some h ->
         t.delivered <- t.delivered + 1;
         if Obs.on () then Metrics.incr m_delivered;
@@ -483,26 +422,26 @@ let read_into t ?learn_fd fd dec =
 let peer_has_output p = p.p_woff < p.p_out_len || not (Queue.is_empty p.p_queue)
 
 let take_frame p =
-  let ((frame, _) as f) = Queue.take p.p_queue in
+  let frame = Queue.take p.p_queue in
   p.p_queued_bytes <- p.p_queued_bytes - String.length frame;
-  f
+  frame
 
 (* Refill the drained in-flight buffer from the queue: a frame larger
    than [gather_cap] alone and uncopied, else every frame that fits in
    [gather_cap]. *)
 let fill_out p =
   match Queue.peek p.p_queue with
-  | frame, _ when String.length frame > gather_cap ->
-      let frame, count = take_frame p in
+  | frame when String.length frame > gather_cap ->
+      let frame = take_frame p in
       p.p_out <- Bytes.unsafe_of_string frame;
       p.p_out_len <- String.length frame;
-      Queue.add (p.p_out_len, count) p.p_ends
+      Queue.add p.p_out_len p.p_ends
   | _ ->
       let len = ref 0 in
       let rec gather () =
         match Queue.peek_opt p.p_queue with
-        | Some (frame, _) when !len + String.length frame <= gather_cap ->
-            let frame, count = take_frame p in
+        | Some frame when !len + String.length frame <= gather_cap ->
+            let frame = take_frame p in
             let n = String.length frame in
             if !len + n > Bytes.length p.p_gather then begin
               let cap = Int.max 4096 (2 * (!len + n)) in
@@ -512,7 +451,7 @@ let fill_out p =
             end;
             Bytes.blit_string frame 0 p.p_gather !len n;
             len := !len + n;
-            Queue.add (!len, count) p.p_ends;
+            Queue.add !len p.p_ends;
             gather ()
         | _ -> ()
       in
@@ -524,7 +463,7 @@ let fill_out p =
    whole and must never be resent. *)
 let rec retire p =
   match Queue.peek_opt p.p_ends with
-  | Some (stop, _) when stop <= p.p_woff ->
+  | Some stop when stop <= p.p_woff ->
       ignore (Queue.take p.p_ends);
       p.p_wstart <- stop;
       retire p
@@ -717,24 +656,17 @@ let connect t addr =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (* Messages still pending — posted but unflushed, queued towards an
-       unreachable peer, or in a frame not wholly written — never reach
-       the receiver: count them dropped,
-       and give checked-out outbox writers back to the pool. *)
-    Hashtbl.iter
-      (fun _ ob ->
-        drop t ob.ob_n;
-        Wire.Writer.return ob.ob_w)
-      t.outboxes;
-    Hashtbl.reset t.outboxes;
+    (* Messages still pending — queued towards an unreachable peer, or
+       in a frame not wholly written — never reach the receiver: count
+       them dropped. *)
     Hashtbl.iter (fun _ fd -> close_quietly fd) t.listeners;
     Hashtbl.reset t.listeners;
     List.iter (fun c -> close_quietly c.in_fd) t.inbound;
     t.inbound <- [];
     Hashtbl.iter
       (fun _ p ->
-        Queue.iter (fun (_, count) -> drop t count) p.p_ends;
-        Queue.iter (fun (_, count) -> drop t count) p.p_queue;
+        Queue.iter (fun _ -> drop t) p.p_ends;
+        Queue.iter (fun _ -> drop t) p.p_queue;
         match p.p_fd with Some fd -> close_quietly fd | None -> ())
       t.peers;
     Hashtbl.reset t.peers
@@ -749,8 +681,6 @@ let stats t =
     dropped_dst_crashed = 0;
     duplicated = 0;
     bytes = t.bytes;
-    frames = t.frames;
-    coalesced = t.coalesced;
     reconnects = t.reconnects;
   }
 
@@ -763,8 +693,6 @@ let reset_stats t =
   t.delivered <- 0;
   t.dropped <- 0;
   t.bytes <- 0;
-  t.frames <- 0;
-  t.coalesced <- 0;
   t.reconnects <- 0;
   Hashtbl.reset t.by_kind
 
@@ -772,8 +700,8 @@ let transport t =
   {
     Transport.t_name = "tcp";
     t_send = (fun ~src ~dst ~kind payload -> send t ~src ~dst ~kind payload);
-    t_post = (fun ~src ~dst ~kind payload -> post t ~src ~dst ~kind payload);
-    t_flush = (fun () -> flush t);
+    t_post = (fun ~src ~dst ~kind payload -> send t ~src ~dst ~kind payload);
+    t_flush = ignore;
     t_set_handler = (fun a h -> Hashtbl.replace t.handlers a h);
     t_connect = (fun a -> connect t a);
     t_pump = (fun ~timeout -> pump t ~timeout);

@@ -15,10 +15,9 @@
     On the wire every payload is a {!Frame}: [u32 BE length], a mode
     flag byte ([Raw] today), then a body of
     [uvarint src · uvarint dst · uvarint count ·
-    count × (string kind · string payload)] — a direct send is a
-    frame with [count = 1]; coalesced outboxes ride as one frame with
-    the constituent count, mirroring the simulated network's logical
-    vs physical accounting.
+    count × (string kind · string payload)].  Every send is one frame
+    with [count = 1]; batching happens below the frame, in the gathered
+    write.  A receiver still accepts and dispatches any [count].
 
     Each pump writes a peer's queued frames with one [write]: they are
     gathered into one reused 64 KiB buffer, and a frame too big to fit

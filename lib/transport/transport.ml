@@ -11,8 +11,6 @@ type stats = {
   dropped_dst_crashed : int;
   duplicated : int;
   bytes : int;
-  frames : int;
-  coalesced : int;
   reconnects : int;
 }
 
@@ -25,8 +23,6 @@ let zero_stats =
     dropped_dst_crashed = 0;
     duplicated = 0;
     bytes = 0;
-    frames = 0;
-    coalesced = 0;
     reconnects = 0;
   }
 
@@ -59,10 +55,6 @@ type t = {
 }
 
 let send t = t.t_send
-
-let post t = t.t_post
-
-let flush t = t.t_flush ()
 
 let set_handler t a h = t.t_set_handler a h
 

@@ -1,10 +1,9 @@
 (** The pluggable transport signature.
 
-    The runtime speaks to the world through exactly this surface: queue
-    a message ({!post}/{!send}), flush coalesced outboxes, register a
-    per-space delivery handler, and (for harnesses) inject faults and
-    read traffic accounting.  Everything above it — marshalling, the
-    writer pool, per-destination coalescing policy, epoch stamps,
+    The runtime speaks to the world through exactly this surface: send
+    a message ({!send}), register a per-space delivery handler, and
+    (for harnesses) inject faults and read traffic accounting.
+    Everything above it — marshalling, the writer pool, epoch stamps,
     retries and backoff — is backend-independent, so the same runtime
     runs over the deterministic simulated network
     ({!Transport_sim.of_net}) or over real Unix/TCP sockets ({!Tcp});
@@ -15,14 +14,14 @@
     - {b Fresh fiber per delivery.}  The handler installed with
       {!set_handler} is invoked in a freshly spawned fiber of the
       driving scheduler; handlers may block.
-    - {b Logical vs physical accounting.}  [stats.sent]/[stats.bytes]
-      count physical payloads (a coalesced frame counts once);
-      [delivered]/[dropped]/{!stats_by_kind} count logical messages (a
-      frame's submessages count individually) — including fault events,
-      which are attributed per constituent message, never per frame.
-      A message {!Faulty} drops at its send gate never reaches the
-      backend, so it counts in [dropped] but not in [sent], [bytes] or
-      {!stats_by_kind}.
+    - {b Accounting per message.}  Every {!send} is one payload:
+      [stats.sent]/[stats.bytes] count the payloads handed to the
+      backend, and [delivered]/[dropped]/{!stats_by_kind} count
+      messages, fault events included.  Batching several messages into
+      one [write] is a backend's business below this count ({!Tcp}'s
+      gathered write).  A message {!Faulty} drops at its send gate
+      never reaches the backend, so it counts in [dropped] but not in
+      [sent], [bytes] or {!stats_by_kind}.
     - {b At-most-once, unordered.}  A transport may drop, delay or
       reorder; it must not corrupt or invent messages.  Duplication
       only happens where a fault model injects it.  The protocol layers
@@ -39,15 +38,13 @@ type handler =
   src:addr -> kind:string -> payload:string -> off:int -> len:int -> unit
 
 type stats = {
-  sent : int;  (** physical payloads handed to the wire *)
-  delivered : int;  (** logical messages handed to handlers *)
-  dropped : int;  (** logical messages lost, all causes *)
+  sent : int;  (** payloads handed to the backend, one per message *)
+  delivered : int;  (** messages handed to handlers *)
+  dropped : int;  (** messages lost, all causes *)
   dropped_src_crashed : int;
   dropped_dst_crashed : int;
   duplicated : int;
-  bytes : int;  (** physical payload bytes (excluding backend framing) *)
-  frames : int;  (** coalesced frames among [sent] *)
-  coalesced : int;  (** logical messages the frames carried *)
+  bytes : int;  (** payload bytes (excluding backend framing) *)
   reconnects : int;
       (** connection (re-)establishment attempts after a failure — 0 on
           backends with no connection state *)
@@ -78,16 +75,18 @@ type t = {
   t_name : string;  (** backend identifier, e.g. ["sim"], ["tcp"] *)
   t_send : src:addr -> dst:addr -> kind:string -> string -> unit;
   t_post : src:addr -> dst:addr -> kind:string -> string -> unit;
-      (** queue into the per-destination outbox; travels on the next
-          {!flush} (backends arm an end-of-instant auto-flush) *)
+      (** the same as [t_send] in every constructor *)
   t_flush : unit -> unit;
+      (** a no-op in every constructor.  Nothing in the library calls
+          [t_post] or [t_flush]; they remain only because the call
+          benchmark's probe ([perfbench/probe.ml]) sets them. *)
   t_set_handler : addr -> handler -> unit;
   t_connect : addr -> unit;
       (** pre-establish the link to a peer (no-op where meaningless) *)
   t_pump : timeout:float -> int;
       (** drive real I/O for up to [timeout] {e wall-clock} seconds
           (negative: until something is ready); returns the number of
-          logical messages dispatched.  Over sockets one pump writes
+          messages dispatched.  Over sockets one pump writes
           what it can, then waits for and dispatches what arrived, so
           on loopback a message written by a pump is dispatched by that
           same pump; a pump that wrote does not wait.  Returns 0
@@ -104,10 +103,6 @@ type t = {
     module calls. *)
 
 val send : t -> src:addr -> dst:addr -> kind:string -> string -> unit
-
-val post : t -> src:addr -> dst:addr -> kind:string -> string -> unit
-
-val flush : t -> unit
 
 val set_handler : t -> addr -> handler -> unit
 

@@ -10,15 +10,14 @@ let of_net net =
       dropped = s.Net.dropped;
       duplicated = s.Net.duplicated;
       bytes = s.Net.bytes;
-      frames = s.Net.frames;
-      coalesced = s.Net.coalesced;
     }
   in
+  let send ~src ~dst ~kind payload = Net.send net ~src ~dst ~kind payload in
   {
     Transport.t_name = "sim";
-    t_send = (fun ~src ~dst ~kind payload -> Net.send net ~src ~dst ~kind payload);
-    t_post = (fun ~src ~dst ~kind payload -> Net.post net ~src ~dst ~kind payload);
-    t_flush = (fun () -> Net.flush net);
+    t_send = send;
+    t_post = send;
+    t_flush = ignore;
     t_set_handler = (fun a h -> Net.set_handler net a h);
     t_connect = (fun _ -> ());
     t_pump = (fun ~timeout:_ -> 0);

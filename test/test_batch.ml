@@ -7,6 +7,7 @@ module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
+module Transport = Netobj_transport.Transport
 
 let m_incr = Stub.declare "incr" P.int P.int
 
@@ -222,6 +223,39 @@ let test_piggyback_saves_acks () =
     (Printf.sprintf "fewer standalone acks (%d < %d)" acks_piggy acks_base)
     true (acks_piggy < acks_base)
 
+(* A lost clean_batch is retried: each item repeats as a single clean
+   until acknowledged, so the owner's dirty entry and the client's
+   surrogates still go. *)
+let test_batch_clean_retried () =
+  let cfg =
+    R.config ~seed:17L ~clean_batch:0.05 ~clean_retry:0.2 ~nspaces:2 ()
+  in
+  let rt = R.create cfg in
+  let owner = R.space rt 0 and client = R.space rt 1 in
+  let o = counter_obj owner in
+  R.publish owner "o" o;
+  R.spawn rt (fun () ->
+      let h = R.lookup client ~at:0 "o" in
+      ignore (Stub.call client h m_incr 1);
+      R.release client h);
+  ignore (R.run rt);
+  no_failures rt;
+  let dropped = ref 0 in
+  Transport.set_filter (R.transport rt)
+    (Some
+       (fun ~src:_ ~dst:_ ~kind ->
+         if kind = "clean_batch" && !dropped = 0 then begin
+           incr dropped;
+           false
+         end
+         else true));
+  R.collect client;
+  ignore (R.run ~until:30.0 rt);
+  no_failures rt;
+  Alcotest.(check int) "the batch was dropped" 1 !dropped;
+  Alcotest.(check (list int)) "dirty set drained" [] (R.dirty_set owner o);
+  Alcotest.(check int) "surrogates gone" 0 (R.surrogate_count client)
+
 let () =
   Alcotest.run "batch"
     [
@@ -232,6 +266,8 @@ let () =
           Alcotest.test_case "window cancellation" `Quick
             test_batch_window_cancellation;
           Alcotest.test_case "multi owner" `Quick test_batch_multi_owner;
+          Alcotest.test_case "lost batch retried" `Quick
+            test_batch_clean_retried;
         ] );
       ( "acks",
         [

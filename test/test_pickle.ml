@@ -140,6 +140,19 @@ let test_malformed () =
   (* Unknown sum tag. *)
   expect_wire_error (fun () -> P.decode shape_codec "\x09")
 
+(* An array pickle claiming 2^40 elements but holding one must fail on
+   the missing second element, not try to allocate 2^40 slots first. *)
+let test_array_count_bounded () =
+  let w = Wire.Writer.create () in
+  Wire.Writer.uvarint w (1 lsl 40);
+  Wire.Writer.varint w 7;
+  let s = Bytes.to_string (Wire.Writer.to_bytes w) in
+  Alcotest.(check int) "a 7-byte pickle" 7 (String.length s);
+  expect_wire_error (fun () -> P.decode (P.array P.int) s);
+  let big = Array.init 1000 (fun i -> i * 7919) in
+  Alcotest.(check (array int)) "well-formed still round-trips" big
+    (roundtrip (P.array P.int) big)
+
 let test_fingerprint_structural () =
   (* Structure determines the fingerprint, not identity. *)
   let a = P.pair P.int P.string and b = P.pair P.int P.string in
@@ -305,6 +318,8 @@ let () =
         [
           Alcotest.test_case "header" `Quick test_header;
           Alcotest.test_case "malformed" `Quick test_malformed;
+          Alcotest.test_case "array count bounded" `Quick
+            test_array_count_bounded;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_structural;
           Alcotest.test_case "varint compact" `Quick test_varint_compact;
         ] );

@@ -197,8 +197,8 @@ let with_tcp' ~serving ~endpoints f =
 let with_tcp ~serving ~endpoints f =
   with_tcp' ~serving ~endpoints (fun sched _ tr -> f sched tr)
 
-(* Alternate draining the cooperative scheduler (handler fibers, the
-   0-delay flush timer) with real socket I/O until [until] holds. *)
+(* Alternate draining the cooperative scheduler (handler fibers) with
+   real socket I/O until [until] holds. *)
 let drive ?(deadline = 10.0) sched tr ~until =
   let t0 = Unix.gettimeofday () in
   let rec loop () =
@@ -233,26 +233,6 @@ let test_tcp_roundtrip () =
         "by kind"
         [ ("ping", (1, 14)) ]
         (Transport.stats_by_kind tr))
-
-let test_tcp_coalesce () =
-  with_tcp ~serving:[ 0; 1 ] ~endpoints:[ (0, ep 0); (1, ep 0) ]
-    (fun sched tr ->
-      let got = ref [] in
-      Transport.set_handler tr 1 (fun ~src:_ ~kind ~payload ~off ~len ->
-          got := (kind, String.sub payload off len) :: !got);
-      Transport.post tr ~src:0 ~dst:1 ~kind:"a" "one";
-      Transport.post tr ~src:0 ~dst:1 ~kind:"b" "two";
-      Transport.post tr ~src:0 ~dst:1 ~kind:"a" "three";
-      drive sched tr ~until:(fun () -> List.length !got = 3);
-      Alcotest.(check (list (pair string string)))
-        "in post order"
-        [ ("a", "one"); ("b", "two"); ("a", "three") ]
-        (List.rev !got);
-      let s = Transport.stats tr in
-      Alcotest.(check int) "one physical payload" 1 s.Transport.sent;
-      Alcotest.(check int) "one frame" 1 s.Transport.frames;
-      Alcotest.(check int) "three coalesced" 3 s.Transport.coalesced;
-      Alcotest.(check int) "three delivered" 3 s.Transport.delivered)
 
 (* Frames either side of the gather buffer's 64 KiB cap, queued in one
    instant: small ones are gathered, one too big to fit is written on
@@ -551,9 +531,8 @@ let test_tcp_torn_gather_reconnect () =
   in
   go 1017 5
 
-(* Closing with work still pending — unflushed posts, frames queued to
-   an unreachable peer — must account the messages as dropped (and, for
-   outboxes, return the pooled writers). *)
+(* Closing with work still pending — frames queued to an unreachable
+   peer — must account the messages as dropped. *)
 let test_tcp_close_drops_pending () =
   match free_port () with
   | exception Unix.Unix_error (e, _, _) ->
@@ -562,8 +541,8 @@ let test_tcp_close_drops_pending () =
   | port ->
       with_tcp ~serving:[ 0 ] ~endpoints:[ (0, ep 0); (1, ep port) ]
         (fun _sched tr ->
-          Transport.post tr ~src:0 ~dst:1 ~kind:"a" "unflushed";
-          Transport.post tr ~src:0 ~dst:1 ~kind:"b" "also unflushed";
+          Transport.send tr ~src:0 ~dst:1 ~kind:"a" "queued";
+          Transport.send tr ~src:0 ~dst:1 ~kind:"b" "also queued";
           Transport.send tr ~src:0 ~dst:1 ~kind:"c" "queued, never wired";
           Transport.close tr;
           let s = Transport.stats tr in
@@ -683,6 +662,29 @@ let test_tcp_malformed_body () =
           drive sched tr ~until:(fun () -> !got <> []);
           Alcotest.(check (list string)) "fresh connection delivers" [ "ok" ]
             !got))
+
+(* Senders here put one message in each frame, but the wire format
+   carries a count, and a receiver must deliver every submessage of a
+   frame that holds several, in order. *)
+let test_tcp_multi_message_frame () =
+  with_tcp' ~serving:[ 0 ] ~endpoints:[ (0, ep 0) ] (fun sched tcp tr ->
+      let got = ref [] in
+      Transport.set_handler tr 0 (fun ~src ~kind ~payload ~off ~len ->
+          got := (src, kind, String.sub payload off len) :: !got);
+      let fd = raw_connect (Tcp.bound_port tcp 0) in
+      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+          (* src 1, dst 0, count 3, then three (kind, payload) pairs *)
+          let frame =
+            Frame.encode "\x01\x00\x03\x01a\x03one\x01b\x03two\x01a\x05three"
+          in
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          drive sched tr ~until:(fun () -> List.length !got = 3);
+          Alcotest.(check (list (triple int string string)))
+            "in frame order"
+            [ (1, "a", "one"); (1, "b", "two"); (1, "a", "three") ]
+            (List.rev !got);
+          Alcotest.(check int) "three delivered" 3
+            (Transport.stats tr).Transport.delivered))
 
 (* --- faulty decorator ----------------------------------------------------- *)
 
@@ -879,7 +881,8 @@ let () =
       ( "tcp",
         [
           Alcotest.test_case "loopback roundtrip" `Quick test_tcp_roundtrip;
-          Alcotest.test_case "coalesced frame" `Quick test_tcp_coalesce;
+          Alcotest.test_case "multi-message frame" `Quick
+            test_tcp_multi_message_frame;
           Alcotest.test_case "frames around the gather cap" `Quick
             test_tcp_mixed_sizes;
           Alcotest.test_case "reconnect with backoff" `Quick test_tcp_reconnect;
