@@ -639,9 +639,9 @@ let e9_rpc () =
       ("warm remote call", warm_call);
       ("cold call (dirty + clean cycle)", cold_call);
     ];
-  (* Wire cost per call under the three ack strategies. *)
-  let messages ~piggyback ~with_ref =
-    let cfg = R.config ~seed:41L ~piggyback_acks:piggyback ~nspaces:2 () in
+  (* Wire cost per warm call, with and without references to ack. *)
+  let messages ~with_ref =
+    let cfg = R.config ~seed:41L ~nspaces:2 () in
     let rt = R.create cfg in
     let owner = R.space rt 0 and client = R.space rt 1 in
     let counter = counter_obj owner in
@@ -671,11 +671,7 @@ let e9_rpc () =
   row "@.wire messages per warm call:@.";
   row "  %-34s %8s %8s@." "" "null" "ref-arg+ref-result";
   row "  %-34s %8.1f %8.1f@." "base (standalone acks)"
-    (messages ~piggyback:false ~with_ref:false)
-    (messages ~piggyback:false ~with_ref:true);
-  row "  %-34s %8.1f %8.1f@." "elision + piggyback"
-    (messages ~piggyback:true ~with_ref:false)
-    (messages ~piggyback:true ~with_ref:true)
+    (messages ~with_ref:false) (messages ~with_ref:true)
 
 let e10_marshal () =
   section "E10: pickle costs by argument type (Bechamel)";

@@ -62,7 +62,6 @@ type envelope =
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;
-      ack : msg_id option;
       result : (string, string) result;
     }
   | Copy_ack of { msg_id : msg_id }
@@ -113,14 +112,12 @@ let codec =
               Some (call_id, msg_id, (needs_ack, target), (meth, args, deadline))
           | _ -> None);
       P.case 1 "reply"
-        (P.quad P.int msg_id_codec
-           (P.pair P.bool (P.option msg_id_codec))
-           (P.result P.string P.string))
-        (fun (call_id, msg_id, (needs_ack, ack), result) ->
-          Reply { call_id; msg_id; needs_ack; ack; result })
+        (P.quad P.int msg_id_codec P.bool (P.result P.string P.string))
+        (fun (call_id, msg_id, needs_ack, result) ->
+          Reply { call_id; msg_id; needs_ack; result })
         (function
-          | Reply { call_id; msg_id; needs_ack; ack; result } ->
-              Some (call_id, msg_id, (needs_ack, ack), result)
+          | Reply { call_id; msg_id; needs_ack; result } ->
+              Some (call_id, msg_id, needs_ack, result)
           | _ -> None);
       P.case 2 "copy_ack" msg_id_codec
         (fun msg_id -> Copy_ack { msg_id })

@@ -62,10 +62,6 @@ type envelope =
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;  (** as for calls, but for the result payload *)
-      ack : msg_id option;
-          (** piggybacked acknowledgement of the call's references —
-              the "piggy-back GC messages onto mutator messages"
-              optimisation *)
       result : (string, string) result;  (** pickled result or error text *)
     }
   | Copy_ack of { msg_id : msg_id }

@@ -141,7 +141,6 @@ type config = {
   lease_grace : float;
   pin_timeout : float option;
   clean_batch : float option;
-  piggyback_acks : bool;
   bug_lookup_leak : bool;
   bug_ping_ack_replay : bool;
   bug_no_dedup : bool;
@@ -162,7 +161,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?(call_retries = 0) ?deadline ?max_inflight ?dirty_timeout
     ?clean_retry ?dirty_retry ?(backoff = 1.0) ?(backoff_cap = infinity)
     ?(backoff_jitter = 0.0) ?(lease_grace = 0.0) ?pin_timeout ?clean_batch
-    ?(piggyback_acks = false) ?(bug_lookup_leak = false)
+    ?(bug_lookup_leak = false)
     ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
     ?(durable = false) ?(fsync_delay = 0.02)
     ?snapshot_period
@@ -207,7 +206,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     lease_grace;
     pin_timeout;
     clean_batch;
-    piggyback_acks;
     bug_lookup_leak;
     bug_ping_ack_replay;
     bug_no_dedup;
@@ -717,6 +715,18 @@ let send_env sp ~dst env =
           if (not sp.crashed) && sp.epoch = gen then send ())
   | Some _ | None -> send ()
 
+(* Acknowledge message [msg_id] from [dst] (§3.2 copy_ack): its
+   references are registered, so the sender may drop the pins. *)
+let send_copy_ack sp ~dst msg_id =
+  sp.s_copy_ack <- sp.s_copy_ack + 1;
+  if Obs.on () then begin
+    Metrics.incr m_copy_ack;
+    Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
+      ~args:[ ("dst", Trace.I dst) ]
+      "copy_ack"
+  end;
+  send_env sp ~dst (Proto.Copy_ack { msg_id })
+
 (* --- retry backoff --------------------------------------------------------
 
    TR §2.3 repeats unacknowledged dirty and clean calls until they
@@ -941,7 +951,16 @@ let await_registrations sp pending =
 
 (* --- local GC ------------------------------------------------------------ *)
 
-let mark_from sp =
+(* Local reachability from the roots and the transient pins.  With
+   [~dirty_kept:true] (the collector's view) concrete objects held
+   remotely are roots too: their dirty set or a transient pin elsewhere
+   keeps them and everything they reference alive.  Fed by the
+   incrementally maintained [dirty_kept] aggregate, not a table scan.
+   Without it (the cycle detector's "live here"), a concrete kept only
+   by its dirty set is exactly a cycle suspect, not evidence of life —
+   remote interest is established by probing the dirty-set members
+   instead. *)
+let mark sp ~dirty_kept =
   let marked = Itbl.create ~size:64 () in
   let rec visit wr =
     let k = Wirerep.key wr in
@@ -954,32 +973,10 @@ let mark_from sp =
   in
   Itbl.iter (fun k _ -> visit (Wirerep.of_key k)) sp.roots;
   Itbl.iter (fun k _ -> visit (Wirerep.of_key k)) sp.pins;
-  (* Concrete objects held remotely are roots: their dirty set or a
-     transient pin elsewhere keeps them and everything they reference
-     alive.  Fed by the incrementally maintained [dirty_kept] aggregate,
-     not a table scan. *)
-  Itbl.iter
-    (fun index _ -> visit (Wirerep.v ~space:sp.id ~index))
-    sp.dirty_kept;
-  marked
-
-(* Local reachability WITHOUT the dirty-keeps-alive clause: what the
-   cycle detector means by "live here".  A concrete kept only by its
-   dirty set is exactly a cycle suspect, not evidence of life — remote
-   interest is established by probing the dirty-set members instead. *)
-let mark_local sp =
-  let marked = Itbl.create ~size:64 () in
-  let rec visit wr =
-    let k = Wirerep.key wr in
-    if not (Itbl.mem marked k) then begin
-      Itbl.replace marked k 1;
-      match Wirerep.Tbl.find_opt sp.table wr with
-      | Some (Concrete c) -> List.iter visit c.c_slots
-      | Some (Surrogate _) | None -> ()
-    end
-  in
-  Itbl.iter (fun k _ -> visit (Wirerep.of_key k)) sp.roots;
-  Itbl.iter (fun k _ -> visit (Wirerep.of_key k)) sp.pins;
+  if dirty_kept then
+    Itbl.iter
+      (fun index _ -> visit (Wirerep.v ~space:sp.id ~index))
+      sp.dirty_kept;
   marked
 
 let collect sp =
@@ -992,7 +989,7 @@ let collect sp =
        into the trace: trace timestamps must stay deterministic. *)
     let t0 = if Obs.on () then Sys.time () else 0.0 in
     sp.n_collections <- sp.n_collections + 1;
-    let marked = mark_from sp in
+    let marked = mark sp ~dirty_kept:true in
     let dead_concrete = ref [] in
     Wirerep.Tbl.iter
       (fun wr entry ->
@@ -1124,8 +1121,8 @@ let schedule_clean_retry sp cl wr =
       arm 0
 
 (* Transition a scheduled surrogate to Cleaning and return its new
-   Cleaning state and fresh sequence number, unless a fresh copy
-   cancelled the clean meanwhile (the Note 4 cancellation). *)
+   Cleaning state, unless a fresh copy cancelled the clean meanwhile
+   (the Note 4 cancellation). *)
 let begin_clean sp wr =
   match Wirerep.Tbl.find_opt sp.table wr with
   | Some (Surrogate st) -> (
@@ -1133,7 +1130,7 @@ let begin_clean sp wr =
       | Usable u when u.clean_scheduled ->
           let cl = { resurrect = None; retry_cancel = None } in
           st := Cleaning cl;
-          Some (cl, next_seqno sp wr)
+          Some cl
       | Usable _ | Creating _ | Cleaning _ -> None)
   | Some (Concrete _) | None -> None
 
@@ -1156,7 +1153,8 @@ let cleaning_demon_batched sp window () =
         (fun wr ->
           match begin_clean sp wr with
           | None -> ()
-          | Some (cl, seq) ->
+          | Some cl ->
+              let seq = next_seqno sp wr in
               sp.s_clean <- sp.s_clean + 1;
               obs_begin_clean sp wr;
               let owner = wr.Wirerep.space in
@@ -1183,21 +1181,16 @@ let cleaning_demon_batched sp window () =
   loop ()
 
 (* Sends the clean call for a surrogate the collector found unreachable,
-   unless a fresh copy arrived meanwhile (the Note 4 cancellation). *)
+   unless a fresh copy arrived meanwhile. *)
 let cleaning_demon sp () =
   let rec loop () =
     let wr = Sched.Mailbox.recv sp.clean_mb in
     (if not sp.crashed then
-       match Wirerep.Tbl.find_opt sp.table wr with
-       | Some (Surrogate st) -> (
-           match !st with
-           | Usable u when u.clean_scheduled ->
-               let cl = { resurrect = None; retry_cancel = None } in
-               st := Cleaning cl;
-               send_clean sp wr ~strong:false;
-               schedule_clean_retry sp cl wr
-           | Usable _ | Creating _ | Cleaning _ -> ())
-       | Some (Concrete _) | None -> ());
+       match begin_clean sp wr with
+       | Some cl ->
+           send_clean sp wr ~strong:false;
+           schedule_clean_retry sp cl wr
+       | None -> ());
     loop ()
   in
   loop ()
@@ -1214,17 +1207,6 @@ let find_concrete sp wr =
   | Some (Concrete c) -> Some c
   | Some (Surrogate _) | None -> None
 
-(* Serve a call at the owner: decode (phase 1), await registrations, ack
-   the copy, compute (phase 2), reply under a fresh encode context.
-
-   Acknowledgement strategy (configurable):
-   - base (spec-faithful): a standalone copy_ack goes back as soon as the
-     arguments' registrations complete, when the call carried refs;
-   - piggyback: the ack rides in the reply (the reply is necessarily
-     later than registration completion, so the pins are merely held a
-     little longer — safe);
-   - elision: calls flagged [needs_ack:false] carried no references and
-     are not acknowledged at all. *)
 (* Record a settled call in [client]'s bounded reply cache. *)
 let cache_reply sp ~client ~call_id env =
   let rc =
@@ -1247,24 +1229,15 @@ let cache_reply sp ~client ~call_id env =
     done
   end
 
+(* Serve a call at the owner: decode (phase 1), await registrations, ack
+   the copy, compute (phase 2), reply under a fresh encode context.  The
+   copy_ack goes back as soon as the arguments' registrations complete;
+   a call flagged [needs_ack:false] carried no references and is not
+   acknowledged at all. *)
 let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
     ~deadline =
   let ron = reliability_on sp in
-  let piggyback = sp.rt.config.piggyback_acks in
-  (* immediate, standalone acknowledgement (base mode) *)
-  let ack_now () =
-    if needs_ack && not piggyback then begin
-      sp.s_copy_ack <- sp.s_copy_ack + 1;
-      if Obs.on () then begin
-        Metrics.incr m_copy_ack;
-        Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-          ~args:[ ("dst", Trace.I src) ]
-          "copy_ack"
-      end;
-      send_env sp ~dst:src (Proto.Copy_ack { msg_id })
-    end
-  in
-  let piggy_ack = if needs_ack && piggyback then Some msg_id else None in
+  let ack_now () = if needs_ack then send_copy_ack sp ~dst:src msg_id in
   (* At-most-once: a retransmission of a settled call replays the cached
      reply verbatim (and re-acks the copy — the original ack may have
      been lost along with the reply); one of a still-executing call is
@@ -1326,7 +1299,6 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
                   call_id;
                   msg_id = rmsg_id;
                   needs_ack = rneeds_ack;
-                  ack = piggy_ack;
                   result = payload_or_err;
                 }
             in
@@ -1495,9 +1467,7 @@ let settle_call sp ~call_id outcome =
       Hashtbl.remove sp.pending_calls call_id;
       Sched.Ivar.fill iv outcome
 
-let handle_reply sp ~call_id ~msg_id ~needs_ack ~ack ~result =
-  (* A piggybacked ack releases the call's transient pins right away. *)
-  (match ack with Some id -> release_pins_for sp id | None -> ());
+let handle_reply sp ~call_id ~msg_id ~needs_ack ~result =
   settle_call sp ~call_id (O_reply (msg_id, needs_ack, result))
 
 (* The caller abandoned [call_id]: drop its cached reply (releasing the
@@ -1732,7 +1702,7 @@ let note_peer_recovered sp peer =
 
    The reference-listing collector cannot reclaim an isolated
    cross-space cycle: every member's dirty set names the next member,
-   so each keeps the others alive forever ([mark_from]'s dirty clause).
+   so each keeps the others alive forever ([mark ~dirty_kept:true]).
    The detector closes that gap asynchronously with trial deletion
    (see [Dgc.Cycles] for the state machine and the safety argument):
 
@@ -1740,8 +1710,8 @@ let note_peer_recovered sp peer =
      been dirty-kept-but-locally-unreachable for [cycle_age] seconds;
    - a {e trial} computes the backward closure of a suspect by querying
      owners and dirty-set members ([Cycle_probe]/[Cycle_reply]); every
-     responder is stateless and answers from [mark_local] plus the
-     target's local touch counter;
+     responder is stateless and answers from [mark ~dirty_kept:false]
+     plus the target's local touch counter;
    - when the closure is closed and all-quiet, the {e confirm} round
      re-asks everything and demands identical answers (same touch
      counters, same dirty sets, same ancestors, same epochs);
@@ -1759,13 +1729,13 @@ let wr_of_node (n : Netobj_dgc.Cycles.node) =
   Wirerep.v ~space:n.Netobj_dgc.Cycles.nspace ~index:n.Netobj_dgc.Cycles.nindex
 
 (* One space's answers about a batch of trial targets, computed against
-   a single [mark_local] pass.  Inside the recovery grace window
-   everything reports live: recovered state is conservative and
+   a single [mark ~dirty_kept:false] pass.  Inside the recovery grace
+   window everything reports live: recovered state is conservative and
    reasserts are still in flight, so no verdict derived from it can be
    trusted. *)
 let cycle_reports sp targets =
   let in_grace = Sched.now (ssched sp) < sp.recover_until in
-  let marked = mark_local sp in
+  let marked = mark sp ~dirty_kept:false in
   let touch_of wr = Itbl.find sp.touch (Wirerep.key wr) ~default:0 in
   (* Does a locally-unreachable, dirty-kept concrete have a slot path to
      [target]?  Those are the target's local retainers: they join the
@@ -1852,7 +1822,7 @@ let handle_cycle_reply sp ~probe_id ~epoch ~reports =
    and never inside the grace window. *)
 let handle_cycle_commit sp ~wrs =
   if Sched.now (ssched sp) >= sp.recover_until then begin
-    let marked = mark_local sp in
+    let marked = mark sp ~dirty_kept:false in
     List.iter
       (fun (wr : Wirerep.t) ->
         match Wirerep.Tbl.find_opt sp.table wr with
@@ -1890,8 +1860,8 @@ let handle_envelope sp ~src env =
         if Obs.on () then
           Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id ~id:obs_id
             "serve"
-    | Proto.Reply { call_id; msg_id; needs_ack; ack; result } ->
-        handle_reply sp ~call_id ~msg_id ~needs_ack ~ack ~result
+    | Proto.Reply { call_id; msg_id; needs_ack; result } ->
+        handle_reply sp ~call_id ~msg_id ~needs_ack ~result
     | Proto.Copy_ack { msg_id } -> release_pins_for sp msg_id
     | Proto.Dirty { wr; seq } -> handle_dirty sp ~src ~wr ~seq
     | Proto.Dirty_ack { wr; ok } -> handle_dirty_ack sp ~wr ~ok
@@ -1980,6 +1950,20 @@ let evict_client sp client =
    (calls through retained handles raise [Remote_error], prompting the
    holder to re-import via the agent). *)
 
+(* Fail whatever waits on a surrogate whose owner's state is lost:
+   cancel a Cleaning entry's retry and fill a pending registration (a
+   Creating entry's, or a resurrecting copy's) with false. *)
+let fail_surrogate_waiters st =
+  match !st with
+  | Creating iv ->
+      if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv false
+  | Cleaning cl -> (
+      (match cl.retry_cancel with Some c -> c () | None -> ());
+      match cl.resurrect with
+      | Some iv when not (Sched.Ivar.is_filled iv) -> Sched.Ivar.fill iv false
+      | Some _ | None -> ())
+  | Usable _ -> ()
+
 let forget_peer_state sp peer =
   evict_client sp peer;
   wal sp (Wal.Forget peer);
@@ -1996,16 +1980,7 @@ let forget_peer_state sp peer =
     (fun wr entry ->
       match entry with
       | Surrogate st when wr.Wirerep.space = peer ->
-          (match !st with
-          | Creating iv ->
-              if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv false
-          | Cleaning cl -> (
-              (match cl.retry_cancel with Some c -> c () | None -> ());
-              match cl.resurrect with
-              | Some iv when not (Sched.Ivar.is_filled iv) ->
-                  Sched.Ivar.fill iv false
-              | Some _ | None -> ())
-          | Usable _ -> ());
+          fail_surrogate_waiters st;
           stale := wr :: !stale
       | Surrogate _ | Concrete _ -> ())
     sp.table;
@@ -2192,7 +2167,7 @@ let run_trial sp suspect =
    opens trials for suspects stable for [cycle_age] — young suspects
    are usually just references in transit. *)
 let nominate_suspects sp =
-  let marked = mark_local sp in
+  let marked = mark sp ~dirty_kept:false in
   let now = Sched.now (ssched sp) in
   (* Fed by the incremental [dirty_kept] aggregate: O(dirty-kept
      concretes), not a scan of the whole object table. *)
@@ -2627,17 +2602,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
             [ ("ok", Trace.I (match result with Ok _ -> 1 | Error _ -> 0)) ]
           "call";
       let ack_reply () =
-        if rneeds_ack then begin
-          sp.s_copy_ack <- sp.s_copy_ack + 1;
-          if Obs.on () then begin
-            Metrics.incr m_copy_ack;
-            Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-              ~args:[ ("dst", Trace.I h.wr.Wirerep.space) ]
-              "copy_ack"
-          end;
-          send_env sp ~dst:h.wr.Wirerep.space
-            (Proto.Copy_ack { msg_id = rmsg_id })
-        end
+        if rneeds_ack then send_copy_ack sp ~dst:h.wr.Wirerep.space rmsg_id
       in
       match result with
       | Error e -> raise (Remote_error e)
@@ -3030,7 +2995,7 @@ let create (config : config) =
         (fun ~src ~kind:_ ~payload ~off ~len ->
           match Pickle.decode_slice Proto.packet_codec payload ~off ~len with
           | p -> handle_packet sp ~src p
-          | exception e ->
+          | exception (Wire.Error _ as e) ->
               Log.err (fun m ->
                   m "space %d: malformed envelope from %d: %s" sp.id src
                     (Printexc.to_string e)));
@@ -3047,40 +3012,36 @@ let create (config : config) =
     rt.space_arr;
   rt
 
-(* A restarted space comes back with an empty heap, a bumped epoch and a
-   fresh agent, exactly like a process that rebooted: all distributed
-   state about it is recovered protocol-side (owners evict its old dirty
-   entries on the epoch bump or via the lease, clients re-import through
-   the agent).  Fibers of the old incarnation parked on its ivars are
-   failed so they unwind; the cleaning demon survives (it re-checks the
-   table on every message), while gc/ping demons are respawned under the
-   new epoch. *)
-let restart rt i =
-  let sp = space rt i in
-  if not sp.crashed then invalid_arg "Runtime.restart: space is not crashed";
+(* Unwind a crashed incarnation and clear its volatile state, ahead of
+   [restart] (amnesia) or [recover] (replay) rebuilding it.  The dead
+   incarnation's fibers are released in a fixed order — pending calls
+   (failed with [reason]), surrogate waiters, pending reasserts, pending
+   cycle trials — because each fill puts its waiters on the run queue.
+   A rebooted process has no memory of its peers' incarnations either;
+   forgetting is safe because there is no state left to protect.
+   Detector state is soft and epoch-scoped: touch counters and suspicion
+   ages may restart from zero because every in-flight trial that heard
+   from the old incarnation aborts on the epoch bump. *)
+let reset_incarnation sp ~reason =
   Hashtbl.iter
     (fun _ iv ->
       if not (Sched.Ivar.is_filled iv) then
         Sched.Ivar.fill iv
-          (O_reply
-             ({ Proto.origin = sp.id; seq = 0 }, false, Error "space restarted")))
+          (O_reply ({ Proto.origin = sp.id; seq = 0 }, false, Error reason)))
     sp.pending_calls;
   Wirerep.Tbl.iter
     (fun _ entry ->
       match entry with
-      | Surrogate st -> (
-          match !st with
-          | Creating iv ->
-              if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv false
-          | Cleaning cl -> (
-              (match cl.retry_cancel with Some c -> c () | None -> ());
-              match cl.resurrect with
-              | Some iv when not (Sched.Ivar.is_filled iv) ->
-                  Sched.Ivar.fill iv false
-              | Some _ | None -> ())
-          | Usable _ -> ())
+      | Surrogate st -> fail_surrogate_waiters st
       | Concrete _ -> ())
     sp.table;
+  Hashtbl.iter
+    (fun _ iv -> if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv ())
+    sp.pending_reassert;
+  Hashtbl.iter
+    (fun _ iv ->
+      if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv (sp.epoch, []))
+    sp.pending_cycles;
   Wirerep.Tbl.reset sp.table;
   Itbl.reset sp.roots;
   Itbl.reset sp.pins;
@@ -3095,25 +3056,12 @@ let restart rt i =
   Itbl.reset sp.dirty_kept;
   sp.next_ping <- 1;
   Hashtbl.reset sp.suspect_since;
-  (* A rebooted process has no memory of its peers' incarnations either;
-     forgetting is safe because there is no state left to protect. *)
   Hashtbl.reset sp.peer_epoch;
-  Hashtbl.iter
-    (fun _ iv -> if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv ())
-    sp.pending_reassert;
   Hashtbl.reset sp.pending_reassert;
   Hashtbl.reset sp.unconfirmed;
-  (* Detector state is soft and epoch-scoped: the new incarnation's
-     counters may start from zero because every in-flight trial that
-     heard from the old one aborts on the epoch bump. *)
   Itbl.reset sp.touch;
   Wirerep.Tbl.reset sp.cycle_suspect_since;
-  Hashtbl.iter
-    (fun _ iv ->
-      if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv (sp.epoch, []))
-    sp.pending_cycles;
   Hashtbl.reset sp.pending_cycles;
-  sp.recover_until <- 0.0;
   let rec drain_mb () =
     match Sched.Mailbox.try_recv sp.clean_mb with
     | Some _ -> drain_mb ()
@@ -3122,7 +3070,21 @@ let restart rt i =
   drain_mb ();
   sp.next_index <- 0;
   sp.next_msg <- 0;
-  sp.next_call <- 0;
+  sp.next_call <- 0
+
+(* A restarted space comes back with an empty heap, a bumped epoch and a
+   fresh agent, exactly like a process that rebooted: all distributed
+   state about it is recovered protocol-side (owners evict its old dirty
+   entries on the epoch bump or via the lease, clients re-import through
+   the agent).  Fibers of the old incarnation parked on its ivars are
+   failed so they unwind; the cleaning demon survives (it re-checks the
+   table on every message), while gc/ping demons are respawned under the
+   new epoch. *)
+let restart rt i =
+  let sp = space rt i in
+  if not sp.crashed then invalid_arg "Runtime.restart: space is not crashed";
+  reset_incarnation sp ~reason:"space restarted";
+  sp.recover_until <- 0.0;
   sp.epoch <- sp.epoch + 1;
   (* Amnesia: the new incarnation carries no earlier state, so the
      continuity floor rises with the epoch and peers know to forget.
@@ -3326,69 +3288,7 @@ let recover rt i =
     | None -> invalid_arg "Runtime.recover: space is not durable"
   in
   let t0 = Sys.time () in
-  (* Fibers of the dead incarnation unwind exactly as for [restart]. *)
-  Hashtbl.iter
-    (fun _ iv ->
-      if not (Sched.Ivar.is_filled iv) then
-        Sched.Ivar.fill iv
-          (O_reply
-             ({ Proto.origin = sp.id; seq = 0 }, false, Error "space recovering")))
-    sp.pending_calls;
-  Wirerep.Tbl.iter
-    (fun _ entry ->
-      match entry with
-      | Surrogate st -> (
-          match !st with
-          | Creating iv ->
-              if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv false
-          | Cleaning cl -> (
-              (match cl.retry_cancel with Some c -> c () | None -> ());
-              match cl.resurrect with
-              | Some iv when not (Sched.Ivar.is_filled iv) ->
-                  Sched.Ivar.fill iv false
-              | Some _ | None -> ())
-          | Usable _ -> ())
-      | Concrete _ -> ())
-    sp.table;
-  Hashtbl.iter
-    (fun _ iv -> if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv ())
-    sp.pending_reassert;
-  Wirerep.Tbl.reset sp.table;
-  Itbl.reset sp.roots;
-  Itbl.reset sp.pins;
-  Hashtbl.reset sp.tdirty;
-  Hashtbl.reset sp.pending_calls;
-  Hashtbl.reset sp.reply_cache;
-  Hashtbl.reset sp.inflight;
-  sp.inflight_count <- 0;
-  Itbl.reset sp.seqno;
-  Hashtbl.reset sp.bindings;
-  Hashtbl.reset sp.lease;
-  Itbl.reset sp.dirty_kept;
-  sp.next_ping <- 1;
-  Hashtbl.reset sp.suspect_since;
-  Hashtbl.reset sp.peer_epoch;
-  Hashtbl.reset sp.pending_reassert;
-  Hashtbl.reset sp.unconfirmed;
-  (* Detector state is soft: touch counters and suspicion ages restart
-     from zero — safe because the epoch bump aborts every in-flight
-     trial that ever heard from the previous incarnation. *)
-  Itbl.reset sp.touch;
-  Wirerep.Tbl.reset sp.cycle_suspect_since;
-  Hashtbl.iter
-    (fun _ iv ->
-      if not (Sched.Ivar.is_filled iv) then Sched.Ivar.fill iv (sp.epoch, []))
-    sp.pending_cycles;
-  Hashtbl.reset sp.pending_cycles;
-  let rec drain_mb () =
-    match Sched.Mailbox.try_recv sp.clean_mb with
-    | Some _ -> drain_mb ()
-    | None -> ()
-  in
-  drain_mb ();
-  sp.next_index <- 0;
-  sp.next_msg <- 0;
-  sp.next_call <- 0;
+  reset_incarnation sp ~reason:"space recovering";
   (* Replay: snapshot first, then the log suffix, in append order.  A
      record that fails to decode is counted by the store as torn and
      skipped — it can only be the damaged tail. *)
@@ -3772,7 +3672,7 @@ let check_safety rt =
            surrogate is the legitimate wake of a cycle commit (the
            cleaning demon is about to drain it), while a reachable one
            means a live object was reclaimed — the violation. *)
-        let marked = lazy (mark_local sp) in
+        let marked = lazy (mark sp ~dirty_kept:false) in
         Wirerep.Tbl.iter
           (fun wr entry ->
             match entry with

@@ -87,9 +87,6 @@ type config
       copy_ack arrived after that long (TR §2.2's conservative timeout
       for lost acks); it must comfortably exceed latency + [call_timeout]
       so a merely-late ack never races the release;
-    - [piggyback_acks] elides copy_acks for messages that carried no
-      references and rides a call's ack on its reply — the paper's
-      "piggy-back GC messages onto mutator messages";
     - [bug_lookup_leak] reintroduces the historical {!lookup} bug (the
       agent root released only on the success path, so a [Timeout]
       strands the agent surrogate and its dirty entry forever) as a
@@ -153,7 +150,6 @@ val config :
   ?lease_grace:float ->
   ?pin_timeout:float ->
   ?clean_batch:float ->
-  ?piggyback_acks:bool ->
   ?bug_lookup_leak:bool ->
   ?bug_ping_ack_replay:bool ->
   ?bug_no_dedup:bool ->

@@ -198,7 +198,12 @@ module Reader = struct
       if shift > 62 then fail r "uvarint overflow";
       let b = byte r in
       let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
+      if b land 0x80 <> 0 then go (shift + 7) acc
+      else if acc < 0 then
+        (* A ninth group reaching bit 62 sets the sign of a native int:
+           no writer emits it, so it can only be a hostile count. *)
+        fail r "uvarint overflow"
+      else acc
     in
     go 0 0
 

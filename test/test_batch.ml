@@ -133,15 +133,14 @@ let test_batch_multi_owner () =
   Alcotest.(check (list int)) "a drained" [] (R.dirty_set o1 a);
   Alcotest.(check (list int)) "b drained" [] (R.dirty_set o2 b)
 
-(* --- ack elision and piggybacking ---------------------------------------- *)
+(* --- acks ----------------------------------------------------------------- *)
 
 let m_put = Stub.declare "put" R.handle_codec P.unit
 
-(* The full third-party scenario under piggybacked acks stays sound. *)
-let run_third_party ~piggyback =
-  let cfg =
-    R.config ~seed:29L ~piggyback_acks:piggyback ~nspaces:3 ()
-  in
+(* The full third-party scenario stays sound: the ref passed as a call
+   argument is acked, linked at the third space and survives collection. *)
+let test_third_party_sound () =
+  let cfg = R.config ~seed:29L ~nspaces:3 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
   let counter = counter_obj owner in
@@ -169,59 +168,33 @@ let run_third_party ~piggyback =
   no_failures rt;
   R.collect_all rt;
   ignore (R.run rt);
-  let alive = R.resident owner wr in
-  let consistent = R.check_consistency rt = [] in
-  let kinds = Net.stats_by_kind (R.net rt) in
-  let acked =
-    fst (Option.value ~default:(0, 0) (List.assoc_opt "copy_ack" kinds))
-  in
-  (alive, consistent, acked)
-
-let test_piggyback_sound () =
-  let alive, consistent, _ = run_third_party ~piggyback:true in
-  Alcotest.(check bool) "object survived" true alive;
-  Alcotest.(check bool) "consistent at quiescence" true consistent
+  Alcotest.(check bool) "object survived" true (R.resident owner wr);
+  Alcotest.(check bool) "consistent at quiescence" true
+    (R.check_consistency rt = [])
 
 (* Ack elision: null calls (no references in args or results) produce no
-   copy_ack messages at all; with piggybacking even ref-carrying calls
-   send none (the ack rides the reply). *)
+   copy_ack messages at all. *)
 let test_ack_elision () =
-  let count_acks ~piggyback =
-    let cfg =
-      R.config ~seed:31L ~piggyback_acks:piggyback ~nspaces:2 ()
-    in
-    let rt = R.create cfg in
-    let owner = R.space rt 0 and client = R.space rt 1 in
-    let counter = counter_obj owner in
-    R.publish owner "c" counter;
-    let href = ref None in
-    R.spawn rt (fun () -> href := Some (R.lookup client ~at:0 "c"));
-    ignore (R.run rt);
-    no_failures rt;
-    Net.reset_stats (R.net rt);
-    R.spawn rt (fun () ->
-        let h = Option.get !href in
-        for _ = 1 to 10 do
-          ignore (Stub.call client h m_incr 1)
-        done);
-    ignore (R.run rt);
-    no_failures rt;
-    let kinds = Net.stats_by_kind (R.net rt) in
-    fst (Option.value ~default:(0, 0) (List.assoc_opt "copy_ack" kinds))
-  in
-  (* warm null calls carry no refs: zero acks in both modes *)
-  Alcotest.(check int) "no acks for null calls (base)" 0
-    (count_acks ~piggyback:false);
-  Alcotest.(check int) "no acks for null calls (piggyback)" 0
-    (count_acks ~piggyback:true)
-
-(* Piggybacking eliminates the standalone ack for ref-carrying calls. *)
-let test_piggyback_saves_acks () =
-  let _, _, acks_base = run_third_party ~piggyback:false in
-  let _, _, acks_piggy = run_third_party ~piggyback:true in
-  Alcotest.(check bool)
-    (Printf.sprintf "fewer standalone acks (%d < %d)" acks_piggy acks_base)
-    true (acks_piggy < acks_base)
+  let cfg = R.config ~seed:31L ~nspaces:2 () in
+  let rt = R.create cfg in
+  let owner = R.space rt 0 and client = R.space rt 1 in
+  let counter = counter_obj owner in
+  R.publish owner "c" counter;
+  let href = ref None in
+  R.spawn rt (fun () -> href := Some (R.lookup client ~at:0 "c"));
+  ignore (R.run rt);
+  no_failures rt;
+  Net.reset_stats (R.net rt);
+  R.spawn rt (fun () ->
+      let h = Option.get !href in
+      for _ = 1 to 10 do
+        ignore (Stub.call client h m_incr 1)
+      done);
+  ignore (R.run rt);
+  no_failures rt;
+  let kinds = Net.stats_by_kind (R.net rt) in
+  Alcotest.(check int) "no acks for null calls" 0
+    (fst (Option.value ~default:(0, 0) (List.assoc_opt "copy_ack" kinds)))
 
 (* A lost clean_batch is retried: each item repeats as a single clean
    until acknowledged, so the owner's dirty entry and the client's
@@ -271,9 +244,8 @@ let () =
         ] );
       ( "acks",
         [
-          Alcotest.test_case "piggyback sound" `Quick test_piggyback_sound;
+          Alcotest.test_case "third-party sound" `Quick
+            test_third_party_sound;
           Alcotest.test_case "ack elision" `Quick test_ack_elision;
-          Alcotest.test_case "piggyback saves acks" `Quick
-            test_piggyback_saves_acks;
         ] );
     ]

@@ -153,6 +153,18 @@ let test_array_count_bounded () =
   Alcotest.(check (array int)) "well-formed still round-trips" big
     (roundtrip (P.array P.int) big)
 
+(* A nine-group uvarint whose last group reaches bit 62 would decode as
+   a negative count; containers must reject it as malformed, not crash
+   in [List.init]. *)
+let test_negative_count () =
+  let neg = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  expect_wire_error (fun () -> P.decode (P.list P.int) neg);
+  expect_wire_error (fun () -> P.decode (P.array P.int) neg);
+  let w = Wire.Writer.create () in
+  Wire.Writer.uvarint w max_int;
+  let r = Wire.Reader.of_string (Bytes.to_string (Wire.Writer.to_bytes w)) in
+  Alcotest.(check int) "uvarint max_int" max_int (Wire.Reader.uvarint r)
+
 let test_fingerprint_structural () =
   (* Structure determines the fingerprint, not identity. *)
   let a = P.pair P.int P.string and b = P.pair P.int P.string in
@@ -320,6 +332,7 @@ let () =
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "array count bounded" `Quick
             test_array_count_bounded;
+          Alcotest.test_case "negative count" `Quick test_negative_count;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_structural;
           Alcotest.test_case "varint compact" `Quick test_varint_compact;
         ] );

@@ -4,6 +4,7 @@
 module Proto = Netobj_core.Proto
 module Wirerep = Netobj_core.Wirerep
 module P = Netobj_pickle.Pickle
+module Wire = Netobj_pickle.Wire
 
 let roundtrip env = P.decode Proto.codec (P.encode Proto.codec env)
 
@@ -27,9 +28,9 @@ let test_envelopes () =
     (Proto.Call
        { call_id = 8; msg_id = mid; needs_ack = false; target = wr; meth = "incr"; args = ""; deadline = 0.25 });
   check_env "reply ok"
-    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; ack = Some mid; result = Ok "result-bytes" });
+    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok "result-bytes" });
   check_env "reply error"
-    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; ack = None; result = Error "boom" });
+    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error "boom" });
   check_env "copy_ack" (Proto.Copy_ack { msg_id = mid });
   check_env "dirty" (Proto.Dirty { wr; seq = 12 });
   check_env "dirty_ack" (Proto.Dirty_ack { wr; ok = false });
@@ -45,7 +46,7 @@ let test_kinds_distinct () =
   let envs =
     [
       Proto.Call { call_id = 0; msg_id = mid; needs_ack = false; target = wr; meth = "m"; args = ""; deadline = 0. };
-      Proto.Reply { call_id = 0; msg_id = mid; needs_ack = false; ack = None; result = Ok "" };
+      Proto.Reply { call_id = 0; msg_id = mid; needs_ack = false; result = Ok "" };
       Proto.Copy_ack { msg_id = mid };
       Proto.Dirty { wr; seq = 0 };
       Proto.Dirty_ack { wr; ok = true };
@@ -92,17 +93,10 @@ let env_gen =
       map (fun c -> Proto.Busy { call_id = c }) nat;
       map (fun c -> Proto.Expired { call_id = c }) nat;
       map
-        (fun (c, m, ack, r) ->
+        (fun (c, m, r) ->
           Proto.Reply
-            {
-              call_id = c;
-              msg_id = m;
-              needs_ack = c mod 2 = 1;
-              ack;
-              result = r;
-            })
-        (tup4 nat mid_gen
-           (option mid_gen)
+            { call_id = c; msg_id = m; needs_ack = c mod 2 = 1; result = r })
+        (tup3 nat mid_gen
            (oneof
               [
                 map (fun s -> Ok s) string_small;
@@ -121,6 +115,33 @@ let env_gen =
       map (fun w -> Proto.Clean_ack { wr = w }) wr_gen;
       map (fun n -> Proto.Ping { nonce = n }) nat;
       map (fun n -> Proto.Ping_ack { nonce = n }) nat;
+      map (fun n -> Proto.Recover { nonce = n }) nat;
+      map
+        (fun items -> Proto.Reassert { items })
+        (small_list (tup2 wr_gen nat));
+      map2
+        (fun ok gone -> Proto.Reassert_ack { ok; gone })
+        (small_list wr_gen) (small_list wr_gen);
+      map3
+        (fun probe_id confirm targets ->
+          Proto.Cycle_probe { probe_id; confirm; targets })
+        nat bool (small_list wr_gen);
+      map3
+        (fun probe_id epoch reports ->
+          Proto.Cycle_reply { probe_id; epoch; reports })
+        nat nat
+        (small_list
+           (tup2 wr_gen
+              (oneof
+                 [
+                   return Proto.Cr_live;
+                   return Proto.Cr_gone;
+                   map3
+                     (fun touch dirty ancestors ->
+                       Proto.Cr_quiet { touch; dirty; ancestors })
+                     nat (small_list nat) (small_list wr_gen);
+                 ])));
+      map (fun wrs -> Proto.Cycle_commit { wrs }) (small_list wr_gen);
     ]
 
 let prop_roundtrip =
@@ -129,6 +150,66 @@ let prop_roundtrip =
       let s = P.encode Proto.codec env in
       let env' = P.decode Proto.codec s in
       String.equal s (P.encode Proto.codec env'))
+
+(* --- hostile wire ----------------------------------------------------------
+
+   A packet from the network is untrusted: whatever its bytes, decoding
+   must either succeed or raise [Wire.Error] — the one exception the
+   runtime's receive handler catches.  Each case encodes a packet around
+   an envelope of any constructor, applies a few random mutations
+   (truncation, byte overwrite, insertion), and also splices at every
+   offset a nine-group uvarint that would decode as a negative count. *)
+
+let negative_count = "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+
+type mutation = Truncate of int | Overwrite of int * char | Insert of int * string
+
+let splice s i x =
+  String.sub s 0 i ^ x ^ String.sub s i (String.length s - i)
+
+let mutate s = function
+  | Truncate i -> String.sub s 0 (i mod (String.length s + 1))
+  | Overwrite (_, _) when s = "" -> s
+  | Overwrite (i, c) ->
+      let b = Bytes.of_string s in
+      Bytes.set b (i mod Bytes.length b) c;
+      Bytes.to_string b
+  | Insert (i, x) -> splice s (i mod (String.length s + 1)) x
+
+let mutation_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, map (fun i -> Truncate i) nat);
+      (3, map2 (fun i c -> Overwrite (i, c)) nat char);
+      (1, map2 (fun i x -> Insert (i, x)) nat (string_size (int_range 1 4)));
+      (1, map (fun i -> Insert (i, negative_count)) nat);
+    ]
+
+let packet_gen =
+  let open QCheck.Gen in
+  map3
+    (fun (src_epoch, src_cont, dst_epoch) env muts ->
+      let p = { Proto.src_epoch; src_cont; dst_epoch; env } in
+      (P.encode Proto.packet_codec p, muts))
+    (triple small_nat small_nat small_nat)
+    env_gen
+    (list_size (int_range 1 3) mutation_gen)
+
+let decodes_or_wire_error s =
+  match P.decode Proto.packet_codec s with
+  | _ -> true
+  | exception Wire.Error _ -> true
+
+let prop_hostile_packets =
+  QCheck.Test.make ~name:"hostile packets"
+    ~count:1000
+    (QCheck.make ~print:(fun (s, _) -> String.escaped s) packet_gen)
+    (fun (s, muts) ->
+      decodes_or_wire_error (List.fold_left mutate s muts)
+      && List.for_all
+           (fun i -> decodes_or_wire_error (splice s i negative_count))
+           (List.init (String.length s + 1) Fun.id))
 
 let test_wirerep () =
   let a = Wirerep.v ~space:1 ~index:2 in
@@ -156,6 +237,7 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_envelopes;
           Alcotest.test_case "kinds distinct" `Quick test_kinds_distinct;
           QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_hostile_packets;
         ] );
       ("wirerep", [ Alcotest.test_case "basics" `Quick test_wirerep ]);
     ]

@@ -195,7 +195,8 @@ let test_deadline_expired () =
   let execs = ref 0 in
   R.publish owner "sink"
     (R.allocate owner ~meths:[ Stub.implement m_put (fun _ _h -> incr execs) ]);
-  R.publish third "x" (R.allocate third ~meths:[]);
+  let xo = R.allocate third ~meths:[] in
+  R.publish third "x" xo;
   let tr = R.transport rt in
   let sched = R.sched rt in
   in_fiber rt (fun () ->
@@ -218,7 +219,14 @@ let test_deadline_expired () =
   Alcotest.(check int) "method never ran" 0 !execs;
   Alcotest.(check int) "owner counted the expiry" 1
     (R.call_stats owner).R.c_expired;
-  drain rt
+  drain rt;
+  (* No [pin_timeout] here: only the copy_ack the owner sent before
+     [Expired] can release the client's transient pin on [x]. *)
+  Alcotest.(check bool) "client's surrogate for x gone" false
+    (R.resident client (R.wirerep xo));
+  Alcotest.(check bool) "owner's surrogate for x gone" false
+    (R.resident owner (R.wirerep xo));
+  Alcotest.(check (list int)) "x's dirty set drained" [] (R.dirty_set third xo)
 
 (* --- cancel releases the reply's pins -------------------------------------- *)
 
