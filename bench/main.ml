@@ -455,6 +455,17 @@ let counter_obj sp =
             !v);
       ]
 
+(* The §6 adversary on every channel: a permanent loss or duplication
+   burst on each ordered pair of spaces, self-pairs included. *)
+let burst_everywhere rt ?loss ?dup () =
+  let n = List.length (R.spaces rt) in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      Transport.set_burst (R.transport rt) ~src ~dst ?loss ?dup
+        ~until:infinity ()
+    done
+  done
+
 let e8_fault () =
   section "E8: fault tolerance (§6) — abstract machine";
   (* The §6 machine with the outer-cube states: loss, duplication and
@@ -490,12 +501,8 @@ let e8_fault () =
   row " with timeouts every seed recovers and safety never breaks)@.";
   section "E8b: fault tolerance (§6) on the runtime";
   (* 8a: duplicated GC messages are idempotent thanks to seqnos. *)
-  let cfg =
-    R.config ~seed:5L
-      ~edge:{ (Net.bag_edge ()) with Net.dup = 0.4 }
-      ~nspaces:3 ()
-  in
-  let rt = R.create cfg in
+  let rt = R.create (R.config ~seed:5L ~nspaces:3 ()) in
+  burst_everywhere rt ~dup:0.4 ();
   let owner = R.space rt 0 in
   let counter = counter_obj owner in
   R.publish owner "c" counter;
@@ -513,10 +520,9 @@ let e8_fault () =
   ignore (R.run rt);
   R.collect_all rt;
   ignore (R.run rt);
-  let st = Net.stats (R.net rt) in
   row
     "duplication 40%%: %d calls ok, %d msgs duplicated, dirty set drained: %b@."
-    !calls_ok st.Net.duplicated
+    !calls_ok (Transport.stats (R.transport rt)).Transport.duplicated
     (R.dirty_set owner counter = []);
   (* 8b: clean-message loss + retry demon. *)
   let cfg = R.config ~seed:6L ~clean_retry:0.5 ~nspaces:2 () in
@@ -656,7 +662,7 @@ let e9_rpc () =
         h1 := Some (R.lookup client ~at:0 "c");
         h2 := Some (R.lookup client ~at:0 "echo"));
     ignore (R.run rt);
-    Net.reset_stats (R.net rt);
+    Transport.reset_stats (R.transport rt);
     R.spawn rt (fun () ->
         for _ = 1 to 10 do
           if with_ref then begin
@@ -666,7 +672,7 @@ let e9_rpc () =
           else ignore (Stub.call client (Option.get !h1) m_incr 1)
         done);
     ignore (R.run rt);
-    float_of_int (Net.stats (R.net rt)).Net.sent /. 10.0
+    float_of_int (Transport.stats (R.transport rt)).Transport.sent /. 10.0
   in
   row "@.wire messages per warm call:@.";
   row "  %-34s %8s %8s@." "" "null" "ref-arg+ref-result";
@@ -811,10 +817,10 @@ let e12_churn () =
               R.release client h)
             objs);
       ignore (R.run rt);
-      Net.reset_stats (R.net rt);
+      Transport.reset_stats (R.transport rt);
       R.collect client;
       ignore (R.run rt);
-      let kinds = Net.stats_by_kind (R.net rt) in
+      let kinds = Transport.stats_by_kind (R.transport rt) in
       let n k = fst (Option.value ~default:(0, 0) (List.assoc_opt k kinds)) in
       row "  %-10s clean msgs=%d, clean_batch msgs=%d, total GC msgs=%d@."
         (if batch then "batched" else "unbatched")
@@ -1139,7 +1145,7 @@ let e20_recover () =
     ignore (R.run ~until:3.0 rt);
     R.collect_all rt;
     ignore (R.run ~until:6.0 rt);
-    ( Net.stats (R.net rt),
+    ( Transport.stats (R.transport rt),
       R.gc_stats (R.space rt 1),
       R.log_size owner,
       mxc "store.fsyncs" - f0 )
@@ -1148,11 +1154,14 @@ let e20_recover () =
   let on_st, on_gc, wal_bytes, fsyncs = run_workload ~durable:true in
   row "%-12s %10s %10s %10s %10s@." "durability" "msgs" "bytes" "wal-bytes"
     "fsyncs";
-  row "%-12s %10d %10d %10d %10d@." "off" off_st.Net.sent off_st.Net.bytes 0 0;
-  row "%-12s %10d %10d %10d %10d@." "on" on_st.Net.sent on_st.Net.bytes
+  row "%-12s %10d %10d %10d %10d@." "off" off_st.Transport.sent
+    off_st.Transport.bytes 0 0;
+  row "%-12s %10d %10d %10d %10d@." "on" on_st.Transport.sent
+    on_st.Transport.bytes
     wal_bytes fsyncs;
   row "wire parity (logging is local): %b; gc parity: %b@."
-    (off_st.Net.sent = on_st.Net.sent && off_st.Net.bytes = on_st.Net.bytes)
+    (off_st.Transport.sent = on_st.Transport.sent
+    && off_st.Transport.bytes = on_st.Transport.bytes)
     (off_gc.R.dirty_calls = on_gc.R.dirty_calls
     && off_gc.R.clean_calls = on_gc.R.clean_calls);
   row "@.%-10s %12s %12s %14s %12s@." "objects" "log-bytes" "replayed"
@@ -1715,11 +1724,12 @@ let e25_reliability () =
   let run_lossy ~retries =
     let cfg =
       R.config ~seed:25L
-        ~edge:{ (Net.bag_edge ~lo:0.01 ~hi:0.05 ()) with Net.loss = 0.10 }
+        ~edge:(Net.bag_edge ~lo:0.01 ~hi:0.05 ())
         ~call_timeout:0.2 ~call_retries:retries ~pin_timeout:30.0 ~nspaces:2
         ()
     in
     let rt = R.create cfg in
+    burst_everywhere rt ~loss:0.10 ();
     let owner = R.space rt 0 in
     let execs = ref 0 in
     let obj =

@@ -82,64 +82,6 @@ let steps_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
 
-(* One engine/backend flag pair shared by every runtime-driving
-   subcommand, replacing per-subcommand ad-hoc spellings.  Each
-   subcommand states which values it supports; unsupported combinations
-   are rejected with the same message everywhere. *)
-
-type engine_choice = Engine_sim_c | Engine_domains_c
-
-type backend_choice = Backend_sim | Backend_tcp
-
-let engine_str = function Engine_sim_c -> "sim" | Engine_domains_c -> "domains"
-
-let backend_str = function Backend_sim -> "sim" | Backend_tcp -> "tcp"
-
-let engine_conv =
-  Arg.enum [ ("sim", Engine_sim_c); ("domains", Engine_domains_c) ]
-
-let backend_conv = Arg.enum [ ("sim", Backend_sim); ("tcp", Backend_tcp) ]
-
-let engine_info =
-  Arg.info [ "engine" ] ~docv:"ENGINE"
-    ~doc:
-      "Execution engine: $(b,sim) (deterministic single-domain fibers — the \
-       substrate for mc, chaos and replay) or $(b,domains) (spaces sharded \
-       across OCaml domains, parallel and nondeterministic)."
-
-let backend_info =
-  Arg.info [ "backend" ] ~docv:"BACKEND"
-    ~doc:
-      "Message transport: $(b,sim) (in-process simulated network) or \
-       $(b,tcp) (real sockets; $(b,serve)/$(b,connect) only)."
-
-let engine_arg = Arg.(value & opt engine_conv Engine_sim_c engine_info)
-
-let domains_engine_arg = Arg.(value & opt engine_conv Engine_domains_c engine_info)
-
-let backend_arg = Arg.(value & opt backend_conv Backend_sim backend_info)
-
-(* serve/connect are real-socket commands, so their default is tcp. *)
-let tcp_backend_arg = Arg.(value & opt backend_conv Backend_tcp backend_info)
-
-(* Reject unsupported values uniformly: same wording, exit code 2,
-   regardless of which subcommand is complaining. *)
-let require_engine ~cmd ~allowed engine =
-  if not (List.mem engine allowed) then begin
-    Fmt.epr "%s: --engine %s is not supported here (supported: %s)@." cmd
-      (engine_str engine)
-      (String.concat ", " (List.map engine_str allowed));
-    exit 2
-  end
-
-let require_backend ~cmd ~allowed backend =
-  if not (List.mem backend allowed) then begin
-    Fmt.epr "%s: --backend %s is not supported here (supported: %s)@." cmd
-      (backend_str backend)
-      (String.concat ", " (List.map backend_str allowed));
-    exit 2
-  end
-
 (* --- check ----------------------------------------------------------------- *)
 
 let check procs budget =
@@ -204,9 +146,7 @@ let workload_of procs = function
   | "churn" -> Workload.churn ~procs ~events:100 ~seed:42L
   | w -> Fmt.failwith "unknown workload %s" w
 
-let run_harness engine backend algo workload procs seeds trace_out metrics_out =
-  require_engine ~cmd:"run" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"run" ~allowed:[ Backend_sim ] backend;
+let run_harness algo workload procs seeds trace_out metrics_out =
   match Registry.find algo with
   | None ->
       Fmt.epr "unknown algorithm %s (have: %s)@." algo
@@ -250,7 +190,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run an algorithm against a workload with the safety oracle.")
     Term.(
-      const run_harness $ engine_arg $ backend_arg $ algo_arg $ workload_arg
+      const run_harness $ algo_arg $ workload_arg
       $ procs_arg $ seeds_arg $ trace_out_arg $ metrics_out_arg)
 
 (* --- fifo -------------------------------------------------------------------- *)
@@ -306,9 +246,7 @@ let fifo_cmd =
 
 (* --- trace ------------------------------------------------------------------- *)
 
-let trace engine backend seed steps procs trace_out metrics_out =
-  require_engine ~cmd:"trace" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"trace" ~allowed:[ Backend_sim ] backend;
+let trace seed steps procs trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let rng = Netobj_util.Rng.create (Int64.of_int seed) in
   let c = ref (alloc procs) in
@@ -339,18 +277,16 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace" ~doc:"Print a random execution with the termination measure.")
     Term.(
-      const trace $ engine_arg $ backend_arg $ seed_arg $ steps_arg
+      const trace $ seed_arg $ steps_arg
       $ procs_arg $ trace_out_arg $ metrics_out_arg)
 
 (* --- chaos -------------------------------------------------------------------- *)
 
 module Chaos = Netobj_chaos.Chaos
 
-let chaos engine backend seed spaces duration objects events cycles partitions
+let chaos seed spaces duration objects events cycles partitions
     crashes crash_recovers disk_faults loss_bursts dup_bursts spikes storms
     drain_limit backoff trace_out metrics_out =
-  require_engine ~cmd:"chaos" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"chaos" ~allowed:[ Backend_sim ] backend;
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let cfg =
     {
@@ -433,7 +369,7 @@ let chaos_cmd =
           full runtime with safety and liveness oracles.  Exits 0 iff the \
           run survived.")
     Term.(
-      const chaos $ engine_arg $ backend_arg $ seed_arg $ chaos_spaces_arg
+      const chaos $ seed_arg $ chaos_spaces_arg
       $ duration_arg $ objects_arg $ events_arg $ cycles_arg
       $ mix_arg "partitions" 3 "Partitions (healed) in the schedule."
       $ mix_arg "crashes" 2 "Crash+restart faults in the schedule."
@@ -461,9 +397,7 @@ module Pk = Netobj_pickle.Pickle
    client's reassert re-establishes the dirty set, the held reference is
    invoked again (the survival property), and after release the system
    must drain back to ground truth. *)
-let recover_run engine backend seed fault_name trace_out metrics_out =
-  require_engine ~cmd:"recover" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"recover" ~allowed:[ Backend_sim ] backend;
+let recover_run seed fault_name trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let fault =
     match fault_name with
@@ -588,7 +522,7 @@ let recover_cmd =
           reference again, release, and drain.  Exits 0 iff every step \
           held.")
     Term.(
-      const recover_run $ engine_arg $ backend_arg $ seed_arg $ disk_fault_arg
+      const recover_run $ seed_arg $ disk_fault_arg
       $ trace_out_arg $ metrics_out_arg)
 
 (* --- cycles -------------------------------------------------------------------- *)
@@ -598,9 +532,7 @@ let recover_cmd =
    ring is rooted must keep it, the listing collector is shown to leak
    it once the roots drop, and the trial-deletion detector reclaims
    it. *)
-let cycles_run engine backend seed trace_out metrics_out =
-  require_engine ~cmd:"cycles" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"cycles" ~allowed:[ Backend_sim ] backend;
+let cycles_run seed trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let n = 3 in
   let cfg =
@@ -710,7 +642,7 @@ let cycles_cmd =
           drop, and the trial-deletion detector reclaims it.  Exits 0 iff \
           every step held.")
     Term.(
-      const cycles_run $ engine_arg $ backend_arg $ seed_arg $ trace_out_arg
+      const cycles_run $ seed_arg $ trace_out_arg
       $ metrics_out_arg)
 
 (* --- scale --------------------------------------------------------------------- *)
@@ -724,9 +656,7 @@ let cycles_cmd =
    entry, a crashed client's whole aggregate is dropped by a single
    lease expiry, and the sharded name service spreads bindings across
    agent homes. *)
-let scale_run engine backend seed trace_out metrics_out =
-  require_engine ~cmd:"scale" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"scale" ~allowed:[ Backend_sim ] backend;
+let scale_run seed trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let n = 4 and nobjs = 1000 in
   let cfg =
@@ -841,7 +771,7 @@ let scale_cmd =
           service spreads bindings across agent homes.  Exits 0 iff \
           every step held.")
     Term.(
-      const scale_run $ engine_arg $ backend_arg $ seed_arg $ trace_out_arg
+      const scale_run $ seed_arg $ trace_out_arg
       $ metrics_out_arg)
 
 (* --- reliability --------------------------------------------------------------- *)
@@ -852,9 +782,7 @@ let scale_cmd =
    herd over the bounded inflight gate is shed with Busy and recovers
    through backoff, and an abandoned call's Cancel releases the reply's
    transient pin long before the pin timeout would. *)
-let reliability_run engine backend seed trace_out metrics_out =
-  require_engine ~cmd:"reliability" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"reliability" ~allowed:[ Backend_sim ] backend;
+let reliability_run seed trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
   let module Sched = Netobj_sched.Sched in
   let module Transport = Netobj_transport.Transport in
@@ -1039,7 +967,7 @@ let reliability_cmd =
           backoff, and an abandoned call's Cancel releases the reply's \
           transient pin immediately.  Exits 0 iff every step held.")
     Term.(
-      const reliability_run $ engine_arg $ backend_arg $ seed_arg
+      const reliability_run $ seed_arg
       $ trace_out_arg $ metrics_out_arg)
 
 (* --- serve / connect / transport-demo ----------------------------------------- *)
@@ -1103,10 +1031,8 @@ let call_incr sp h =
     ~encode:(fun w -> Pk.write Pk.int w 1)
     ~decode:(fun r -> Pk.read Pk.int r)
 
-let serve engine backend addr spaces port portfile peers seed epoch duration
+let serve addr spaces port portfile peers seed epoch duration
     quiet =
-  require_engine ~cmd:"serve" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"serve" ~allowed:[ Backend_tcp ] backend;
   let endpoints =
     (addr, { Tcp.host = "127.0.0.1"; port }) :: List.map parse_peer peers
   in
@@ -1140,9 +1066,7 @@ let serve engine backend addr spaces port portfile peers seed epoch duration
   drive rt ~deadline ~stop:(fun () -> false);
   0
 
-let connect engine backend addr spaces peers seed =
-  require_engine ~cmd:"connect" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"connect" ~allowed:[ Backend_tcp ] backend;
+let connect addr spaces peers seed =
   let endpoints = List.map parse_peer peers in
   let targets = List.sort Int.compare (List.map fst endpoints) in
   let rt = R.create (tcp_config ~seed ~spaces ~serving:[] ~endpoints ()) in
@@ -1416,7 +1340,7 @@ let serve_cmd =
           dirty, clean and lookup traffic from remote processes until \
           the duration expires.")
     Term.(
-      const serve $ engine_arg $ tcp_backend_arg $ addr_arg $ spaces_arg
+      const serve $ addr_arg $ spaces_arg
       $ port_arg $ portfile_arg $ peers_arg $ seed_arg $ epoch_arg
       $ serve_duration_arg $ quiet_arg)
 
@@ -1429,7 +1353,7 @@ let connect_cmd =
           exit 0 iff every round trip succeeded.  The client binds no \
           listener — replies ride the request connection.")
     Term.(
-      const connect $ engine_arg $ tcp_backend_arg $ addr_arg $ spaces_arg
+      const connect $ addr_arg $ spaces_arg
       $ peers_arg $ seed_arg)
 
 let transport_demo_cmd =
@@ -1454,18 +1378,11 @@ let transport_demo_cmd =
    the runtime's per-step and quiescent invariants must hold, and every
    dirty set must drain.  This is the 4-domain stress run `make
    par-smoke` folds into `make verify`. *)
-let par engine backend seed spaces domains calls =
-  require_engine ~cmd:"par" ~allowed:[ Engine_sim_c; Engine_domains_c ] engine;
-  require_backend ~cmd:"par" ~allowed:[ Backend_sim ] backend;
-  let engine_mod =
-    match engine with
-    | Engine_sim_c -> (module Netobj_engine.Engine_sim : R.Engine.S)
-    | Engine_domains_c -> (module Netobj_engine.Engine_domains : R.Engine.S)
-  in
+let par engine seed spaces domains calls =
   let rt =
     R.create
-      (R.config ~seed:(Int64.of_int seed) ~nspaces:spaces ~domains
-         ~engine:engine_mod ~gc_period:0.5 ())
+      (R.config ~seed:(Int64.of_int seed) ~nspaces:spaces ~domains ~engine
+         ~gc_period:0.5 ())
   in
   let failed = ref false in
   let fail fmt =
@@ -1576,6 +1493,24 @@ let par engine backend seed spaces domains calls =
   Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
   if !failed then 1 else 0
 
+(* The only subcommand with a choice of engine: every other one drives
+   the deterministic sim engine. *)
+let par_engine_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("sim", (module Netobj_engine.Engine_sim : R.Engine.S));
+             ("domains", (module Netobj_engine.Engine_domains : R.Engine.S));
+           ])
+        (module Netobj_engine.Engine_domains : R.Engine.S)
+    & info [ "engine" ] ~docv:"ENGINE"
+        ~doc:
+          "Execution engine: $(b,sim) (deterministic single-domain fibers — \
+           the substrate for mc, chaos and replay) or $(b,domains) (spaces \
+           sharded across OCaml domains, parallel and nondeterministic).")
+
 let par_spaces_arg =
   Arg.(
     value & opt int 8
@@ -1603,7 +1538,7 @@ let par_cmd =
           set must drain.  Defaults to the $(b,domains) engine; exits 0 \
           iff the storm survived.")
     Term.(
-      const par $ domains_engine_arg $ backend_arg $ seed_arg $ par_spaces_arg
+      const par $ par_engine_arg $ seed_arg $ par_spaces_arg
       $ par_domains_arg $ par_calls_arg)
 
 (* --- mc ----------------------------------------------------------------------- *)
@@ -1639,10 +1574,8 @@ let mc_replay sc (schedule : Mc.schedule) =
       List.iter (fun p -> Fmt.pr "  %s@." p) problems;
       1
 
-let mc engine backend scenario_name mode leak max_schedules max_depth
+let mc scenario_name mode leak max_schedules max_depth
     preemptions slots seed cex_out replay_file trace_out metrics_out =
-  require_engine ~cmd:"mc" ~allowed:[ Engine_sim_c ] engine;
-  require_backend ~cmd:"mc" ~allowed:[ Backend_sim ] backend;
   with_obs ~trace_out ~metrics_out @@ fun () ->
   match replay_file with
   | Some path -> (
@@ -1784,7 +1717,7 @@ let mc_cmd =
           oracle at each step and the drain oracles at each end state.  \
           Exits 0 iff no violation was found.")
     Term.(
-      const mc $ engine_arg $ backend_arg $ scenario_arg $ mode_arg $ leak_arg
+      const mc $ scenario_arg $ mode_arg $ leak_arg
       $ max_schedules_arg $ max_depth_arg $ preemptions_arg $ slots_arg
       $ seed_arg $ cex_out_arg $ replay_arg $ trace_out_arg $ metrics_out_arg)
 

@@ -149,7 +149,6 @@ type config = {
   snapshot_period : float option;
   recover_grace : float;
   cycle_period : float option;
-  cycle_age : float;
   bug_skip_confirm : bool;
   transport : (Sched.t -> Net.t -> Transport.t) option;
   engine : (module Engine.S) option;
@@ -165,7 +164,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
     ?(durable = false) ?(fsync_delay = 0.02)
     ?snapshot_period
-    ?(recover_grace = 2.0) ?cycle_period ?(cycle_age = 0.75)
+    ?(recover_grace = 2.0) ?cycle_period
     ?(bug_skip_confirm = false) ?transport ?engine ?(domains = 4) ~nspaces () =
   if backoff < 1.0 then invalid_arg "Runtime.config: backoff must be >= 1";
   if call_retries < 0 then
@@ -183,7 +182,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     invalid_arg "Runtime.config: fsync_delay must be >= 0";
   if recover_grace < 0.0 then
     invalid_arg "Runtime.config: recover_grace must be >= 0";
-  if cycle_age < 0.0 then invalid_arg "Runtime.config: cycle_age must be >= 0";
   if domains < 1 then invalid_arg "Runtime.config: domains must be >= 1";
   {
     nspaces;
@@ -214,7 +212,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     snapshot_period;
     recover_grace;
     cycle_period;
-    cycle_age;
     bug_skip_confirm;
     transport;
     engine;
@@ -2195,13 +2192,16 @@ let nominate_suspects sp =
     current;
   current
 
+(* Seconds a suspect must stay dirty-kept-but-unreachable before the
+   periodic demon opens a trial on it. *)
+let cycle_age = 0.75
+
 let aged_suspects sp =
   let now = Sched.now (ssched sp) in
-  let age = sp.rt.config.cycle_age in
   List.filter
     (fun wr ->
       match Wirerep.Tbl.find_opt sp.cycle_suspect_since wr with
-      | Some t0 -> now -. t0 >= age
+      | Some t0 -> now -. t0 >= cycle_age
       | None -> false)
     (nominate_suspects sp)
 

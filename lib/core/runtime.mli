@@ -50,7 +50,9 @@ type config
 (** [config ~nspaces ()] with every knob optional:
     - [seed] drives all randomness (default [1L]);
     - [policy] is the scheduling policy (default {!Sched.Fifo});
-    - [edge] is applied to every network edge (default {!Net.bag_edge});
+    - [edge] is every simulated network edge's order and latency
+      (default {!Net.bag_edge}); loss and duplication are faults,
+      armed through {!transport} ({!Netobj_transport.Transport.set_burst});
     - [gc_period] runs each space's local GC periodically;
     - [ping_period] makes owners ping clients in their dirty sets, and
       [lease_misses] (default 3) is how many missed pings evict a client;
@@ -112,8 +114,8 @@ type config
       conservatively retained while clients re-assert them;
     - [cycle_period] runs each space's distributed cycle detector
       periodically (default off): suspects that stayed
-      dirty-kept-but-unreachable for [cycle_age] seconds (default 0.75)
-      get a trial deletion — see {!cycle_collect} for the protocol;
+      dirty-kept-but-unreachable for 0.75 seconds get a trial deletion
+      — see {!cycle_collect} for the protocol;
     - [bug_skip_confirm] deliberately breaks the detector by committing
       trial closures without the confirm round, as a known-bug target
       for the model checker.  Never set it outside that scenario;
@@ -158,7 +160,6 @@ val config :
   ?snapshot_period:float ->
   ?recover_grace:float ->
   ?cycle_period:float ->
-  ?cycle_age:float ->
   ?bug_skip_confirm:bool ->
   ?transport:(Sched.t -> Net.t -> Netobj_transport.Transport.t) ->
   ?engine:(module Engine.S) ->
@@ -200,9 +201,12 @@ val create : config -> t
     reach the others). *)
 val sched : t -> Sched.t
 
-(** Shard 0's simulated network: the channel model (edge semantics,
-    latency, the model checker's delivery-choice hook).  Faults are
-    injected through {!transport}, not here. *)
+(** Shard 0's simulated network: the channel model (edge order and
+    latency).  It serves only the model checker's delivery-choice hook
+    ({!Netobj_net.Net.set_delivery_choice}) and tests that inject a raw
+    packet past the transport.  Faults are injected, and traffic is
+    counted, through {!transport}: under a custom transport this network
+    carries nothing and its counters stay at zero. *)
 val net : t -> Net.t
 
 (** Shard 0's transport.  Harness fault operations ({!crash} and

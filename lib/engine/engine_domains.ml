@@ -78,9 +78,10 @@ let create (p : Engine.params) =
     Array.init nshards (fun k ->
         let sched = Sched.create ~policy:p.p_policy () in
         let net =
-          Net.create ~sched ~seed:(Int64.add p.p_seed (Int64.of_int k)) ()
+          Net.create ~sched
+            ~seed:(Int64.add p.p_seed (Int64.of_int k))
+            ~edge:p.p_edge ()
         in
-        Net.set_all_edges net p.p_edge;
         let tr =
           match (p.p_mk_transport, hub) with
           | Some f, _ -> f sched net

@@ -19,8 +19,7 @@ let create (p : Engine.params) =
      observability *before* creating the runtime so nothing is emitted
      against the default event-counter clock). *)
   Obs.set_clock (fun () -> Sched.now sched);
-  let net = Net.create ~sched ~seed:p.p_seed () in
-  Net.set_all_edges net p.p_edge;
+  let net = Net.create ~sched ~seed:p.p_seed ~edge:p.p_edge () in
   (* The simulated network is always created (the model checker's
      delivery-choice hook and edge shaping live there); a custom
      transport simply routes traffic elsewhere and leaves it idle.  The

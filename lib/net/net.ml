@@ -14,32 +14,23 @@ let m_delivered = Metrics.counter Metrics.global "net.delivered"
 
 let m_dropped = Metrics.counter Metrics.global "net.dropped"
 
-let m_duplicated = Metrics.counter Metrics.global "net.duplicated"
-
 type addr = int
 
 type latency = Constant of float | Uniform of float * float
 
 type semantics = Bag | Fifo
 
-type edge_config = {
-  semantics : semantics;
-  latency : latency;
-  loss : float;
-  dup : float;
-}
+type edge_config = { semantics : semantics; latency : latency }
 
-let default_edge =
-  { semantics = Bag; latency = Uniform (0.001, 0.01); loss = 0.0; dup = 0.0 }
+let default_edge = { semantics = Bag; latency = Uniform (0.001, 0.01) }
 
 let bag_edge ?(lo = 0.001) ?(hi = 0.01) () =
   { default_edge with latency = Uniform (lo, hi) }
 
 let fifo_edge ?(latency = 0.005) () =
-  { semantics = Fifo; latency = Constant latency; loss = 0.0; dup = 0.0 }
+  { semantics = Fifo; latency = Constant latency }
 
 type edge_state = {
-  mutable config : edge_config;
   mutable last_deadline : float;  (* enforces FIFO by monotone deadlines *)
   mutable in_flight : int;  (* scheduled but not yet delivered/dropped *)
   (* Latency spike window, consulted against the virtual clock so it
@@ -53,7 +44,6 @@ type stats = {
   sent : int;
   delivered : int;
   dropped : int;
-  duplicated : int;
   bytes : int;
 }
 
@@ -65,11 +55,10 @@ type t = {
   rng : Rng.t;
   edges : (addr * addr, edge_state) Hashtbl.t;
   handlers : (addr, handler) Hashtbl.t;
-  mutable default : edge_config;
+  config : edge_config;  (* every edge's *)
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
-  mutable duplicated : int;
   mutable bytes : int;
   by_kind : (string, (int * int) ref) Hashtbl.t;
   mutable obs_seq : int;  (* correlation ids for message-flight spans *)
@@ -79,17 +68,16 @@ type t = {
   mutable delivery_choice : (int * (label:string -> n:int -> int)) option;
 }
 
-let create ~sched ~seed () =
+let create ~sched ~seed ?(edge = default_edge) () =
   {
     sched;
     rng = Rng.create seed;
     edges = Hashtbl.create 64;
     handlers = Hashtbl.create 16;
-    default = default_edge;
+    config = edge;
     sent = 0;
     delivered = 0;
     dropped = 0;
-    duplicated = 0;
     bytes = 0;
     by_kind = Hashtbl.create 16;
     obs_seq = 0;
@@ -110,7 +98,6 @@ let edge t src dst =
   | None ->
       let e =
         {
-          config = t.default;
           last_deadline = 0.0;
           in_flight = 0;
           spike_factor = 1.0;
@@ -119,12 +106,6 @@ let edge t src dst =
       in
       Hashtbl.add t.edges (src, dst) e;
       e
-
-let set_edge t ~src ~dst config = (edge t src dst).config <- config
-
-let set_all_edges t config =
-  t.default <- config;
-  Hashtbl.iter (fun _ e -> e.config <- config) t.edges
 
 let set_handler t addr h = Hashtbl.replace t.handlers addr h
 
@@ -135,7 +116,7 @@ let set_latency_spike t ~src ~dst ~factor ~until =
 
 let draw_latency t e =
   let lat =
-    match e.config.latency with
+    match t.config.latency with
     | Constant c -> c
     | Uniform (lo, hi) -> lo +. (Rng.float t.rng *. (hi -. lo))
   in
@@ -148,18 +129,6 @@ let obs_msg_args ~src ~dst ~kind len =
     ("dst", Trace.I dst);
     ("bytes", Trace.I len);
   ]
-
-(* The instant keeps {!Faulty}'s drop schema, [count] included, so one
-   reader sums drops from either layer. *)
-let obs_drop ~src ~dst ~kind len reason =
-  if Obs.on () then begin
-    Metrics.incr m_dropped;
-    Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
-      ~args:
-        (obs_msg_args ~src ~dst ~kind len
-        @ [ ("reason", Trace.S reason); ("count", Trace.I 1) ])
-      "drop"
-  end
 
 (* One unit per message, in [stats], [stats_by_kind] and their
    metrics. *)
@@ -183,12 +152,14 @@ let account t kind len =
   let n, b = !cell in
   cell := (n + 1, b + len)
 
-(* Hand [payload] to [dst]'s handler after the edge's latency, in a
-   fresh fiber. *)
-let schedule_delivery t ~src ~dst ~kind payload =
+(* Account [payload], then hand it to [dst]'s handler after the edge's
+   latency, in a fresh fiber. *)
+let send t ~src ~dst ~kind payload =
+  let len = String.length payload in
+  account t kind len;
   let e = edge t src dst in
   let deadline =
-    match (e.config.semantics, t.delivery_choice) with
+    match (t.config.semantics, t.delivery_choice) with
     | Bag, Some (slots, choose) ->
         (* Controlled mode: delivery order on a non-FIFO edge is an
            explicit choice, not a latency draw.  Slot [k] arrives after
@@ -197,7 +168,7 @@ let schedule_delivery t ~src ~dst ~kind payload =
            allows — while equal slots tie and fall to the scheduler's
            same-instant timer choice. *)
         let base =
-          match e.config.latency with
+          match t.config.latency with
           | Constant c -> c
           | Uniform (lo, hi) -> 0.5 *. (lo +. hi)
         in
@@ -228,22 +199,30 @@ let schedule_delivery t ~src ~dst ~kind payload =
         e.last_deadline <- d;
         d
   in
-  let len = String.length payload in
   t.obs_seq <- t.obs_seq + 1;
   let obs_id = t.obs_seq in
-  (* One async span per scheduled delivery (duplicates get their own):
-     begin at send, end at delivery or at a delivery-time drop. *)
+  (* One async span per message: begin at send, end at delivery or at a
+     delivery-time drop. *)
   if Obs.on () then
     Trace.async_begin (Obs.trace ()) ~cat:"net" ~space:src ~id:obs_id
       ~args:(obs_msg_args ~src ~dst ~kind len)
       kind;
-  let obs_arrival delivered reason =
+  let obs_arrival delivered =
     if Obs.on () then begin
       Trace.async_end (Obs.trace ()) ~cat:"net" ~space:dst ~id:obs_id
         ~args:[ ("delivered", Trace.I (Bool.to_int delivered)) ]
         kind;
       if delivered then Metrics.incr m_delivered
-      else obs_drop ~src ~dst ~kind len reason
+      else begin
+        (* {!Faulty}'s drop schema, [count] included, so one reader sums
+           drops from either layer. *)
+        Metrics.incr m_dropped;
+        Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
+          ~args:
+            (obs_msg_args ~src ~dst ~kind len
+            @ [ ("reason", Trace.S "no-handler"); ("count", Trace.I 1) ])
+          "drop"
+      end
     end
   in
   e.in_flight <- e.in_flight + 1;
@@ -255,54 +234,17 @@ let schedule_delivery t ~src ~dst ~kind payload =
       match Hashtbl.find_opt t.handlers dst with
       | None ->
           t.dropped <- t.dropped + 1;
-          obs_arrival false "no-handler"
+          obs_arrival false
       | Some h ->
           t.delivered <- t.delivered + 1;
-          obs_arrival true "";
+          obs_arrival true;
           h ~src ~kind ~payload ~off:0 ~len)
-
-(* The edge's loss axiom, drawn at send time.  Returns [true] when the
-   message was dropped (and accounted). *)
-let lost_at_send t ~src ~dst ~kind len =
-  let p = (edge t src dst).config.loss in
-  if p > 0.0 && Rng.chance t.rng p then begin
-    t.dropped <- t.dropped + 1;
-    obs_drop ~src ~dst ~kind len "loss";
-    true
-  end
-  else false
-
-(* The edge's duplication axiom, drawn once the original is on its way.
-   Returns [true] when a second copy must travel (already accounted). *)
-let duplicated_at_send t ~src ~dst ~kind len =
-  let p = (edge t src dst).config.dup in
-  if p > 0.0 && Rng.chance t.rng p then begin
-    t.duplicated <- t.duplicated + 1;
-    if Obs.on () then begin
-      Metrics.incr m_duplicated;
-      Trace.instant (Obs.trace ()) ~cat:"net" ~space:src
-        ~args:(obs_msg_args ~src ~dst ~kind len)
-        "dup"
-    end;
-    true
-  end
-  else false
-
-let send t ~src ~dst ~kind payload =
-  let len = String.length payload in
-  account t kind len;
-  if not (lost_at_send t ~src ~dst ~kind len) then begin
-    schedule_delivery t ~src ~dst ~kind payload;
-    if duplicated_at_send t ~src ~dst ~kind len then
-      schedule_delivery t ~src ~dst ~kind payload
-  end
 
 let stats t =
   {
     sent = t.sent;
     delivered = t.delivered;
     dropped = t.dropped;
-    duplicated = t.duplicated;
     bytes = t.bytes;
   }
 
@@ -314,6 +256,5 @@ let reset_stats t =
   t.sent <- 0;
   t.delivered <- 0;
   t.dropped <- 0;
-  t.duplicated <- 0;
   t.bytes <- 0;
   Hashtbl.reset t.by_kind

@@ -2,15 +2,15 @@
 
     The distributed-GC specification is written over asynchronous
     point-to-point channels that are reliable, non-duplicating and
-    unordered ("bags of messages"); its variants and fault-tolerance
-    extension change exactly those axioms (FIFO ordering, loss,
-    duplication).  This network makes each axiom a per-edge configuration
-    knob, so the same runtime can be run over the spec's baseline network,
-    over FIFO channels for the §5.1 variant, or over a hostile lossy
-    network for the §6 experiments.
+    unordered ("bags of messages"); its §5.1 variant orders them (FIFO).
+    This network models exactly that much: one {!edge_config} per
+    network picks the order ({!Bag} or {!Fifo}) and the latency model,
+    so the same runtime can run over the spec's baseline network or over
+    FIFO channels.
 
-    It is a channel model only.  Crashed or unreachable processes, drop
-    filters and loss/duplication bursts are injected one layer up, by
+    It is a channel model only: it neither loses nor duplicates.
+    Loss and duplication (the §6 fault-tolerance adversary), crashed or
+    unreachable processes and drop filters are injected one layer up, by
     the {!Netobj_transport.Faulty} gates that every runtime transport
     (simulated or TCP) sits behind; on the simulated network those gates
     draw from this network's {!rng} and forward latency spikes to
@@ -35,12 +35,7 @@ type semantics =
   | Bag  (** arbitrary reordering (spec default) *)
   | Fifo  (** per-edge order preserved (for the §5.1 variant) *)
 
-type edge_config = {
-  semantics : semantics;
-  latency : latency;
-  loss : float;  (** probability a message is silently dropped *)
-  dup : float;  (** probability a message is delivered twice *)
-}
+type edge_config = { semantics : semantics; latency : latency }
 
 val default_edge : edge_config
 
@@ -60,16 +55,11 @@ type t
 type handler =
   src:addr -> kind:string -> payload:string -> off:int -> len:int -> unit
 
-(** [create ~sched ~seed ()] builds a network whose random choices
-    (latencies, loss, duplication) are drawn deterministically from
-    [seed]. *)
-val create : sched:Netobj_sched.Sched.t -> seed:int64 -> unit -> t
-
-(** Set the configuration for the directed edge [src -> dst]. *)
-val set_edge : t -> src:addr -> dst:addr -> edge_config -> unit
-
-(** Set the configuration of every edge (existing and future). *)
-val set_all_edges : t -> edge_config -> unit
+(** [create ~sched ~seed ?edge ()] builds a network whose every edge
+    follows [edge] (default {!default_edge}) and whose latencies are
+    drawn deterministically from [seed]. *)
+val create :
+  sched:Netobj_sched.Sched.t -> seed:int64 -> ?edge:edge_config -> unit -> t
 
 (** Install the message handler for a space.  The handler is invoked in a
     fresh fiber per delivery. *)
@@ -86,9 +76,10 @@ val send : t -> src:addr -> dst:addr -> kind:string -> string -> unit
     A later call for the same edge overwrites the window. *)
 val set_latency_spike : t -> src:addr -> dst:addr -> factor:float -> until:float -> unit
 
-(** The seeded generator behind every latency, loss and duplication
-    draw.  Fault gates layered over this network draw from it too, so
-    their draws interleave with the latency draws in traffic order. *)
+(** The seeded generator behind every latency draw.  Fault gates
+    layered over this network draw their loss and duplication from it
+    too, so those draws interleave with the latency draws in traffic
+    order. *)
 val rng : t -> Netobj_util.Rng.t
 
 (** {1 Controlled delivery order (model checking)}
@@ -105,7 +96,8 @@ val rng : t -> Netobj_util.Rng.t
     edge already has a message in flight — a lone message has nothing to
     reorder against, so branching on its slot would multiply schedules
     without changing any observable order.  Fifo edges are unaffected.
-    Loss and duplication draws still come from the seeded generator. *)
+    The fault gates over this network ({!Netobj_transport.Faulty.of_net})
+    still draw their loss and duplication from {!rng}. *)
 val set_delivery_choice :
   t -> ?slots:int -> (label:string -> n:int -> int) -> unit
 
@@ -122,8 +114,7 @@ val clear_delivery_choice : t -> unit
 type stats = {
   sent : int;
   delivered : int;
-  dropped : int;  (** lost to the edge's [loss] or to a missing handler *)
-  duplicated : int;
+  dropped : int;  (** arrived at an address with no handler *)
   bytes : int;
 }
 

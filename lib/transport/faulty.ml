@@ -23,9 +23,11 @@ let m_drop_dst_crashed = Metrics.counter Metrics.global "net.dropped.dst_crashed
 
 let m_duplicated = Metrics.counter Metrics.global "net.duplicated"
 
-type burst = { mutable b_loss : float; mutable b_dup : float; mutable b_until : float }
-
-type spike = { mutable sp_factor : float; mutable sp_until : float }
+(* A fault level on one directed edge, in force while the virtual clock
+   is before [until]: a loss or duplication probability, or a spike's
+   latency factor.  Each axis keeps its own windows, so arming one never
+   touches another. *)
+type window = { level : float; until : float }
 
 (* Stall applied per delivery while a latency spike is active over an
    opaque backend: the decorator cannot stretch the wire's real latency,
@@ -47,8 +49,9 @@ type state = {
   rng : Rng.t;
   crashed : (int, unit) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
-  bursts : (int * int, burst) Hashtbl.t;
-  stalls : (int * int, spike) Hashtbl.t;
+  losses : (int * int, window) Hashtbl.t;
+  dups : (int * int, window) Hashtbl.t;
+  stalls : (int * int, window) Hashtbl.t;
       (* spikes to stall on; stays empty when spikes scale a latency model *)
   mutable filter : (src:int -> dst:int -> kind:string -> bool) option;
   (* fault accounting, per logical message *)
@@ -65,18 +68,13 @@ let partitioned st a b = Hashtbl.mem st.partitions (pair a b)
 
 let is_crashed st a = Hashtbl.mem st.crashed a
 
-let burst_for st key =
-  match Hashtbl.find_opt st.bursts key with
-  | Some b -> b
-  | None ->
-      let b = { b_loss = 0.0; b_dup = 0.0; b_until = neg_infinity } in
-      Hashtbl.add st.bursts key b;
-      b
+let active st windows key =
+  match Hashtbl.find_opt windows key with
+  | Some w when Sched.now st.sched < w.until -> Some w.level
+  | _ -> None
 
-let effective st key get =
-  match Hashtbl.find_opt st.bursts key with
-  | Some b when Sched.now st.sched < b.b_until -> get b
-  | _ -> 0.0
+let probability st windows key =
+  Option.value ~default:0.0 (active st windows key)
 
 let msg_args ~src ~dst ~kind len =
   [
@@ -117,11 +115,11 @@ let send_cause st ~src ~dst ~kind =
     match st.filter with Some keep -> not (keep ~src ~dst ~kind) | None -> false
   then Some Filtered
   else
-    let p = effective st (src, dst) (fun b -> b.b_loss) in
+    let p = probability st st.losses (src, dst) in
     if p > 0.0 && Rng.chance st.rng p then Some Loss else None
 
 let duplicate_at_send st ~src ~dst ~kind len =
-  let p = effective st (src, dst) (fun b -> b.b_dup) in
+  let p = probability st st.dups (src, dst) in
   if p > 0.0 && Rng.chance st.rng p then begin
     st.dup <- st.dup + 1;
     if Obs.on () then begin
@@ -146,17 +144,9 @@ let receive_cause st ~src ~dst =
 
 let stall st ~src ~dst =
   if Hashtbl.length st.stalls > 0 then
-    match Hashtbl.find_opt st.stalls (src, dst) with
-    | Some sp when Sched.now st.sched < sp.sp_until ->
-        Sched.sleep st.sched (spike_base *. sp.sp_factor)
-    | _ -> ()
-
-let record_stall st ~src ~dst ~factor ~until =
-  match Hashtbl.find_opt st.stalls (src, dst) with
-  | Some sp ->
-      sp.sp_factor <- factor;
-      sp.sp_until <- until
-  | None -> Hashtbl.add st.stalls (src, dst) { sp_factor = factor; sp_until = until }
+    match active st st.stalls (src, dst) with
+    | Some factor -> Sched.sleep st.sched (spike_base *. factor)
+    | None -> ()
 
 (* [latency_spike] is the backend's own latency model, when it has one;
    without it spikes stall the delivery fiber. *)
@@ -167,7 +157,8 @@ let stack ~sched ~rng ?latency_spike base =
       rng;
       crashed = Hashtbl.create 8;
       partitions = Hashtbl.create 8;
-      bursts = Hashtbl.create 8;
+      losses = Hashtbl.create 8;
+      dups = Hashtbl.create 8;
       stalls = Hashtbl.create 8;
       filter = None;
       dropped = 0;
@@ -238,12 +229,19 @@ let stack ~sched ~rng ?latency_spike base =
         f_heal_all = (fun () -> Hashtbl.reset st.partitions);
         f_set_burst =
           (fun ~src ~dst ~loss ~dup ~until ->
-            let b = burst_for st (src, dst) in
-            b.b_loss <- loss;
-            b.b_dup <- dup;
-            b.b_until <- until);
+            (* a later setting on the same axis replaces the earlier one *)
+            let arm windows =
+              Option.iter (fun level ->
+                  Hashtbl.replace windows (src, dst) { level; until })
+            in
+            arm st.losses loss;
+            arm st.dups dup);
         f_set_latency_spike =
-          (match latency_spike with Some f -> f | None -> record_stall st);
+          (match latency_spike with
+          | Some f -> f
+          | None ->
+              fun ~src ~dst ~factor ~until ->
+                Hashtbl.replace st.stalls (src, dst) { level = factor; until });
         f_set_filter = (fun f -> st.filter <- f);
       };
   }

@@ -34,7 +34,12 @@ type faults = {
   f_partitioned : addr -> addr -> bool;
   f_heal_all : unit -> unit;
   f_set_burst :
-    src:addr -> dst:addr -> loss:float -> dup:float -> until:float -> unit;
+    src:addr ->
+    dst:addr ->
+    loss:float option ->
+    dup:float option ->
+    until:float ->
+    unit;
   f_set_latency_spike : src:addr -> dst:addr -> factor:float -> until:float -> unit;
   f_set_filter : (src:addr -> dst:addr -> kind:string -> bool) option -> unit;
 }
@@ -82,7 +87,7 @@ let partitioned t a b = t.t_faults.f_partitioned a b
 
 let heal_all t = t.t_faults.f_heal_all ()
 
-let set_burst t ~src ~dst ?(loss = 0.0) ?(dup = 0.0) ~until () =
+let set_burst t ~src ~dst ?loss ?dup ~until () =
   t.t_faults.f_set_burst ~src ~dst ~loss ~dup ~until
 
 let set_latency_spike t ~src ~dst ~factor ~until =

@@ -66,7 +66,12 @@ type faults = {
   f_partitioned : addr -> addr -> bool;
   f_heal_all : unit -> unit;
   f_set_burst :
-    src:addr -> dst:addr -> loss:float -> dup:float -> until:float -> unit;
+    src:addr ->
+    dst:addr ->
+    loss:float option ->
+    dup:float option ->
+    until:float ->
+    unit;
   f_set_latency_spike : src:addr -> dst:addr -> factor:float -> until:float -> unit;
   f_set_filter : (src:addr -> dst:addr -> kind:string -> bool) option -> unit;
 }
@@ -130,6 +135,14 @@ val partitioned : t -> addr -> addr -> bool
 
 val heal_all : t -> unit
 
+(** [set_burst t ~src ~dst ?loss ?dup ~until ()] drops ([loss]) or
+    duplicates ([dup]) each message on the directed edge [src -> dst]
+    with the given probability until virtual time [until]
+    ([infinity]: for the rest of the run).  Loss and duplication are
+    separate windows: an axis not given is left as it is, so a dup
+    burst never shortens or cancels an overlapping loss burst.  A later
+    setting on the same axis and edge replaces the earlier one, level
+    and window both. *)
 val set_burst :
   t -> src:addr -> dst:addr -> ?loss:float -> ?dup:float -> until:float -> unit -> unit
 

@@ -8,7 +8,6 @@ let of_net net =
       sent = s.Net.sent;
       delivered = s.Net.delivered;
       dropped = s.Net.dropped;
-      duplicated = s.Net.duplicated;
       bytes = s.Net.bytes;
     }
   in

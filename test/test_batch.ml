@@ -47,11 +47,11 @@ let run_churn ~batch ~k =
         objs);
   ignore (R.run rt);
   no_failures rt;
-  Net.reset_stats (R.net rt);
+  Transport.reset_stats (R.transport rt);
   R.collect client;
   ignore (R.run rt);
   no_failures rt;
-  let kinds = Net.stats_by_kind (R.net rt) in
+  let kinds = Transport.stats_by_kind (R.transport rt) in
   let count k = Option.value ~default:(0, 0) (List.assoc_opt k kinds) |> fst in
   let drained =
     List.for_all (fun (_, o) -> R.dirty_set owner o = []) objs
@@ -121,11 +121,11 @@ let test_batch_multi_owner () =
       R.release client ha;
       R.release client hb);
   ignore (R.run rt);
-  Net.reset_stats (R.net rt);
+  Transport.reset_stats (R.transport rt);
   R.collect client;
   ignore (R.run rt);
   no_failures rt;
-  let kinds = Net.stats_by_kind (R.net rt) in
+  let kinds = Transport.stats_by_kind (R.transport rt) in
   let batches =
     Option.value ~default:(0, 0) (List.assoc_opt "clean_batch" kinds) |> fst
   in
@@ -184,7 +184,7 @@ let test_ack_elision () =
   R.spawn rt (fun () -> href := Some (R.lookup client ~at:0 "c"));
   ignore (R.run rt);
   no_failures rt;
-  Net.reset_stats (R.net rt);
+  Transport.reset_stats (R.transport rt);
   R.spawn rt (fun () ->
       let h = Option.get !href in
       for _ = 1 to 10 do
@@ -192,7 +192,7 @@ let test_ack_elision () =
       done);
   ignore (R.run rt);
   no_failures rt;
-  let kinds = Net.stats_by_kind (R.net rt) in
+  let kinds = Transport.stats_by_kind (R.transport rt) in
   Alcotest.(check int) "no acks for null calls" 0
     (fst (Option.value ~default:(0, 0) (List.assoc_opt "copy_ack" kinds)))
 

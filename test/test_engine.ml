@@ -18,6 +18,8 @@ module Stub = Netobj_core.Stub
 module Engine_domains = Netobj_engine.Engine_domains
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
+module Transport = Netobj_transport.Transport
+module Tcp = Netobj_transport.Tcp
 
 (* Force a real multi-domain pool: by default the engine caps its
    worker pool at the host's recommended domain count, which on a small
@@ -224,6 +226,81 @@ let test_crash_restart () =
   Alcotest.(check bool) "stale call fails" true !stale_failed;
   Alcotest.(check int) "fresh incr after restart" 1 !fresh
 
+(* --- scenario: domains x TCP ----------------------------------------------- *)
+
+let free_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname fd with
+      | Unix.ADDR_INET (_, p) -> p
+      | _ -> assert false)
+
+(* Two shards, four spaces, each shard's own [Tcp] serving its block of
+   spaces on loopback.  With a custom transport the engine has no hub,
+   so it falls back to polling each shard's transport and detecting
+   quiescence by double collection.  A space on shard 1 calls a counter
+   on shard 0, releases it, and the owner's dirty set must drain over
+   the sockets.  Skipped where loopback is unavailable. *)
+let test_domains_tcp () =
+  let nspaces = 4 and nshards = 2 in
+  match List.init nspaces (fun _ -> free_port ()) with
+  | exception Unix.Unix_error (e, _, _) ->
+      Printf.printf "skipping: loopback unavailable (%s)\n%!"
+        (Unix.error_message e)
+  | ports -> (
+      let endpoints =
+        List.mapi (fun a port -> (a, { Tcp.host = "127.0.0.1"; port })) ports
+      in
+      (* The engine builds shards in order, one transport each. *)
+      let made = ref [] in
+      let transport sched _net =
+        let k = List.length !made in
+        let serving =
+          List.filter
+            (fun a -> a * nshards / nspaces = k)
+            (List.init nspaces Fun.id)
+        in
+        let tr = Tcp.transport (Tcp.create ~sched ~serving ~endpoints ()) in
+        made := tr :: !made;
+        tr
+      in
+      match
+        R.create
+          (R.config ~seed:11L ~nspaces ~domains:nshards
+             ~engine:(module Engine_domains : R.Engine.S)
+             ~transport ())
+      with
+      | exception Unix.Unix_error (e, _, _) ->
+          List.iter Transport.close !made;
+          Printf.printf "skipping: loopback unavailable (%s)\n%!"
+            (Unix.error_message e)
+      | rt ->
+          Fun.protect
+            ~finally:(fun () -> List.iter Transport.close !made)
+            (fun () ->
+              Alcotest.(check int) "2 shards" nshards (R.nshards rt);
+              let owner = R.space rt 0 and client = R.space rt 2 in
+              let counter = counter_obj owner in
+              R.publish owner "counter" counter;
+              let last = ref 0 and finished = ref false in
+              R.spawn_at rt ~space:2 (fun () ->
+                  let h = R.lookup client ~at:0 "counter" in
+                  for _ = 1 to 100 do
+                    last := Stub.call client h m_incr 1
+                  done;
+                  R.release client h;
+                  R.collect client;
+                  finished := true);
+              drive rt (fun () -> !finished);
+              check_failures rt;
+              Alcotest.(check int) "100 increments" 100 !last;
+              drive rt (fun () -> R.dirty_set owner counter = []);
+              Alcotest.(check (list int))
+                "dirty set drained" [] (R.dirty_set owner counter)))
+
 (* --- engine guard rails -------------------------------------------------- *)
 
 let test_guards () =
@@ -371,6 +448,7 @@ let () =
           Alcotest.test_case "release drains dirty set" `Quick
             test_release_drains;
           Alcotest.test_case "crash and restart" `Quick test_crash_restart;
+          Alcotest.test_case "domains x tcp" `Quick test_domains_tcp;
           Alcotest.test_case "guard rails" `Quick test_guards;
         ] );
       ("storm", List.map QCheck_alcotest.to_alcotest [ storm_test ]);

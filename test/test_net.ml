@@ -1,20 +1,20 @@
-(* Tests for the simulated network: delivery, FIFO vs bag ordering, the
-   loss and duplication axioms and accounting — plus partitions and
-   crashes, which the fault gates stacked on the network inject. *)
+(* Tests for the simulated network: delivery, FIFO vs bag ordering and
+   accounting — plus loss, duplication, partitions and crashes, which
+   the fault gates stacked on the network inject. *)
 
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
 module Faulty = Netobj_transport.Faulty
 
-let setup ?policy ?(seed = 1L) () =
+let setup ?policy ?(seed = 1L) ?edge () =
   let s = Sched.create ?policy () in
-  let net = Net.create ~sched:s ~seed () in
+  let net = Net.create ~sched:s ~seed ?edge () in
   (s, net)
 
 (* The sim engine's default stack: the fault gates over the network. *)
-let setup_gated () =
-  let s, net = setup () in
+let setup_gated ?seed ?edge () =
+  let s, net = setup ?seed ?edge () in
   (s, net, Faulty.of_net ~sched:s net)
 
 let collect_handler received =
@@ -42,8 +42,7 @@ let test_no_handler_drops () =
   Alcotest.(check int) "dropped" 1 (Net.stats net).Net.dropped
 
 let test_fifo_ordering () =
-  let s, net = setup () in
-  Net.set_all_edges net (Net.fifo_edge ());
+  let s, net = setup ~edge:(Net.fifo_edge ()) () in
   let received = ref [] in
   Net.set_handler net 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
       received := String.sub payload off len :: !received);
@@ -59,8 +58,7 @@ let test_fifo_ordering () =
 let test_bag_reorders () =
   (* With wide random latency, 50 messages almost surely arrive out of
      order at least once. *)
-  let s, net = setup ~seed:3L () in
-  Net.set_all_edges net (Net.bag_edge ~lo:0.0 ~hi:1.0 ());
+  let s, net = setup ~seed:3L ~edge:(Net.bag_edge ~lo:0.0 ~hi:1.0 ()) () in
   let received = ref [] in
   Net.set_handler net 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
       received := String.sub payload off len :: !received);
@@ -75,28 +73,29 @@ let test_bag_reorders () =
     (order <> List.init 50 (fun i -> i + 1))
 
 let test_loss () =
-  let s, net = setup ~seed:7L () in
-  Net.set_all_edges net { (Net.bag_edge ()) with Net.loss = 1.0 };
+  let s, _, tr = setup_gated ~seed:7L () in
+  Transport.set_burst tr ~src:0 ~dst:1 ~loss:1.0 ~until:infinity ();
   let received = ref [] in
-  Net.set_handler net 1 (collect_handler received);
+  Transport.set_handler tr 1 (collect_handler received);
   for _ = 1 to 10 do
-    Net.send net ~src:0 ~dst:1 ~kind:"x" "p"
+    Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p"
   done;
   ignore (Sched.run s);
   Alcotest.(check int) "nothing delivered" 0 (List.length !received);
-  Alcotest.(check int) "all dropped" 10 (Net.stats net).Net.dropped
+  Alcotest.(check int) "all dropped" 10 (Transport.stats tr).Transport.dropped
 
 let test_duplication () =
-  let s, net = setup ~seed:7L () in
-  Net.set_all_edges net { (Net.bag_edge ()) with Net.dup = 1.0 };
+  let s, _, tr = setup_gated ~seed:7L () in
+  Transport.set_burst tr ~src:0 ~dst:1 ~dup:1.0 ~until:infinity ();
   let received = ref [] in
-  Net.set_handler net 1 (collect_handler received);
+  Transport.set_handler tr 1 (collect_handler received);
   for _ = 1 to 5 do
-    Net.send net ~src:0 ~dst:1 ~kind:"x" "p"
+    Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p"
   done;
   ignore (Sched.run s);
   Alcotest.(check int) "each delivered twice" 10 (List.length !received);
-  Alcotest.(check int) "duplicated counted" 5 (Net.stats net).Net.duplicated
+  Alcotest.(check int) "duplicated counted" 5
+    (Transport.stats tr).Transport.duplicated
 
 let test_partition () =
   let s, _, tr = setup_gated () in
@@ -114,8 +113,7 @@ let test_partition () =
 let test_partition_in_flight () =
   (* A message already in flight when the partition forms is lost too:
      the simulated cut severs the wire. *)
-  let s, net, tr = setup_gated () in
-  Net.set_all_edges net (Net.fifo_edge ~latency:5.0 ());
+  let s, _, tr = setup_gated ~edge:(Net.fifo_edge ~latency:5.0 ()) () in
   let received = ref [] in
   Transport.set_handler tr 1 (collect_handler received);
   Transport.send tr ~src:0 ~dst:1 ~kind:"x" "p";

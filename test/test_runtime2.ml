@@ -165,10 +165,10 @@ let test_local_no_network () =
   let rt = make () in
   let owner = R.space rt 0 in
   let counter = counter_obj owner in
-  Net.reset_stats (R.net rt);
+  Transport.reset_stats (R.transport rt);
   in_fiber rt (fun () ->
       Alcotest.(check int) "local" 1 (Stub.call owner counter m_incr 1));
-  Alcotest.(check int) "no messages" 0 (Net.stats (R.net rt)).Net.sent
+  Alcotest.(check int) "no messages" 0 (Transport.stats (R.transport rt)).Transport.sent
 
 (* Deep recursion through nested remote calls: mutual ping-pong between
    two objects on different spaces. *)

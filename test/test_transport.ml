@@ -758,12 +758,37 @@ let test_faulty_burst_deterministic () =
   ignore (Sched.run sched);
   Alcotest.(check int) "total loss" 0 !got;
   Alcotest.(check int) "all dropped" 5 (Transport.stats tr).Transport.dropped;
-  Transport.set_burst tr ~src:0 ~dst:1 ~until:neg_infinity ();
+  Transport.set_burst tr ~src:0 ~dst:1 ~loss:0.0 ~until:neg_infinity ();
   for _ = 1 to 5 do
     Transport.send tr ~src:0 ~dst:1 ~kind:"m" "x"
   done;
   ignore (Sched.run sched);
   Alcotest.(check int) "burst expired" 5 !got
+
+(* Loss and duplication keep separate windows on one edge: arming dup
+   leaves a running loss burst in force, and closing the loss burst
+   leaves the dup burst in force. *)
+let test_faulty_burst_axes () =
+  let sched, tr = faulty_pair ~seed:7L () in
+  let got = ref 0 in
+  Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
+      incr got);
+  let send_five () =
+    for _ = 1 to 5 do
+      Transport.send tr ~src:0 ~dst:1 ~kind:"m" "x"
+    done;
+    ignore (Sched.run sched)
+  in
+  Transport.set_burst tr ~src:0 ~dst:1 ~loss:1.0 ~until:infinity ();
+  Transport.set_burst tr ~src:0 ~dst:1 ~dup:1.0 ~until:infinity ();
+  send_five ();
+  Alcotest.(check int) "loss still applies" 0 !got;
+  Alcotest.(check int) "all dropped" 5 (Transport.stats tr).Transport.dropped;
+  Transport.set_burst tr ~src:0 ~dst:1 ~loss:0.0 ~until:neg_infinity ();
+  send_five ();
+  Alcotest.(check int) "dup still applies" 10 !got;
+  Alcotest.(check int) "all duplicated" 5
+    (Transport.stats tr).Transport.duplicated
 
 (* The [reason] of every ["drop"] instant in the current trace. *)
 let drop_reasons () =
@@ -785,8 +810,9 @@ let with_obs f =
 let test_faulty_gate_after_stall () =
   with_obs (fun () ->
       let sched = Sched.create () in
-      let net = Net.create ~sched ~seed:42L () in
-      Net.set_all_edges net (Net.fifo_edge ~latency:0.005 ());
+      let net =
+        Net.create ~sched ~seed:42L ~edge:(Net.fifo_edge ~latency:0.005 ()) ()
+      in
       let tr = Faulty.wrap ~sched ~seed:42L (Transport_sim.of_net net) in
       let got = ref 0 in
       Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload:_ ~off:_ ~len:_ ->
@@ -915,6 +941,8 @@ let () =
             test_faulty_tcp_drop_obs;
           Alcotest.test_case "burst windows" `Quick
             test_faulty_burst_deterministic;
+          Alcotest.test_case "burst axes independent" `Quick
+            test_faulty_burst_axes;
           Alcotest.test_case "bare backend refuses faults" `Quick
             test_no_faults;
         ] );
