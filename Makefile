@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-compare par-smoke perf-smoke verify examples check clean doc
+.PHONY: all build test bench bench-json bench-compare perf-smoke verify examples check clean doc
 
 all: build
 
@@ -22,19 +22,11 @@ bench-compare:
 	dune exec bench/main.exe -- --json /tmp/bench_current.json
 	dune exec tools/bench_compare.exe -- BENCH_netobj.json /tmp/bench_current.json
 
-# The seeded chaos, model-checking, recovery, transport, cycle, scale
-# and reliability scenarios run under `dune runtest`: test/cram/*.t pins
-# their output and exit codes, and the unit suites (test_transport_
-# conformance, test_scale, ...) run alongside.  The two smoke targets
-# below are what cram cannot express.
-
-# Domain-parallel smoke: the multi-space invoke storm across a forced
-# 4-domain pool (the default pool adapts to the host's core count and
-# would collapse to one domain on small machines), checked by the
-# safety oracle: every call accounted for, the paper's invariants hold
-# at quiescence, dirty sets drain.
-par-smoke:
-	NETOBJ_DOMAINS_POOL=4 dune exec bin/netobj_sim.exe -- par --seed 7 --spaces 8 --domains 4 --calls 200
+# The seeded chaos, model-checking, recovery, transport, cycle, scale,
+# reliability and domain-parallel (a forced 4-domain pool) scenarios run
+# under `dune runtest`: test/cram/*.t pins their output and exit codes,
+# and the unit suites (test_transport_conformance, test_scale, ...) run
+# alongside.  The smoke target below is what cram cannot express.
 
 # Call-benchmark smoke: a short traced run of each TCP workload: the two
 # that carry per-message cost, and bulk-tcp, the only one whose frames
@@ -51,8 +43,8 @@ perf-smoke:
 	done
 
 # The full local gate: build everything, run the test suite (unit,
-# property, cram), then the two smoke targets.
-verify: build test par-smoke perf-smoke
+# property, cram), then the call-benchmark smoke.
+verify: build test perf-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -58,6 +58,7 @@ module Birrell_view = Netobj_dgc.Birrell_view
 module Owner_opt = Netobj_dgc.Owner_opt
 module F = Netobj_dgc.Fifo_machine
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
@@ -443,18 +444,6 @@ let e7_owneropt () =
 
 (* ------------------------------------------------------------------ E8 *)
 
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
-
 (* The §6 adversary on every channel: a permanent loss or duplication
    burst on each ordered pair of spaces, self-pairs included. *)
 let burst_everywhere rt ?loss ?dup () =
@@ -504,7 +493,7 @@ let e8_fault () =
   let rt = R.create (R.config ~seed:5L ~nspaces:3 ()) in
   burst_everywhere rt ~dup:0.4 ();
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   let calls_ok = ref 0 in
   for i = 1 to 2 do
@@ -512,7 +501,7 @@ let e8_fault () =
         let sp = R.space rt i in
         let h = R.lookup sp ~at:0 "c" in
         for _ = 1 to 5 do
-          ignore (Stub.call sp h m_incr 1);
+          ignore (Stub.call sp h Scenario.m_incr 1);
           incr calls_ok
         done;
         R.release sp h)
@@ -528,12 +517,12 @@ let e8_fault () =
   let cfg = R.config ~seed:6L ~clean_retry:0.5 ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   R.spawn rt (fun () ->
       let sp = R.space rt 1 in
       let h = R.lookup sp ~at:0 "c" in
-      ignore (Stub.call sp h m_incr 1);
+      ignore (Stub.call sp h Scenario.m_incr 1);
       R.release sp h);
   ignore (R.run rt);
   (* Two surrogates (agent + counter) will be cleaned; lose both cleans. *)
@@ -564,12 +553,12 @@ let e8_fault () =
       in
       let rt = R.create cfg in
       let owner = R.space rt 0 in
-      let counter = counter_obj owner in
+      let counter = Scenario.counter owner in
       R.publish owner "c" counter;
       R.spawn rt (fun () ->
           let sp = R.space rt 1 in
           let h = R.lookup sp ~at:0 "c" in
-          ignore (Stub.call sp h m_incr 1));
+          ignore (Stub.call sp h Scenario.m_incr 1));
       ignore (R.run ~until:(period /. 2.) rt);
       R.crash rt 1;
       let t0 = Sched.now (R.sched rt) in
@@ -616,24 +605,24 @@ let e9_rpc () =
   section "E9: invocation latency (simulator wall-clock, Bechamel)";
   let rt = R.create (R.config ~seed:11L ~nspaces:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   let href = ref None in
   R.spawn rt (fun () -> href := Some (R.lookup client ~at:0 "c"));
   ignore (R.run rt);
   let h = Option.get !href in
   let local_call () =
-    R.spawn rt (fun () -> ignore (Stub.call owner counter m_incr 1));
+    R.spawn rt (fun () -> ignore (Stub.call owner counter Scenario.m_incr 1));
     ignore (R.run rt)
   in
   let warm_call () =
-    R.spawn rt (fun () -> ignore (Stub.call client h m_incr 1));
+    R.spawn rt (fun () -> ignore (Stub.call client h Scenario.m_incr 1));
     ignore (R.run rt)
   in
   let cold_call () =
     R.spawn rt (fun () ->
         let hc = R.lookup client ~at:0 "c" in
-        ignore (Stub.call client hc m_incr 1);
+        ignore (Stub.call client hc Scenario.m_incr 1);
         R.release client hc);
     ignore (R.run rt);
     R.collect client;
@@ -650,7 +639,7 @@ let e9_rpc () =
     let cfg = R.config ~seed:41L ~nspaces:2 () in
     let rt = R.create cfg in
     let owner = R.space rt 0 and client = R.space rt 1 in
-    let counter = counter_obj owner in
+    let counter = Scenario.counter owner in
     R.publish owner "c" counter;
     let m_id = Stub.declare "id" R.handle_codec R.handle_codec in
     let echo =
@@ -669,7 +658,7 @@ let e9_rpc () =
             let r = Stub.call client (Option.get !h2) m_id (Option.get !h1) in
             R.release client r
           end
-          else ignore (Stub.call client (Option.get !h1) m_incr 1)
+          else ignore (Stub.call client (Option.get !h1) Scenario.m_incr 1)
         done);
     ignore (R.run rt);
     float_of_int (Transport.stats (R.transport rt)).Transport.sent /. 10.0
@@ -743,7 +732,7 @@ let e11_transmit () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
-    let counter = counter_obj owner in
+    let counter = Scenario.counter owner in
     let wr = R.wirerep counter in
     R.publish owner "counter" counter;
     let cell = cell_obj c in
@@ -757,7 +746,7 @@ let e11_transmit () =
         R.release a h;
         R.release a hc);
     ignore (R.run ~until:2.0 rt);
-    R.publish owner "counter" (counter_obj owner);
+    R.publish owner "counter" (Scenario.counter owner);
     R.release owner counter;
     ignore (R.run ~until:4.0 rt);
     let ok =
@@ -780,12 +769,12 @@ let e12_churn () =
     (fun rounds ->
       let rt = R.create (R.config ~seed:21L ~nspaces:2 ()) in
       let owner = R.space rt 0 and client = R.space rt 1 in
-      let counter = counter_obj owner in
+      let counter = Scenario.counter owner in
       R.publish owner "c" counter;
       for _ = 1 to rounds do
         R.spawn rt (fun () ->
             let h = R.lookup client ~at:0 "c" in
-            ignore (Stub.call client h m_incr 1);
+            ignore (Stub.call client h Scenario.m_incr 1);
             R.release client h);
         ignore (R.run rt);
         R.collect client;
@@ -807,13 +796,13 @@ let e12_churn () =
       in
       let rt = R.create cfg in
       let owner = R.space rt 0 and client = R.space rt 1 in
-      let objs = List.init 20 (fun i -> (i, counter_obj owner)) in
+      let objs = List.init 20 (fun i -> (i, Scenario.counter owner)) in
       List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
       R.spawn rt (fun () ->
           List.iter
             (fun (i, _) ->
               let h = R.lookup client ~at:0 (Printf.sprintf "o%d" i) in
-              ignore (Stub.call client h m_incr 1);
+              ignore (Stub.call client h Scenario.m_incr 1);
               R.release client h)
             objs);
       ignore (R.run rt);
@@ -863,20 +852,6 @@ let e13_ablation () =
 
 (* ------------------------------------------------------------------ E14 *)
 
-let m_set_peer = Stub.declare "set_peer" R.handle_codec P.unit
-
-let node_obj sp =
-  let rec node =
-    lazy
-      (R.allocate sp
-         ~meths:
-           [
-             Stub.implement m_set_peer (fun sp' h ->
-                 R.link sp' ~parent:(Lazy.force node) ~child:h);
-           ])
-  in
-  Lazy.force node
-
 let e14_cycles () =
   section "E14: distributed cycles — listing leaks, the hybrid reclaims";
   row "%-18s %10s %14s %14s@." "ring (nodes/spaces)" "dropped" "listing keeps"
@@ -884,38 +859,19 @@ let e14_cycles () =
   List.iter
     (fun (k, n) ->
       let rt = R.create (R.config ~seed:5L ~nspaces:n ()) in
-      let nodes =
-        List.init k (fun i ->
-            let sp = R.space rt (i mod n) in
-            let node = node_obj sp in
-            R.publish sp (Printf.sprintf "node%d" i) node;
-            (sp, node))
-      in
-      List.iteri
-        (fun i (sp, node) ->
-          let j = (i + 1) mod k in
-          R.spawn rt (fun () ->
-              let peer =
-                R.lookup sp ~at:(j mod n) (Printf.sprintf "node%d" j)
-              in
-              Stub.call sp node m_set_peer peer;
-              R.release sp peer))
-        nodes;
+      let nodes = Scenario.ring rt ~nodes:k in
       ignore (R.run rt);
-      List.iteri
+      Array.iteri
         (fun i (sp, node) ->
           R.unpublish sp (Printf.sprintf "node%d" i);
           R.release sp node)
         nodes;
-      for _ = 1 to 5 do
-        R.collect_all rt;
-        ignore (R.run rt)
-      done;
+      Scenario.drain ~rounds:5 ~pending:(fun () -> true) rt;
       let leaked =
-        List.length
-          (List.filter
-             (fun (sp, node) -> R.resident sp (R.wirerep node))
-             nodes)
+        Array.fold_left
+          (fun c (sp, node) ->
+            if R.resident sp (R.wirerep node) then c + 1 else c)
+          0 nodes
       in
       let reclaimed = R.global_collect rt in
       row "%-18s %10d %14d %14d@."
@@ -934,7 +890,7 @@ let e15_scale () =
     (fun n ->
       let rt = R.create (R.config ~seed:37L ~nspaces:n ()) in
       let owner = R.space rt 0 in
-      let counter = counter_obj owner in
+      let counter = Scenario.counter owner in
       R.publish owner "c" counter;
       let calls = ref 0 and dirty_max = ref 0 in
       for i = 1 to n - 1 do
@@ -942,7 +898,7 @@ let e15_scale () =
             let sp = R.space rt i in
             for _ = 1 to 3 do
               let h = R.lookup sp ~at:0 "c" in
-              ignore (Stub.call sp h m_incr 1);
+              ignore (Stub.call sp h Scenario.m_incr 1);
               incr calls;
               dirty_max :=
                 max !dirty_max (List.length (R.dirty_set owner counter));
@@ -1130,7 +1086,7 @@ let e20_recover () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 in
-    let objs = List.init 16 (fun i -> (i, counter_obj owner)) in
+    let objs = List.init 16 (fun i -> (i, Scenario.counter owner)) in
     List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
     for cl = 1 to 3 do
       R.spawn rt (fun () ->
@@ -1138,7 +1094,7 @@ let e20_recover () =
           List.iter
             (fun (i, _) ->
               let h = R.lookup sp ~at:0 (Printf.sprintf "o%d" i) in
-              ignore (Stub.call sp h m_incr 1);
+              ignore (Stub.call sp h Scenario.m_incr 1);
               R.release sp h)
             objs)
     done;
@@ -1175,11 +1131,10 @@ let e20_recover () =
       in
       let rt = R.create cfg in
       let owner = R.space rt 0 in
-      let meths () = [ Stub.implement m_incr (fun _ n -> n) ] in
-      R.register_factory rt "bench" meths;
+      R.register_factory rt "bench" Scenario.counter_meths;
       let objs =
         List.init k (fun i ->
-            let o = R.allocate ~tag:"bench" owner ~meths:(meths ()) in
+            let o = Scenario.counter ~tag:"bench" owner in
             R.publish owner (Printf.sprintf "o%d" i) o;
             o)
       in
@@ -1238,13 +1193,13 @@ let e21_transport () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 and client = R.space rt 1 in
-    R.publish owner "counter" (counter_obj owner);
+    R.publish owner "counter" (Scenario.counter owner);
     let finished = ref false in
     R.spawn rt (fun () ->
         let h = R.lookup client ~at:0 "counter" in
         for i = 0 to ncalls - 1 do
           let c0 = Unix.gettimeofday () in
-          ignore (Stub.call client h m_incr 1);
+          ignore (Stub.call client h Scenario.m_incr 1);
           lat.(i) <- Unix.gettimeofday () -. c0
         done;
         R.release client h;
@@ -1253,15 +1208,9 @@ let e21_transport () =
     (match backend with
     | `Sim -> ignore (R.run rt)
     | `Tcp ->
-        let tr = R.transport rt and sched = R.sched rt in
-        while (not !finished) && Unix.gettimeofday () -. t0 < 60.0 do
-          let before = Sched.now sched in
-          ignore (R.run rt ~until:(before +. 0.05));
-          let n = Transport.pump tr ~timeout:0.001 in
-          if n = 0 && Sched.now sched = before then
-            Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-        done;
-        Transport.close tr);
+        Scenario.drive ~pump:0.001 rt ~deadline:(t0 +. 60.0) ~stop:(fun () ->
+            !finished);
+        Transport.close (R.transport rt));
     let wall = Unix.gettimeofday () -. t0 in
     if not !finished then
       Fmt.failwith "E21: %s backend did not finish"
@@ -1321,16 +1270,17 @@ let e21_transport () =
 module Engine_sim = Netobj_engine.Engine_sim
 module Engine_domains = Netobj_engine.Engine_domains
 
-(* Engine scaling on the multi-space invoke workload: a ring of spaces,
-   each running one mutator fiber that makes N sequential calls to its
-   neighbour's counter, so every shard both serves and issues calls
-   concurrently.  The same workload runs on the deterministic sim
-   engine (the E16/E21 single-domain baseline, full virtual-clock
-   packet simulation) and on the domains engine at 1, 2 and 4 shards
-   (real inter-domain mailboxes, no packet simulation).  Aggregate
-   calls/sec is wall-clock; per-row gauges land in the JSON dump.  On a
-   single-core host the domains rows cannot exhibit true hardware
-   parallelism — their advantage is the leaner per-call path — so the
+(* Engine scaling on the multi-space invoke storm that `netobj_sim par`
+   runs (Scenario.storm): every space publishes a counter and runs 16
+   mutator fibers, each looking up every other space's counter and then
+   incrementing one drawn at random 25 times, so every shard both serves
+   and issues calls concurrently.  The same storm runs on the
+   deterministic sim engine (full virtual-clock packet simulation) and
+   on the domains engine at 1, 2 and 4 shards (real inter-domain
+   mailboxes, no packet simulation), under par's accounting oracle.
+   Aggregate calls/sec is wall-clock over the storm phase; per-row
+   gauges land in the JSON dump.  On a host with fewer cores than shards
+   the domains rows cannot exhibit true hardware parallelism, so the
    table reports every row and lets the ratio speak for itself. *)
 let e22_par () =
   section "E22: engine scaling — multi-space invoke storm, sim vs domains";
@@ -1339,70 +1289,24 @@ let e22_par () =
      realistic shape for a storm): with one sequential caller per space
      every cross-shard hop pays a full domain handoff, which measures
      wake latency rather than throughput. *)
-  let spaces = 8 and fibers = 16 and calls_per_fiber = 25 in
-  let calls = fibers * calls_per_fiber in
-  let total = spaces * calls in
+  let spaces = 8 and fibers = 16 and calls = 25 in
   let run_engine engine_mod ~domains =
     let rt =
       R.create
         (R.config ~seed:11L ~nspaces:spaces ~domains ~engine:engine_mod ())
     in
-    let counters =
-      Array.init spaces (fun i ->
-          let sp = R.space rt i in
-          let c = counter_obj sp in
-          R.publish sp (Printf.sprintf "cnt-%d" i) c;
-          c)
-    in
-    (* [left.(i)] is mutated only by space [i]'s fibers (one domain);
-       the control thread reads it between episodes, after the join. *)
-    let left = Array.make spaces fibers in
-    for i = 0 to spaces - 1 do
-      let target = (i + 1) mod spaces in
-      for _ = 1 to fibers do
-        R.spawn_at rt ~space:i (fun () ->
-            let sp = R.space rt i in
-            let h = R.lookup sp ~at:target (Printf.sprintf "cnt-%d" target) in
-            for _ = 1 to calls_per_fiber do
-              ignore (Stub.call sp h m_incr 1)
-            done;
-            R.release sp h;
-            left.(i) <- left.(i) - 1)
-      done
-    done;
-    let all_done () = Array.for_all (fun n -> n = 0) left in
-    let t0 = Unix.gettimeofday () in
-    if R.engine_name rt = "sim" then ignore (R.run rt)
-    else begin
-      let until = ref 1.0 in
-      while (not (all_done ())) && Unix.gettimeofday () -. t0 < 120.0 do
-        ignore (R.run rt ~until:!until);
-        until := !until +. 1.0
-      done
-    end;
-    let wall = Unix.gettimeofday () -. t0 in
-    if not (all_done ()) then Fmt.failwith "E22: storm did not finish";
-    let counts = Array.make spaces (-1) in
-    for i = 0 to spaces - 1 do
-      R.spawn_at rt ~space:i (fun () ->
-          counts.(i) <- Stub.call (R.space rt i) counters.(i) m_incr 0)
-    done;
-    (if R.engine_name rt = "sim" then ignore (R.run rt)
-     else
-       ignore
-         (R.run rt ~until:(Netobj_sched.Sched.now (R.sched rt) +. 1.0)));
-    if Array.exists (fun n -> n < 0) counts then
-      Fmt.failwith "E22: counter reads did not finish";
-    let counted = Array.fold_left ( + ) 0 counts in
-    if counted <> total then
-      Fmt.failwith "E22: lost calls (sent %d, counted %d)" total counted;
-    (wall, float_of_int total /. wall)
+    let s = Scenario.storm ~fibers ~seed:11 ~calls rt in
+    (match s.Scenario.problems with
+    | [] -> ()
+    | p :: _ -> Fmt.failwith "E22: %s" p);
+    let rate = float_of_int s.Scenario.sent /. s.Scenario.wall in
+    (s.Scenario.sent, s.Scenario.wall, rate)
   in
   row "%-12s %8s %8s %12s %12s@." "engine" "shards" "calls" "wall-ms"
     "calls/s";
-  let report label shards (wall, rate) =
+  let report label shards (sent, wall, rate) =
     Mx.set_gauge (Mx.gauge Mx.global ("par.calls_per_s." ^ label)) rate;
-    row "%-12s %8d %8d %12.1f %12.0f@." label shards total (wall *. 1e3) rate;
+    row "%-12s %8d %8d %12.1f %12.0f@." label shards sent (wall *. 1e3) rate;
     rate
   in
   let base =
@@ -1443,19 +1347,19 @@ let e23_cycle_churn () =
     let sidx i = i mod spaces and tidx i = (i + 1) mod spaces in
     for i = 0 to k - 1 do
       let spa = R.space rt (sidx i) in
-      let a = node_obj spa in
+      let a = Scenario.node spa in
       wra.(i) <- Some (spa, R.wirerep a, a);
       R.publish spa (Printf.sprintf "e23-%d" i) a
     done;
     for i = 0 to k - 1 do
       let spb = R.space rt (tidx i) in
       R.spawn rt (fun () ->
-          let b = node_obj spb in
+          let b = Scenario.node spb in
           wrb.(i) <- Some (spb, R.wirerep b);
           let h = R.lookup spb ~at:(sidx i) (Printf.sprintf "e23-%d" i) in
           (* b -> a locally, a -> b through the wire *)
           R.link spb ~parent:b ~child:h;
-          Stub.call spb h m_set_peer b;
+          Stub.call spb h Scenario.m_set_peer b;
           R.release spb h;
           R.release spb b)
     done;
@@ -1469,12 +1373,7 @@ let e23_cycle_churn () =
             R.release spa a
         | None -> ())
       wra;
-    let settle () =
-      for _ = 1 to 5 do
-        R.collect_all rt;
-        ignore (R.run rt)
-      done
-    in
+    let settle () = Scenario.drain ~rounds:5 ~pending:(fun () -> true) rt in
     settle ();
     let leaked () =
       let c = ref 0 in
@@ -1538,8 +1437,6 @@ let e23_cycle_churn () =
 
 (* ------------------------------------------------------------------ E24 *)
 
-let m_range = Stub.declare "range" (P.pair P.int P.int) (P.list R.handle_codec)
-
 (* Churn at scale: the aggregated lease plane over the compact int-keyed
    tables.  One owner, four clients, 10k and 100k live handles; measured:
    bytes of bookkeeping per handle, heartbeat messages per handle per
@@ -1566,15 +1463,7 @@ let e24_scale_churn () =
         in
         let rt = R.create cfg in
         let owner = R.space rt 0 in
-        let objs = Array.init size (fun _ -> R.allocate owner ~meths:[]) in
-        let reg =
-          R.allocate owner
-            ~meths:
-              [
-                Stub.implement m_range (fun _ (off, len) ->
-                    Array.to_list (Array.sub objs off len));
-              ]
-        in
+        let reg, _ = Scenario.registry owner size in
         R.publish owner "reg" reg;
         let mem0 = Obj.reachable_words (Obj.repr rt) in
         let slice = size / clients in
@@ -1582,7 +1471,8 @@ let e24_scale_churn () =
         let import c =
           let sp = R.space rt c in
           let s = R.lookup sp ~at:0 "reg" in
-          held.(c) <- held.(c) @ Stub.call sp s m_range ((c - 1) * slice, slice);
+          held.(c) <-
+            held.(c) @ Stub.call sp s Scenario.m_range ((c - 1) * slice, slice);
           R.release sp s
         in
         for c = 1 to clients do

@@ -388,8 +388,10 @@ let chaos_cmd =
 (* --- recover ------------------------------------------------------------------- *)
 
 module R = Netobj_core.Runtime
+module Stub = Netobj_core.Stub
 module Store = Netobj_store.Store
-module Pk = Netobj_pickle.Pickle
+module Scenario = Netobj_chaos.Scenario
+module Sched = Netobj_sched.Sched
 
 (* A deterministic crash -> recover -> reconcile -> collect narrative on
    a durable two-space runtime.  The client acquires a reference, the
@@ -415,36 +417,22 @@ let recover_run seed fault_name trace_out metrics_out =
       ~recover_grace:0.2 ~gc_period:0.1 ~clean_retry:0.05 ~dirty_retry:0.05 ()
   in
   let rt = R.create cfg in
-  let counter_meths () =
-    let v = ref 0 in
-    [
-      R.meth "poke" (fun _sp _r () w ->
-          incr v;
-          Pk.write Pk.int w !v);
-    ]
-  in
-  R.register_factory rt "counter" counter_meths;
+  R.register_factory rt "counter" Scenario.counter_meths;
   let sp0 = R.space rt 0 and sp1 = R.space rt 1 in
-  let obj = R.allocate ~tag:"counter" sp0 ~meths:(counter_meths ()) in
+  let obj = Scenario.counter ~tag:"counter" sp0 in
   R.publish sp0 "counter" obj;
   let owr = R.wirerep obj in
   let held = ref None in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
+  let v = Scenario.verdict () in
   let poke tag =
     match !held with
-    | None -> fail "%s: no held reference" tag
+    | None -> Scenario.fail v "%s: no held reference" tag
     | Some h -> (
-        match
-          R.invoke_raw sp1 h ~meth:"poke"
-            ~encode:(fun _ -> ())
-            ~decode:(fun r -> Pk.read Pk.int r)
-        with
+        match Stub.call sp1 h Scenario.m_incr 1 with
         | n -> Fmt.pr "client: poke -> %d@." n
-        | exception R.Remote_error msg -> fail "%s: remote error: %s" tag msg
-        | exception R.Timeout _ -> fail "%s: timeout" tag)
+        | exception R.Remote_error msg ->
+            Scenario.fail v "%s: remote error: %s" tag msg
+        | exception R.Timeout _ -> Scenario.fail v "%s: timeout" tag)
   in
   Fmt.pr "durable run: 2 spaces, disk fault = %s@." fault_name;
   R.spawn rt ~name:"client-acquire" (fun () ->
@@ -455,7 +443,7 @@ let recover_run seed fault_name trace_out metrics_out =
           poke "pre-crash";
           poke "pre-crash"
       | exception (R.Timeout _ | R.Remote_error _) ->
-          fail "acquire: lookup failed");
+          Scenario.fail v "acquire: lookup failed");
   ignore (R.run ~until:1.0 rt);
   (match fault with
   | Some f ->
@@ -469,7 +457,8 @@ let recover_run seed fault_name trace_out metrics_out =
   R.recover rt 0;
   Fmt.pr "recovered space 0: epoch %d, cont %d, resident=%b@." (R.epoch sp0)
     (R.cont sp0) (R.resident sp0 owr);
-  if not (R.resident sp0 owr) then fail "held object lost across recovery";
+  if not (R.resident sp0 owr) then
+    Scenario.fail v "held object lost across recovery";
   (* let the reassert handshake and the grace window run out *)
   ignore (R.run ~until:3.0 rt);
   Fmt.pr "reconciled: unconfirmed=%d@." (R.unconfirmed_count sp0);
@@ -486,23 +475,13 @@ let recover_run seed fault_name trace_out metrics_out =
      object can drain once the client's clean lands *)
   R.release sp0 obj;
   R.unpublish sp0 "counter";
-  let rounds = ref 8 in
-  let surrogates () =
-    List.fold_left (fun acc sp -> acc + R.surrogate_count sp) 0 (R.spaces rt)
-  in
-  while (surrogates () > 0 || R.resident sp0 owr) && !rounds > 0 do
-    decr rounds;
-    R.collect_all rt;
-    ignore (R.run ~until:(Netobj_sched.Sched.now (R.sched rt) +. 2.0) rt)
-  done;
-  if surrogates () > 0 then fail "%d surrogates failed to drain" (surrogates ());
-  (match R.check_consistency rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "consistency: %s" p) ps);
-  if R.resident sp0 owr then fail "released object not reclaimed";
+  Scenario.drain ~horizon:2.0
+    ~pending:(fun () -> Scenario.surrogates rt > 0 || R.resident sp0 owr)
+    rt;
+  Scenario.report v (Scenario.drain_problems rt @ Scenario.safety_problems rt);
+  if R.resident sp0 owr then Scenario.fail v "released object not reclaimed";
   Fmt.pr "drained: surrogates=0, object reclaimed, consistency ok@.";
-  Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-  if !failed then 1 else 0
+  Scenario.finish v
 
 let disk_fault_arg =
   Arg.(
@@ -541,74 +520,54 @@ let cycles_run seed trace_out metrics_out =
       ~gc_period:0.1 ~clean_retry:0.05 ~dirty_retry:0.05 ()
   in
   let rt = R.create cfg in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
-  let sp i = R.space rt i in
-  let nodes = Array.init n (fun i -> R.allocate ~tag:"node" (sp i) ~meths:[]) in
-  let wrs = Array.map R.wirerep nodes in
-  Array.iteri
-    (fun i h -> R.publish (sp i) (Printf.sprintf "node%d" i) h)
-    nodes;
+  let v = Scenario.verdict () in
+  let nodes = Scenario.ring rt ~nodes:n in
   let resident () =
-    let c = ref 0 in
-    Array.iteri (fun i wr -> if R.resident (sp i) wr then incr c) wrs;
-    !c
+    Array.fold_left
+      (fun c (sp, h) -> if R.resident sp (R.wirerep h) then c + 1 else c)
+      0 nodes
   in
   let settle () =
-    for _ = 1 to 5 do
-      R.collect_all rt;
-      ignore (R.run ~until:(Netobj_sched.Sched.now (R.sched rt) +. 2.0) rt)
-    done
+    Scenario.drain ~rounds:5 ~horizon:2.0 ~pending:(fun () -> true) rt
   in
   let detector_pass () =
     let committed = ref 0 in
-    for i = 0 to n - 1 do
-      R.spawn rt
-        ~name:(Printf.sprintf "detector-%d" i)
-        (fun () -> committed := !committed + R.cycle_collect (sp i))
-    done;
-    ignore (R.run ~until:(Netobj_sched.Sched.now (R.sched rt) +. 5.0) rt);
+    List.iter
+      (fun sp ->
+        R.spawn rt
+          ~name:(Printf.sprintf "detector-%d" (R.space_id sp))
+          (fun () -> committed := !committed + R.cycle_collect sp))
+      (R.spaces rt);
+    ignore (R.run ~until:(Sched.now (R.sched rt) +. 5.0) rt);
     !committed
   in
   Fmt.pr "built: %d spaces, one published node each@." n;
-  for i = 0 to n - 1 do
-    R.spawn rt
-      ~name:(Printf.sprintf "linker-%d" i)
-      (fun () ->
-        let t = (i + 1) mod n in
-        match R.lookup (sp i) ~at:t (Printf.sprintf "node%d" t) with
-        | h ->
-            R.link (sp i) ~parent:nodes.(i) ~child:h;
-            R.release (sp i) h
-        | exception (R.Timeout _ | R.Remote_error _) ->
-            fail "linker %d: lookup failed" i)
-  done;
   ignore (R.run ~until:1.0 rt);
   Fmt.pr "linked: node0 -> node1 -> node2 -> node0 across the wire@.";
   (* a trial on the rooted ring must abort: the probes find the roots *)
   let c = detector_pass () in
   settle ();
-  if c <> 0 then fail "detector reclaimed a rooted ring (committed %d)" c;
+  if c <> 0 then
+    Scenario.fail v "detector reclaimed a rooted ring (committed %d)" c;
   Fmt.pr "detector pass with live roots: committed %d, resident %d/%d (kept)@."
     c (resident ()) n;
   (* drop every root: the ring is now garbage only a cycle detector can
      see — each node is held alive by the next space's dirty entry *)
   Array.iteri
-    (fun i h ->
-      R.unpublish (sp i) (Printf.sprintf "node%d" i);
-      R.release (sp i) h)
+    (fun i (sp, h) ->
+      R.unpublish sp (Printf.sprintf "node%d" i);
+      R.release sp h)
     nodes;
   settle ();
   Fmt.pr "roots dropped: listing collector leaves resident %d/%d (leaked)@."
     (resident ()) n;
-  if resident () <> n then fail "expected the listing collector to leak the ring";
+  if resident () <> n then
+    Scenario.fail v "expected the listing collector to leak the ring";
   let c = detector_pass () in
   settle ();
   Fmt.pr "detector pass: committed %d, resident %d/%d@." c (resident ()) n;
   if resident () <> 0 then
-    fail "cycle not reclaimed (resident %d)" (resident ());
+    Scenario.fail v "cycle not reclaimed (resident %d)" (resident ());
   let trials, aborts, collected =
     List.fold_left
       (fun (t, a, c) sp ->
@@ -617,20 +576,11 @@ let cycles_run seed trace_out metrics_out =
       (0, 0, 0) (R.spaces rt)
   in
   Fmt.pr "stats: trials=%d aborts=%d collected=%d@." trials aborts collected;
-  if collected < n then fail "expected at least %d collected, got %d" n collected;
-  let surrogates =
-    List.fold_left (fun acc sp -> acc + R.surrogate_count sp) 0 (R.spaces rt)
-  in
-  if surrogates > 0 then fail "%d surrogates failed to drain" surrogates;
-  (match R.check_consistency rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "consistency: %s" p) ps);
-  (match R.check_safety rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "safety: %s" p) ps);
+  if collected < n then
+    Scenario.fail v "expected at least %d collected, got %d" n collected;
+  Scenario.report v (Scenario.drain_problems rt @ Scenario.safety_problems rt);
   Fmt.pr "drained: surrogates=0, consistency ok, safety ok@.";
-  Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-  if !failed then 1 else 0
+  Scenario.finish v
 
 let cycles_cmd =
   Cmd.v
@@ -665,21 +615,10 @@ let scale_run seed trace_out metrics_out =
       ~gc_period:0.5 ~ping_period:1.0 ~lease_misses:3 ()
   in
   let rt = R.create cfg in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
+  let v = Scenario.verdict () in
   let sp i = R.space rt i in
   let owner = sp 0 in
-  let objs = List.init nobjs (fun _ -> R.allocate owner ~meths:[]) in
-  let reg =
-    R.allocate owner
-      ~meths:
-        [
-          R.meth "all" (fun _sp _r () w ->
-              Pk.write (Pk.list R.handle_codec) w objs);
-        ]
-  in
+  let reg, _ = Scenario.registry owner nobjs in
   R.publish owner "reg" reg;
   Fmt.pr "built: 1 owner, %d clients, %d objects behind a registry@." (n - 1)
     nobjs;
@@ -691,46 +630,47 @@ let scale_run seed trace_out metrics_out =
       (fun () ->
         match R.lookup (sp c) ~at:0 "reg" with
         | s ->
-            held.(c) <-
-              R.invoke_raw (sp c) s ~meth:"all"
-                ~encode:(fun _ -> ())
-                ~decode:(fun r -> Pk.read (Pk.list R.handle_codec) r);
+            held.(c) <- Stub.call (sp c) s Scenario.m_all ();
             R.release (sp c) s
         | exception (R.Timeout _ | R.Remote_error _) ->
-            fail "importer %d: lookup failed" c)
+            Scenario.fail v "importer %d: lookup failed" c)
   done;
   ignore (R.run ~until:4.3 rt);
   for c = 1 to n - 1 do
-    if List.length held.(c) <> nobjs then fail "client %d import short" c
+    if List.length held.(c) <> nobjs then
+      Scenario.fail v "client %d import short" c
   done;
   let entries c = R.lease_entries owner c in
   Fmt.pr "imported: leases cover %d+%d+%d entries across %d clients@."
     (entries 1) (entries 2) (entries 3) (n - 1);
   if entries 1 <> nobjs || entries 2 <> nobjs || entries 3 <> nobjs then
-    fail "expected %d entries per client lease" nobjs;
+    Scenario.fail v "expected %d entries per client lease" nobjs;
   (match R.lease_check owner with
   | [] -> Fmt.pr "aggregates: incremental = from-scratch table fold (ok)@."
-  | p :: _ -> fail "aggregates diverged: %s" p);
+  | p :: _ -> Scenario.fail v "aggregates diverged: %s" p);
   (* heartbeat cost: per (client, owner) pair per tick, not per entry *)
   let before = (R.gc_stats owner).R.pings in
   ignore (R.run ~until:10.3 rt);
   let pings = (R.gc_stats owner).R.pings - before in
   Fmt.pr "heartbeats: %d pings over 6 ticks renew %d entries@." pings
     (entries 1 + entries 2 + entries 3);
-  if pings <> (n - 1) * 6 then fail "expected %d pings, got %d" ((n - 1) * 6) pings;
+  if pings <> (n - 1) * 6 then
+    Scenario.fail v "expected %d pings, got %d" ((n - 1) * 6) pings;
   (* a dead client's whole aggregate goes in one expiry *)
   R.crash rt 3;
   ignore (R.run ~until:16.3 rt);
   let evictions = (R.gc_stats owner).R.evictions in
   Fmt.pr "crash: client 3 dead, one lease expiry dropped %d entries@."
     evictions;
-  if evictions <> nobjs then fail "expected %d evicted entries" nobjs;
-  if entries 3 <> 0 then fail "client 3 still holds %d entries" (entries 3);
+  if evictions <> nobjs then
+    Scenario.fail v "expected %d evicted entries" nobjs;
+  if entries 3 <> 0 then
+    Scenario.fail v "client 3 still holds %d entries" (entries 3);
   if entries 1 <> nobjs || entries 2 <> nobjs then
-    fail "surviving clients lost entries";
+    Scenario.fail v "surviving clients lost entries";
   (match R.lease_check owner with
   | [] -> Fmt.pr "aggregates: still exact after the eviction (ok)@."
-  | p :: _ -> fail "aggregates diverged after eviction: %s" p);
+  | p :: _ -> Scenario.fail v "aggregates diverged after eviction: %s" p);
   (* sharded namespace: bindings spread across the surviving agent
      homes (remote publishes block, so they run on a fiber) *)
   let svcs = [ "svc0"; "svc1"; "svc2"; "svc4"; "svc5" ] in
@@ -744,19 +684,16 @@ let scale_run seed trace_out metrics_out =
     Fmt.(list ~sep:(any " ") int)
     homes;
   if List.sort_uniq compare homes = [ 0 ] then
-    fail "sharding sent every name to one agent";
+    Scenario.fail v "sharding sent every name to one agent";
   R.spawn rt ~name:"sharded-lookup" (fun () ->
       match R.lookup_sharded (sp 1) "svc5" with
       | h -> R.release (sp 1) h
       | exception (R.Timeout _ | R.Remote_error _) ->
-          fail "sharded lookup failed");
+          Scenario.fail v "sharded lookup failed");
   ignore (R.run ~until:18.3 rt);
-  (match R.check_safety rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "safety: %s" p) ps);
+  Scenario.report v (Scenario.fiber_problems rt @ Scenario.safety_problems rt);
   Fmt.pr "checked: safety ok, lease aggregates ok@.";
-  Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-  if !failed then 1 else 0
+  Scenario.finish v
 
 let scale_cmd =
   Cmd.v
@@ -784,9 +721,7 @@ let scale_cmd =
    transient pin long before the pin timeout would. *)
 let reliability_run seed trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
-  let module Sched = Netobj_sched.Sched in
   let module Transport = Netobj_transport.Transport in
-  let module Stub = Netobj_core.Stub in
   let module P = Netobj_pickle.Pickle in
   let m_echo = Stub.declare "echo" P.int P.int in
   let m_slow = Stub.declare "slow" P.int P.int in
@@ -800,10 +735,7 @@ let reliability_run seed trace_out metrics_out =
   let rt = R.create cfg in
   let sched = R.sched rt in
   let tr = R.transport rt in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
+  let v = Scenario.verdict () in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let execs = ref 0 in
   let echo =
@@ -854,16 +786,17 @@ let reliability_run seed trace_out metrics_out =
         ~until:(Sched.now sched +. 0.02)
         ();
       (match Stub.call client he m_echo 41 with
-      | v ->
+      | n ->
           Fmt.pr
             "lost call: echo(41)=%d after %d retransmit(s), owner executed \
              %d@."
-            v
+            n
             (retried () - r0)
             !execs
       | exception e ->
-          fail "lost call: %s" (Printexc.to_string e));
-      if !execs <> 1 then fail "lost call: owner executed %d times" !execs;
+          Scenario.fail v "lost call: %s" (Printexc.to_string e));
+      if !execs <> 1 then
+        Scenario.fail v "lost call: owner executed %d times" !execs;
       (* act 2: the Reply is swallowed; the retransmit must hit the
          owner's reply cache, not the method *)
       let r1 = retried () and d1 = (ost ()).R.c_deduped in
@@ -871,18 +804,19 @@ let reliability_run seed trace_out metrics_out =
         ~until:(Sched.now sched +. 0.02)
         ();
       (match Stub.call client he m_echo 98 with
-      | v ->
+      | n ->
           Fmt.pr
             "lost reply: echo(98)=%d after %d retransmit(s), deduped %d, \
              owner executed %d (not re-executed)@."
-            v
+            n
             (retried () - r1)
             ((ost ()).R.c_deduped - d1)
             !execs
       | exception e ->
-          fail "lost reply: %s" (Printexc.to_string e));
+          Scenario.fail v "lost reply: %s" (Printexc.to_string e));
       if !execs <> 2 then
-        fail "lost reply: owner executed %d times (at-most-once broken)"
+        Scenario.fail v
+          "lost reply: owner executed %d times (at-most-once broken)"
           !execs;
       (* act 3: a herd of 12 against the 4-slot gate; shed calls back
          off and drain through in waves *)
@@ -903,9 +837,10 @@ let reliability_run seed trace_out metrics_out =
       Fmt.pr "storm: herd=%d gate=4 — completed=%d failed=%d, owner shed %d \
               Busy@."
         herd !done_ok !done_err (ost ()).R.c_shed;
-      if (ost ()).R.c_shed = 0 then fail "storm: the gate never shed";
+      if (ost ()).R.c_shed = 0 then
+        Scenario.fail v "storm: the gate never shed";
       if !done_ok <> herd then
-        fail "storm: %d of %d herd calls failed" !done_err herd;
+        Scenario.fail v "storm: %d of %d herd calls failed" !done_err herd;
       (* act 4: every Reply is lost; the caller exhausts its attempts,
          abandons, and its Cancel must release the minted object's
          reply pin instead of waiting out the 30s pin timeout *)
@@ -913,7 +848,7 @@ let reliability_run seed trace_out metrics_out =
         ~until:(Sched.now sched +. 1.0)
         ();
       (match Stub.call client hm m_mint () with
-      | _ -> fail "cancel: call succeeded with every reply lost"
+      | _ -> Scenario.fail v "cancel: call succeeded with every reply lost"
       | exception R.Timeout msg -> Fmt.pr "cancel: caller abandoned: %s@." msg);
       Transport.set_burst tr ~src:0 ~dst:1 ~loss:0.0 ~until:(Sched.now sched) ();
       R.release client he;
@@ -921,21 +856,13 @@ let reliability_run seed trace_out metrics_out =
       R.release client hm);
   ignore (R.run ~until:5.0 rt);
   (* drain: cleans + the cancelled call's released pin *)
-  let rounds = ref 8 in
-  let surrogates () =
-    List.fold_left (fun acc sp -> acc + R.surrogate_count sp) 0 (R.spaces rt)
-  in
-  while surrogates () > 0 && !rounds > 0 do
-    decr rounds;
-    R.collect_all rt;
-    ignore (R.run ~until:(Sched.now sched +. 2.0) rt)
-  done;
+  Scenario.drain ~horizon:2.0 rt;
   let t_drain = Sched.now sched in
   (match !minted with
-  | None -> fail "cancel: the mint method never ran"
+  | None -> Scenario.fail v "cancel: the mint method never ran"
   | Some wr ->
       if R.resident owner wr then
-        fail "cancel: minted object still pinned at the owner"
+        Scenario.fail v "cancel: minted object still pinned at the owner"
       else
         Fmt.pr
           "cancel: minted object reclaimed at t=%.2fs — the Cancel released \
@@ -944,17 +871,11 @@ let reliability_run seed trace_out metrics_out =
   let st = ost () in
   Fmt.pr "stats: client retried=%d; owner deduped=%d shed=%d cancelled=%d@."
     (retried ()) st.R.c_deduped st.R.c_shed st.R.c_cancelled;
-  if st.R.c_cancelled = 0 then fail "owner never processed the Cancel";
-  if surrogates () > 0 then fail "%d surrogates failed to drain" (surrogates ());
-  (match R.check_consistency rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "consistency: %s" p) ps);
-  (match R.check_safety rt with
-  | [] -> ()
-  | ps -> List.iter (fun p -> fail "safety: %s" p) ps);
+  if st.R.c_cancelled = 0 then
+    Scenario.fail v "owner never processed the Cancel";
+  Scenario.report v (Scenario.drain_problems rt @ Scenario.safety_problems rt);
   Fmt.pr "drained: surrogates=0, consistency ok, safety ok@.";
-  Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-  if !failed then 1 else 0
+  Scenario.finish v
 
 let reliability_cmd =
   Cmd.v
@@ -972,7 +893,6 @@ let reliability_cmd =
 
 (* --- serve / connect / transport-demo ----------------------------------------- *)
 
-module Sched = Netobj_sched.Sched
 module Transport = Netobj_transport.Transport
 module Tcp = Netobj_transport.Tcp
 module Faulty = Netobj_transport.Faulty
@@ -992,22 +912,6 @@ let parse_peer s =
       | _ -> Fmt.failwith "bad --peer %S (want ADDR:HOST:PORT)" s)
   | _ -> Fmt.failwith "bad --peer %S (want ADDR:HOST:PORT)" s
 
-(* Interleave short virtual-time slices (fibers, flush timers, call
-   timeouts) with real socket pumping.  The virtual clock only moves to
-   timer deadlines, so when both clocks stall (fibers parked on calls,
-   no traffic) a no-op timer nudges it forward — that is what converts
-   wall-clock waiting into virtual-clock timeout progress. *)
-let drive rt ~deadline ~stop =
-  let sched = R.sched rt in
-  let tr = R.transport rt in
-  while (not (stop ())) && Unix.gettimeofday () < deadline do
-    let before = Sched.now sched in
-    ignore (R.run rt ~until:(before +. 0.05));
-    let n = Transport.pump tr ~timeout:0.005 in
-    if n = 0 && Sched.now sched = before then
-      Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-  done
-
 let tcp_config ?tcp_ref ~seed ~spaces ~serving ~endpoints () =
   R.config ~seed:(Int64.of_int seed) ~nspaces:spaces ~call_timeout:5.0
     ~dirty_timeout:5.0
@@ -1016,20 +920,6 @@ let tcp_config ?tcp_ref ~seed ~spaces ~serving ~endpoints () =
       (match tcp_ref with Some r -> r := Some tcp | None -> ());
       Faulty.wrap ~sched ~seed:(Int64.of_int seed) (Tcp.transport tcp))
     ()
-
-let counter_meths v =
-  [
-    R.meth "incr" (fun _sp r ->
-        let n = Pk.read Pk.int r in
-        fun () w ->
-          v := !v + n;
-          Pk.write Pk.int w !v);
-  ]
-
-let call_incr sp h =
-  R.invoke_raw sp h ~meth:"incr"
-    ~encode:(fun w -> Pk.write Pk.int w 1)
-    ~decode:(fun r -> Pk.read Pk.int r)
 
 let serve addr spaces port portfile peers seed epoch duration
     quiet =
@@ -1057,13 +947,13 @@ let serve addr spaces port portfile peers seed epoch duration
     R.restart rt addr
   done;
   let sp = R.space rt addr in
-  let obj = R.allocate sp ~meths:(counter_meths (ref 0)) in
+  let obj = Scenario.counter sp in
   R.publish sp "counter" obj;
   if not quiet then
     Fmt.pr "serving space %d/%d: \"counter\" published (epoch %d)@." addr
       spaces (R.epoch sp);
   let deadline = Unix.gettimeofday () +. duration in
-  drive rt ~deadline ~stop:(fun () -> false);
+  Scenario.drive rt ~deadline ~stop:(fun () -> false);
   0
 
 let connect addr spaces peers seed =
@@ -1077,7 +967,7 @@ let connect addr spaces peers seed =
         (fun a ->
           match R.lookup sp ~at:a "counter" with
           | h ->
-              (match call_incr sp h with
+              (match Stub.call sp h Scenario.m_incr 1 with
               | n -> Fmt.pr "connect: counter@%d incr -> %d@." a n
               | exception (R.Remote_error _ | R.Timeout _) ->
                   failed := true;
@@ -1092,7 +982,7 @@ let connect addr spaces peers seed =
       Sched.sleep (R.sched rt) 0.3;
       finished := true);
   let deadline = Unix.gettimeofday () +. 30.0 in
-  drive rt ~deadline ~stop:(fun () -> !finished);
+  Scenario.drive rt ~deadline ~stop:(fun () -> !finished);
   if not !finished then begin
     Fmt.pr "connect: did not complete@.";
     failed := true
@@ -1100,18 +990,6 @@ let connect addr spaces peers seed =
   if !failed then 1 else 0
 
 (* {2 transport-demo} *)
-
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  Unix.close fd;
-  port
 
 (* Child with stdout/stderr silenced: server chatter must not pollute
    the demo's deterministic narrative. *)
@@ -1139,26 +1017,8 @@ let kill_wait pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
 
-let wait_port port ~timeout =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec loop () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
-    | () ->
-        Unix.close fd;
-        true
-    | exception Unix.Unix_error (_, _, _) ->
-        Unix.close fd;
-        if Unix.gettimeofday () < deadline then begin
-          Unix.sleepf 0.02;
-          loop ()
-        end
-        else false
-  in
-  loop ()
-
 let transport_demo seed =
-  let p0 = free_port () and p1 = free_port () in
+  let p0 = Scenario.free_port () and p1 = Scenario.free_port () in
   let peer a port = Printf.sprintf "%d:127.0.0.1:%d" a port in
   let serve_args a port ~other ~epoch =
     [
@@ -1185,14 +1045,15 @@ let transport_demo seed =
     kill_wait !pid0;
     kill_wait pid1
   in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
-  if not (wait_port p0 ~timeout:10.0 && wait_port p1 ~timeout:10.0) then begin
+  let v = Scenario.verdict () in
+  if
+    not
+      (Scenario.wait_port p0 ~timeout:10.0
+      && Scenario.wait_port p1 ~timeout:10.0)
+  then begin
     cleanup ();
-    Fmt.pr "FAIL: servers did not come up@.";
-    1
+    Scenario.fail v "servers did not come up";
+    Scenario.finish v
   end
   else begin
     Fmt.pr "demo: two servers up (spaces 0 and 1)@.";
@@ -1214,7 +1075,7 @@ let transport_demo seed =
           string_of_int seed;
         ]
     in
-    if st <> 0 then fail "connect client exited %d" st
+    if st <> 0 then Scenario.fail v "connect client exited %d" st
     else Fmt.pr "demo: connect client done@.";
     (* Now a longer-lived client (space 2, in this process) that holds a
        reference across the owner's death and restart. *)
@@ -1231,10 +1092,10 @@ let transport_demo seed =
     let sp = R.space rt 2 in
     let finished = ref false in
     let incr_to tag h =
-      match call_incr sp h with
+      match Stub.call sp h Scenario.m_incr 1 with
       | n -> Fmt.pr "client: %s incr -> %d@." tag n
       | exception (R.Remote_error _ | R.Timeout _) ->
-          fail "%s incr failed" tag
+          Scenario.fail v "%s incr failed" tag
     in
     R.spawn rt ~name:"demo-client" (fun () ->
         let h0 = R.lookup sp ~at:0 "counter" in
@@ -1244,20 +1105,20 @@ let transport_demo seed =
         incr_to "counter@1" h1;
         kill_wait !pid0;
         Fmt.pr "demo: killed server 0@.";
-        (match call_incr sp h0 with
-        | _ -> fail "call to dead owner succeeded"
+        (match Stub.call sp h0 Scenario.m_incr 1 with
+        | _ -> Scenario.fail v "call to dead owner succeeded"
         | exception (R.Remote_error _ | R.Timeout _) ->
             Fmt.pr "client: call to dead owner: failed@.");
         pid0 := spawn_quiet (serve_args 0 p0 ~other:(1, p1) ~epoch:1);
-        if not (wait_port p0 ~timeout:10.0) then
-          fail "server 0 did not restart"
+        if not (Scenario.wait_port p0 ~timeout:10.0) then
+          Scenario.fail v "server 0 did not restart"
         else begin
           Fmt.pr "demo: restarted server 0 with epoch 1@.";
           (* The stale surrogate's call is rejected by the higher-epoch
              incarnation; the reject teaches this client the new epoch
              and evicts the dead incarnation's surrogates. *)
-          (match call_incr sp h0 with
-          | _ -> fail "stale call succeeded"
+          (match Stub.call sp h0 Scenario.m_incr 1 with
+          | _ -> Scenario.fail v "stale call succeeded"
           | exception (R.Remote_error _ | R.Timeout _) ->
               Fmt.pr "client: stale call: failed@.");
           Sched.sleep (R.sched rt) 1.0;
@@ -1267,21 +1128,18 @@ let transport_demo seed =
               incr_to "fresh counter@0" h0';
               R.release sp h0'
           | exception (R.Remote_error _ | R.Timeout _) ->
-              fail "fresh lookup failed");
+              Scenario.fail v "fresh lookup failed");
           incr_to "counter@1" h1;
           R.release sp h1
         end;
         finished := true);
     let deadline = Unix.gettimeofday () +. 60.0 in
-    drive rt ~deadline ~stop:(fun () -> !finished);
-    (match Sched.failures (R.sched rt) with
-    | [] -> ()
-    | (n, e) :: _ -> fail "fiber %s raised %s" n (Printexc.to_string e));
-    if not !finished then fail "demo client did not complete";
+    Scenario.drive rt ~deadline ~stop:(fun () -> !finished);
+    Scenario.report v (Scenario.fiber_problems rt);
+    if not !finished then Scenario.fail v "demo client did not complete";
     cleanup ();
     Fmt.pr "demo: shutdown@.";
-    Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-    if !failed then 1 else 0
+    Scenario.finish v
   end
 
 let addr_arg =
@@ -1371,127 +1229,28 @@ let transport_demo_cmd =
 
 (* --- par ----------------------------------------------------------------------- *)
 
-(* Multi-space invoke storm with the safety oracle, on either engine.
-   Every space runs a mutator fiber incrementing the other spaces'
-   counters; afterwards the counters must sum to the calls sent (no
-   increment lost or invented across domains), no fiber may have died,
-   the runtime's per-step and quiescent invariants must hold, and every
-   dirty set must drain.  This is the 4-domain stress run `make
-   par-smoke` folds into `make verify`. *)
+(* Multi-space invoke storm with the safety oracle, on either engine
+   (the kit's storm: the counters must sum to the calls sent, no
+   increment lost or invented across domains), then the drain and
+   safety oracles: no fiber died, the runtime's quiescent invariants
+   hold, every dirty set and surrogate drained.  cli.t runs it on a
+   forced 4-domain pool. *)
 let par engine seed spaces domains calls =
   let rt =
     R.create
       (R.config ~seed:(Int64.of_int seed) ~nspaces:spaces ~domains ~engine
          ~gc_period:0.5 ())
   in
-  let failed = ref false in
-  let fail fmt =
-    Fmt.kpf (fun _ -> failed := true) Fmt.stdout ("FAIL: " ^^ fmt ^^ "@.")
-  in
+  let v = Scenario.verdict () in
   Fmt.pr "par: engine=%s spaces=%d shards=%d calls/space=%d@."
     (R.engine_name rt) spaces (R.nshards rt) calls;
-  let counters =
-    Array.init spaces (fun i ->
-        let sp = R.space rt i in
-        let v = ref 0 in
-        let obj =
-          R.allocate sp
-            ~meths:
-              [
-                R.meth "incr" (fun _sp r ->
-                    let n = Pk.read Pk.int r in
-                    fun () w ->
-                      v := !v + n;
-                      Pk.write Pk.int w !v);
-                R.meth "get" (fun _sp _r () w -> Pk.write Pk.int w !v);
-              ]
-        in
-        R.publish sp (Printf.sprintf "cnt-%d" i) obj;
-        obj)
-  in
-  let sent = Array.make spaces 0 in
-  let done_ = Array.make spaces false in
-  for i = 0 to spaces - 1 do
-    R.spawn_at rt ~space:i
-      ~name:(Printf.sprintf "storm-%d" i)
-      (fun () ->
-        let sp = R.space rt i in
-        let rng = Netobj_util.Rng.create (Int64.of_int ((seed * 1299709) + i)) in
-        let handles =
-          List.init spaces (fun j ->
-              if j = i then None
-              else Some (R.lookup sp ~at:j (Printf.sprintf "cnt-%d" j)))
-        in
-        for _ = 1 to calls do
-          let j = Netobj_util.Rng.int rng spaces in
-          match List.nth handles j with
-          | None -> ()
-          | Some h ->
-              ignore
-                (R.invoke_raw sp h ~meth:"incr"
-                   ~encode:(fun w -> Pk.write Pk.int w 1)
-                   ~decode:(fun r -> Pk.read Pk.int r));
-              sent.(i) <- sent.(i) + 1
-        done;
-        List.iter (function None -> () | Some h -> R.release sp h) handles;
-        R.collect sp;
-        done_.(i) <- true)
-  done;
-  let until = ref 1.0 in
-  let all_done () = Array.for_all Fun.id done_ in
-  let t0 = Unix.gettimeofday () in
-  while (not (all_done ())) && Unix.gettimeofday () -. t0 < 120.0 do
-    ignore (R.run rt ~until:!until);
-    until := !until +. 1.0
-  done;
-  if not (all_done ()) then fail "storm did not converge";
-  let drained () =
-    List.for_all
-      (fun i -> R.dirty_set (R.space rt i) counters.(i) = [])
-      (List.init spaces Fun.id)
-  in
-  let t0 = Unix.gettimeofday () in
-  while (not (drained ())) && Unix.gettimeofday () -. t0 < 60.0 do
-    ignore (R.run rt ~until:!until);
-    until := !until +. 1.0
-  done;
-  let total_sent = Array.fold_left ( + ) 0 sent in
-  let values = Array.make spaces 0 in
-  let reads_done = Array.make spaces false in
-  for i = 0 to spaces - 1 do
-    R.spawn_at rt ~space:i (fun () ->
-        values.(i) <-
-          R.invoke_raw (R.space rt i) counters.(i) ~meth:"get"
-            ~encode:(fun _ -> ())
-            ~decode:(fun r -> Pk.read Pk.int r);
-        reads_done.(i) <- true)
-  done;
-  let t0 = Unix.gettimeofday () in
-  while
-    (not (Array.for_all Fun.id reads_done))
-    && Unix.gettimeofday () -. t0 < 30.0
-  do
-    ignore (R.run rt ~until:!until);
-    until := !until +. 1.0
-  done;
-  if not (Array.for_all Fun.id reads_done) then fail "counter reads stuck";
-  let total = Array.fold_left ( + ) 0 values in
-  if total <> total_sent then
-    fail "lost/invented calls: sent %d, counted %d" total_sent total
-  else Fmt.pr "par: %d calls accounted for@." total;
-  (match Netobj_sched.Sched.failures (R.sched rt) with
-  | [] -> ()
-  | (n, e) :: _ -> fail "fiber %s raised %s" n (Printexc.to_string e));
-  (match R.check_safety rt with
-  | [] -> ()
-  | vs -> List.iter (fun v -> fail "safety: %s" v) vs);
-  (match R.check_consistency rt with
-  | [] -> ()
-  | vs -> List.iter (fun v -> fail "consistency: %s" v) vs);
-  if not (drained ()) then fail "dirty sets did not drain"
-  else Fmt.pr "par: dirty sets drained, invariants ok@.";
-  Fmt.pr "result: %s@." (if !failed then "FAILED" else "SURVIVED");
-  if !failed then 1 else 0
+  let s = Scenario.storm ~seed ~calls rt in
+  Scenario.report v s.Scenario.problems;
+  if s.Scenario.counted = s.Scenario.sent then
+    Fmt.pr "par: %d calls accounted for@." s.Scenario.counted;
+  Scenario.report v (Scenario.drain_problems rt @ Scenario.safety_problems rt);
+  if s.Scenario.drained then Fmt.pr "par: dirty sets drained, invariants ok@.";
+  Scenario.finish v
 
 (* The only subcommand with a choice of engine: every other one drives
    the deterministic sim engine. *)

@@ -528,17 +528,7 @@ let violate ctx fmt =
 
 (* --- shared interface -------------------------------------------------------- *)
 
-let m_poke = Stub.declare "poke" P.int P.int
-
 let m_make = Stub.declare "make" P.unit R.handle_codec
-
-let counter_meths () =
-  let v = ref 0 in
-  [
-    Stub.implement m_poke (fun _ n ->
-        v := !v + n;
-        !v);
-  ]
 
 (* The factory mints an object and releases its own root {e before} the
    reply is encoded: from that instant the only thing keeping the object
@@ -549,7 +539,7 @@ let counter_meths () =
 let factory_meths () =
   [
     Stub.implement m_make (fun sp () ->
-        let h = R.allocate ~tag:"counter" sp ~meths:(counter_meths ()) in
+        let h = Scenario.counter ~tag:"counter" sp in
         R.release sp h;
         h);
   ]
@@ -581,21 +571,9 @@ let slow_name s = Printf.sprintf "slow%d" s
    different spaces that point at each other form exactly the
    cross-space cycle the listing collector leaks and the trial-deletion
    detector exists to reclaim. *)
-let m_set_peer = Stub.declare "set_peer" R.handle_codec P.unit
-
 let m_make_node = Stub.declare "make_node" P.unit R.handle_codec
 
-let node_make sp =
-  let rec node =
-    lazy
-      (R.allocate ~tag:"node" sp
-         ~meths:
-           [
-             Stub.implement m_set_peer (fun sp' h ->
-                 R.link sp' ~parent:(Lazy.force node) ~child:h);
-           ])
-  in
-  Lazy.force node
+let node_make sp = Scenario.node ~tag:"node" sp
 
 (* Behaviour re-attached to nodes that crossed a durable recovery: the
    self-handle cannot be recovered into the closure, so [set_peer]
@@ -603,7 +581,7 @@ let node_make sp =
    were already restored from the WAL, which is what the cycle workload
    relies on. *)
 let recovered_node_meths () =
-  [ Stub.implement m_set_peer (fun sp h -> R.release sp h) ]
+  [ Stub.implement Scenario.m_set_peer (fun sp h -> R.release sp h) ]
 
 (* Like the orphan factory: the mint's own root is released before the
    reply is encoded, so the transfer rides the transient pin alone. *)
@@ -622,13 +600,12 @@ let node_factory_name s = Printf.sprintf "nf%d" s
    counters' payload (the int) restarts at zero, which the harness never
    observes. *)
 let setup ctx =
-  R.register_factory ctx.rt "counter" counter_meths;
+  R.register_factory ctx.rt "counter" Scenario.counter_meths;
   R.register_factory ctx.rt "chaos-factory" factory_meths;
   for s = 0 to ctx.cfg.spaces - 1 do
     let sp = R.space ctx.rt s in
     for i = 0 to ctx.cfg.objects - 1 do
-      R.publish sp (counter_name s i)
-        (R.allocate ~tag:"counter" sp ~meths:(counter_meths ()))
+      R.publish sp (counter_name s i) (Scenario.counter ~tag:"counter" sp)
     done;
     R.publish sp (factory_name s)
       (R.allocate ~tag:"chaos-factory" sp ~meths:(factory_meths ()))
@@ -958,7 +935,7 @@ let mutator ctx s ops () =
     | [] -> ()
     | items -> (
         let it = List.nth items (Rng.int rng (List.length items)) in
-        match Stub.call sp it.ih m_poke 1 with
+        match Stub.call sp it.ih Scenario.m_incr 1 with
         | _ -> ok ()
         | exception R.Timeout _ -> timeout ()
         | exception R.Remote_error msg ->
@@ -1073,7 +1050,7 @@ let cycler ctx s n () =
             let items = [ record nl s !my_epoch; record nr t t_epoch ] in
             (* forward edge locally, back edge through the wire *)
             R.link sp ~parent:nl ~child:nr;
-            (try Stub.call sp nr m_set_peer nl
+            (try Stub.call sp nr Scenario.m_set_peer nl
              with R.Timeout _ | R.Remote_error _ -> ());
             bump ctx "cycles";
             sync_epoch ();

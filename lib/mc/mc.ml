@@ -4,6 +4,8 @@ module Transport = Netobj_transport.Transport
 module Runtime = Netobj_core.Runtime
 module Store = Netobj_store.Store
 module Chaos = Netobj_chaos.Chaos
+module Scenario = Netobj_chaos.Scenario
+module Stub = Netobj_core.Stub
 module Json = Netobj_obs.Json
 module Rng = Netobj_util.Rng
 module P = Netobj_pickle.Pickle
@@ -405,50 +407,6 @@ let setup x cfg nemesis =
     nemesis;
   rt
 
-(* Surrogate cleans are scheduled by the local collector's sweep, so
-   draining takes alternating GC passes and protocol rounds: run to
-   quiescence, then collect-and-run until no surrogate remains (each
-   round clears one level of the reference chain) or a fixed number of
-   rounds made no further progress. *)
-let drain rt =
-  ignore (R.run rt);
-  let surrogates () =
-    List.fold_left (fun acc sp -> acc + R.surrogate_count sp) 0 (R.spaces rt)
-  in
-  let rounds = ref 8 in
-  while surrogates () > 0 && !rounds > 0 do
-    decr rounds;
-    R.collect_all rt;
-    ignore (R.run rt)
-  done
-
-(* Oracle reports shared by the built-in scenarios: fiber crashes are
-   violations, and after the system drained no surrogate may remain
-   anywhere (hence no dirty entry — the drain oracle), with the
-   quiescent consistency check on top. *)
-let drain_problems rt =
-  let problems = ref [] in
-  List.iter
-    (fun (name, exn) ->
-      problems :=
-        Printf.sprintf "fiber %s raised %s" name (Printexc.to_string exn)
-        :: !problems)
-    (Sched.failures (R.sched rt));
-  List.iter
-    (fun sp ->
-      let n = R.surrogate_count sp in
-      if n > 0 then begin
-        problems :=
-          Printf.sprintf "space %d: %d surrogate(s) failed to drain"
-            (R.space_id sp) n
-          :: !problems;
-        List.iter
-          (fun line -> problems := ("  " ^ line) :: !problems)
-          (R.surrogate_summary sp)
-      end)
-    (R.spaces rt);
-  List.rev_append !problems (R.check_consistency rt)
-
 (* ------------------------------------------------------------------ *)
 (* Built-in scenarios                                                  *)
 
@@ -475,8 +433,8 @@ let scenario_dgc2 () =
         in
         R.release sp1 bh;
         R.release sp1 h);
-    drain rt;
-    drain_problems rt
+    Scenario.drain ~quiesce:true rt;
+    Scenario.drain_problems rt
   in
   { sc_name = "dgc2"; sc_spaces = 2; sc_nemesis = []; sc_run = run }
 
@@ -521,8 +479,8 @@ let scenario_dgc3 () =
         R.release sp1 sk;
         R.release sp1 bh;
         R.release sp1 h);
-    drain rt;
-    drain_problems rt
+    Scenario.drain ~quiesce:true rt;
+    Scenario.drain_problems rt
   in
   { sc_name = "dgc3"; sc_spaces = 3; sc_nemesis = []; sc_run = run }
 
@@ -554,8 +512,8 @@ let scenario_lookup ~leak () =
               R.release sp1 h
             with R.Timeout _ | R.Remote_error _ -> ()))
       [ ("client-1", "x"); ("client-2", "y") ];
-    drain rt;
-    drain_problems rt
+    Scenario.drain ~quiesce:true rt;
+    Scenario.drain_problems rt
   in
   {
     sc_name = (if leak then "lookup-leak" else "lookup");
@@ -595,7 +553,7 @@ let scenario_recover () =
     in
     let rt = setup x cfg nemesis in
     let sp0 = R.space rt 0 and sp1 = R.space rt 1 in
-    let a = R.allocate sp0 ~meths:[ R.meth "poke" (fun _sp _r () _w -> ()) ] in
+    let a = Scenario.counter sp0 in
     R.publish sp0 "a" a;
     let survival = ref [] in
     R.spawn rt ~name:"client-1" (fun () ->
@@ -603,11 +561,7 @@ let scenario_recover () =
         | h ->
             (* hold the reference across the owner's crash + recovery *)
             Sched.sleep (R.sched rt) 0.2;
-            (try
-               R.invoke_raw sp1 h ~meth:"poke"
-                 ~encode:(fun _ -> ())
-                 ~decode:(fun _ -> ())
-             with
+            (try ignore (Stub.call sp1 h Scenario.m_incr 1) with
             | R.Remote_error msg ->
                 survival :=
                   Printf.sprintf "held object lost across recovery: %s" msg
@@ -615,8 +569,8 @@ let scenario_recover () =
             | R.Timeout _ -> ());
             R.release sp1 h
         | exception (R.Timeout _ | R.Remote_error _) -> ());
-    drain rt;
-    !survival @ drain_problems rt
+    Scenario.drain ~quiesce:true rt;
+    !survival @ Scenario.drain_problems rt
   in
   { sc_name = "recover"; sc_spaces = 2; sc_nemesis = nemesis; sc_run = run }
 
@@ -676,13 +630,13 @@ let scenario_cycle ~broken () =
         let h_sink = R.lookup sp2 ~at:1 "sink" in
         let h_a = R.lookup sp2 ~at:0 "a" in
         held := Some (h_sink, h_a));
-    drain rt;
+    Scenario.drain ~quiesce:true rt;
     (* the cycle loses its roots; the client's reference keeps it live *)
     R.unpublish sp0 "a";
     R.release sp0 a;
     R.unpublish sp1 "b";
     R.release sp1 b;
-    drain rt;
+    Scenario.drain ~quiesce:true rt;
     (* race: a detector trial vs the third-party transfer into the sink *)
     (match !held with
     | None -> ()
@@ -697,18 +651,18 @@ let scenario_cycle ~broken () =
              with R.Remote_error _ | R.Timeout _ -> ());
             R.release sp2 h_a;
             R.release sp2 h_sink));
-    drain rt;
+    Scenario.drain ~quiesce:true rt;
     (* teardown: the sink goes, then the detector finishes the job *)
     R.unpublish sp1 "sink";
     R.release sp1 sink;
-    drain rt;
+    Scenario.drain ~quiesce:true rt;
     List.iter
       (fun sp ->
         R.spawn rt ~name:"detector-final" (fun () ->
             ignore (R.cycle_collect sp));
-        drain rt)
+        Scenario.drain ~quiesce:true rt)
       [ sp0; sp1 ];
-    drain_problems rt
+    Scenario.drain_problems rt
   in
   {
     sc_name = (if broken then "dgc-cycle-broken" else "dgc-cycle");
@@ -738,27 +692,15 @@ let scenario_call_retry ~bug () =
     let rt = setup x cfg [] in
     let sp0 = R.space rt 0 and sp1 = R.space rt 1 in
     let count = ref 0 in
-    let counter =
-      R.allocate sp0
-        ~meths:
-          [
-            R.meth "incr" (fun _sp _r () ->
-                incr count;
-                fun _w -> ());
-          ]
-    in
-    R.publish sp0 "counter" counter;
+    R.publish sp0 "counter" (Scenario.counter ~value:count sp0);
     R.spawn rt ~name:"client-1" (fun () ->
         match R.lookup sp1 ~at:0 "counter" with
         | h ->
-            (try
-               R.invoke_raw sp1 h ~meth:"incr"
-                 ~encode:(fun _ -> ())
-                 ~decode:(fun _ -> ())
+            (try ignore (Stub.call sp1 h Scenario.m_incr 1)
              with R.Timeout _ | R.Remote_error _ -> ());
             R.release sp1 h
         | exception (R.Timeout _ | R.Remote_error _) -> ());
-    drain rt;
+    Scenario.drain ~quiesce:true rt;
     let dups =
       if !count <= 1 then []
       else
@@ -768,7 +710,7 @@ let scenario_call_retry ~bug () =
             !count;
         ]
     in
-    dups @ drain_problems rt
+    dups @ Scenario.drain_problems rt
   in
   {
     sc_name = (if bug then "call-retry-no-dedup" else "call-retry");

@@ -1,36 +1,7 @@
-type mode = Raw | Compressed | Signed | Encrypted
-
-let mode_to_byte = function
-  | Raw -> 0
-  | Compressed -> 1
-  | Signed -> 2
-  | Encrypted -> 3
-
-let mode_of_byte = function
-  | 0 -> Some Raw
-  | 1 -> Some Compressed
-  | 2 -> Some Signed
-  | 3 -> Some Encrypted
-  | _ -> None
-
-let pp_mode ppf m =
-  Fmt.string ppf
-    (match m with
-    | Raw -> "raw"
-    | Compressed -> "compressed"
-    | Signed -> "signed"
-    | Encrypted -> "encrypted")
-
-exception Unsupported_mode of mode
-
 exception Corrupt of string
 
 let () =
   Printexc.register_printer (function
-    | Unsupported_mode m ->
-        Some
-          (Fmt.str "Frame.Unsupported_mode(%a, flag byte 0x%02x)" pp_mode m
-             (mode_to_byte m))
     | Corrupt msg -> Some (Printf.sprintf "Frame.Corrupt(%s)" msg)
     | _ -> None)
 
@@ -40,25 +11,23 @@ let overhead = 5
 
 module Wire = Netobj_pickle.Wire
 
-(* The length field for a [body_len]-byte body, after refusing what no
-   conforming endpoint may send. *)
-let checked_len mode body_len =
-  (match mode with Raw -> () | m -> raise (Unsupported_mode m));
+(* The length field for a [body_len]-byte body. *)
+let checked_len body_len =
   let len = body_len + 1 in
   if len > max_frame then
     raise (Corrupt (Printf.sprintf "frame too large: %d bytes" len));
   len
 
-let write_header ?(mode = Raw) b off ~body_len =
-  let len = checked_len mode body_len in
+let write_header b off ~body_len =
+  let len = checked_len body_len in
   Bytes.set_int32_be b off (Int32.of_int len);
-  Bytes.set_uint8 b (off + 4) (mode_to_byte mode)
+  Bytes.set_uint8 b (off + 4) 0
 
-let encode ?(mode = Raw) body =
-  let len = checked_len mode (String.length body) in
+let encode body =
+  let len = checked_len (String.length body) in
   Wire.Writer.with_pooled (fun w ->
       Wire.Writer.u32_be w len;
-      Wire.Writer.byte w (mode_to_byte mode);
+      Wire.Writer.byte w 0;
       Wire.Writer.raw w body;
       Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
 
@@ -112,12 +81,11 @@ let next d =
     if pending d < 4 + len then None
     else begin
       let flag = Wire.Reader.byte r in
-      match mode_of_byte flag with
-      | None -> raise (Corrupt (Printf.sprintf "unknown flag byte 0x%02x" flag))
-      | Some mode ->
-          let body = Bytes.sub_string d.buf (d.pos + 5) (len - 1) in
-          d.pos <- d.pos + 4 + len;
-          Some (mode, body)
+      if flag <> 0 then
+        raise (Corrupt (Printf.sprintf "unknown flag byte 0x%02x" flag));
+      let body = Bytes.sub_string d.buf (d.pos + 5) (len - 1) in
+      d.pos <- d.pos + 4 + len;
+      Some body
     end
   end
 

@@ -252,7 +252,7 @@ let start_connect t p =
 
 (* {2 Accounting} — one unit per message, as in [Net].  Per kind, bytes
    are the payload's; in [stats.bytes] they are the frame body's (the
-   payload plus src, dst, count and kind, excluding the 5-byte frame
+   payload plus src, dst and kind, excluding the 5-byte frame
    header). *)
 
 let account_kind t kind len =
@@ -291,21 +291,18 @@ let enqueue t ~dst frame =
     p.p_queued_bytes <- p.p_queued_bytes + String.length frame
   end
 
-(* A frame is built in one buffer of its exact size: header, then the
-   body [uvarint src · uvarint dst · uvarint count · string kind ·
-   string payload], whose length is known before anything is copied.
-   Every frame sent carries one message, so [count] is always 1; the
-   receiver still accepts any count (see [dispatch_body]). *)
+(* A frame carries one message, built in one buffer of its exact size:
+   header, then the body [uvarint src · uvarint dst · string kind ·
+   string payload], whose length is known before anything is copied. *)
 let build_frame ~src ~dst ~kind payload =
   let body_len =
-    Wire.uvarint_size src + Wire.uvarint_size dst + Wire.uvarint_size 1
-    + Wire.string_size kind + Wire.string_size payload
+    Wire.uvarint_size src + Wire.uvarint_size dst + Wire.string_size kind
+    + Wire.string_size payload
   in
   let b = Bytes.create (Frame.overhead + body_len) in
   Frame.write_header b 0 ~body_len;
   let off = Wire.put_uvarint b Frame.overhead src in
   let off = Wire.put_uvarint b off dst in
-  let off = Wire.put_uvarint b off 1 in
   ignore (Wire.put_string b (Wire.put_string b off kind) payload);
   (body_len, Bytes.unsafe_to_string b)
 
@@ -335,56 +332,46 @@ let delivery_name t ~src ~dst kind =
       if Hashtbl.length t.names < max_names then Hashtbl.add t.names key name;
       name
 
-(* The body is parsed whole — src, dst, count, every submessage and
-   nothing after them — before a route is learned or any delivery
-   spawned, so a malformed body acts on nothing: it raises
-   [Frame.Corrupt] and the connection dies like any unparseable stream. *)
+(* The body is parsed whole — src, dst, kind, payload and nothing
+   after them — before a route is learned or the delivery spawned, so a
+   malformed body acts on nothing: it raises [Frame.Corrupt] and the
+   connection dies like any unparseable stream.  Returns the messages
+   dispatched (0 or 1). *)
 let dispatch_body t ?learn_fd body =
   let r = Wire.Reader.of_string body in
-  let src, dst, count, first =
+  let src, dst, kind, off, len =
     try
       let src = Wire.Reader.uvarint r in
       let dst = Wire.Reader.uvarint r in
-      let count = Wire.Reader.uvarint r in
-      let first = Wire.Reader.pos r in
-      for _ = 1 to count do
-        Wire.Reader.skip r (Wire.Reader.uvarint r);
-        Wire.Reader.skip r (Wire.Reader.uvarint r)
-      done;
+      let kind = Wire.Reader.string r in
+      let len = Wire.Reader.uvarint r in
+      let off = Wire.Reader.pos r in
+      Wire.Reader.skip r len;
       if not (Wire.Reader.at_end r) then
-        Wire.Reader.fail r "trailing bytes after the submessages";
-      (src, dst, count, first)
+        Wire.Reader.fail r "trailing bytes after the message";
+      (src, dst, kind, off, len)
     with Wire.Error { pos; msg } ->
       raise (Frame.Corrupt (Printf.sprintf "bad frame body at %d: %s" pos msg))
   in
   (match learn_fd with Some fd -> learn t ~src fd | None -> ());
-  let r = Wire.Reader.of_string body in
-  Wire.Reader.skip r first;
-  let n = ref 0 in
-  for _ = 1 to count do
-    let kind = Wire.Reader.string r in
-    let len = Wire.Reader.uvarint r in
-    let off = Wire.Reader.pos r in
-    Wire.Reader.skip r len;
-    match Hashtbl.find_opt t.handlers dst with
-    | None -> drop t
-    | Some h ->
-        t.delivered <- t.delivered + 1;
-        if Obs.on () then Metrics.incr m_delivered;
-        incr n;
-        Sched.spawn t.sched ~name:(delivery_name t ~src ~dst kind) (fun () ->
-            h ~src ~kind ~payload:body ~off ~len)
-  done;
-  !n
+  match Hashtbl.find_opt t.handlers dst with
+  | None ->
+      drop t;
+      0
+  | Some h ->
+      t.delivered <- t.delivered + 1;
+      if Obs.on () then Metrics.incr m_delivered;
+      Sched.spawn t.sched ~name:(delivery_name t ~src ~dst kind) (fun () ->
+          h ~src ~kind ~payload:body ~off ~len);
+      1
 
 let drain_decoder t ?learn_fd dec =
   let n = ref 0 in
   let rec loop () =
     match Frame.next dec with
-    | Some (Frame.Raw, body) ->
+    | Some body ->
         n := !n + dispatch_body t ?learn_fd body;
         loop ()
-    | Some (m, _) -> raise (Frame.Unsupported_mode m)
     | None -> ()
   in
   loop ();
@@ -407,7 +394,7 @@ let read_into t ?learn_fd fd dec =
           drain_decoder t ?learn_fd dec
         with
         | k -> if n < cap then (dispatched + k, true) else loop (dispatched + k)
-        | exception (Frame.Corrupt _ | Frame.Unsupported_mode _) ->
+        | exception Frame.Corrupt _ ->
             (* A stream we cannot parse is a dead stream. *)
             (dispatched, false))
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->

@@ -8,16 +8,15 @@
     the drained peers, runs one [select] round (up to the given
     wall-clock timeout), accepts and reads, then writes the peers that
     became writable.  Reads reassemble frames across arbitrary packet
-    boundaries and dispatch each submessage in a fresh scheduler fiber.
+    boundaries and dispatch each message in a fresh scheduler fiber.
     A body that does not parse whole is acted on not at all: it closes
     its connection like a corrupt frame header does.
 
-    On the wire every payload is a {!Frame}: [u32 BE length], a mode
-    flag byte ([Raw] today), then a body of
-    [uvarint src · uvarint dst · uvarint count ·
-    count × (string kind · string payload)].  Every send is one frame
-    with [count = 1]; batching happens below the frame, in the gathered
-    write.  A receiver still accepts and dispatches any [count].
+    On the wire every message is one {!Frame}: [u32 BE length], the
+    flag byte [0x00], then a body of
+    [uvarint src · uvarint dst · string kind · string payload] with
+    nothing after it.  Batching happens below the frame, in the
+    gathered write.
 
     Each pump writes a peer's queued frames with one [write]: they are
     gathered into one reused 64 KiB buffer, and a frame too big to fit

@@ -3,23 +3,12 @@
    final state to the unbatched protocol. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 module Transport = Netobj_transport.Transport
-
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
 
 let no_failures rt =
   match Sched.failures (R.sched rt) with
@@ -36,13 +25,13 @@ let run_churn ~batch ~k =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let objs = List.init k (fun i -> (i, counter_obj owner)) in
+  let objs = List.init k (fun i -> (i, Scenario.counter owner)) in
   List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
   R.spawn rt (fun () ->
       List.iter
         (fun (i, _) ->
           let h = R.lookup client ~at:0 (Printf.sprintf "o%d" i) in
-          ignore (Stub.call client h m_incr 1);
+          ignore (Stub.call client h Scenario.m_incr 1);
           R.release client h)
         objs);
   ignore (R.run rt);
@@ -78,14 +67,14 @@ let test_batch_window_cancellation () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let a = counter_obj owner and b = counter_obj owner in
+  let a = Scenario.counter owner and b = Scenario.counter owner in
   R.publish owner "a" a;
   R.publish owner "b" b;
   R.spawn rt (fun () ->
       let ha = R.lookup client ~at:0 "a" in
       let hb = R.lookup client ~at:0 "b" in
-      ignore (Stub.call client ha m_incr 1);
-      ignore (Stub.call client hb m_incr 1);
+      ignore (Stub.call client ha Scenario.m_incr 1);
+      ignore (Stub.call client hb Scenario.m_incr 1);
       R.release client ha;
       R.release client hb);
   ignore (R.run rt);
@@ -94,7 +83,7 @@ let test_batch_window_cancellation () =
   R.collect client;
   R.spawn rt (fun () ->
       let ha = R.lookup client ~at:0 "a" in
-      ignore (Stub.call client ha m_incr 1);
+      ignore (Stub.call client ha Scenario.m_incr 1);
       R.retain client ha;
       ignore ha);
   ignore (R.run ~until:0.5 rt);
@@ -110,14 +99,14 @@ let test_batch_multi_owner () =
   in
   let rt = R.create cfg in
   let o1 = R.space rt 0 and o2 = R.space rt 1 and client = R.space rt 2 in
-  let a = counter_obj o1 and b = counter_obj o2 in
+  let a = Scenario.counter o1 and b = Scenario.counter o2 in
   R.publish o1 "a" a;
   R.publish o2 "b" b;
   R.spawn rt (fun () ->
       let ha = R.lookup client ~at:0 "a" in
       let hb = R.lookup client ~at:1 "b" in
-      ignore (Stub.call client ha m_incr 1);
-      ignore (Stub.call client hb m_incr 1);
+      ignore (Stub.call client ha Scenario.m_incr 1);
+      ignore (Stub.call client hb Scenario.m_incr 1);
       R.release client ha;
       R.release client hb);
   ignore (R.run rt);
@@ -143,7 +132,7 @@ let test_third_party_sound () =
   let cfg = R.config ~seed:29L ~nspaces:3 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let wr = R.wirerep counter in
   R.publish owner "counter" counter;
   let stored = ref None in
@@ -178,7 +167,7 @@ let test_ack_elision () =
   let cfg = R.config ~seed:31L ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   let href = ref None in
   R.spawn rt (fun () -> href := Some (R.lookup client ~at:0 "c"));
@@ -188,7 +177,7 @@ let test_ack_elision () =
   R.spawn rt (fun () ->
       let h = Option.get !href in
       for _ = 1 to 10 do
-        ignore (Stub.call client h m_incr 1)
+        ignore (Stub.call client h Scenario.m_incr 1)
       done);
   ignore (R.run rt);
   no_failures rt;
@@ -205,11 +194,11 @@ let test_batch_clean_retried () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let o = counter_obj owner in
+  let o = Scenario.counter owner in
   R.publish owner "o" o;
   R.spawn rt (fun () ->
       let h = R.lookup client ~at:0 "o" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   ignore (R.run rt);
   no_failures rt;

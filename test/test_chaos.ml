@@ -5,6 +5,7 @@
 
 module Chaos = Netobj_chaos.Chaos
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
@@ -76,18 +77,6 @@ let test_determinism () =
 
 (* --- epoch-stamped restart ------------------------------------------------ *)
 
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
-
 (* Owner restarts while a client holds a surrogate: the client's next
    call is rejected by the new incarnation (stale dst epoch), the reject
    reply teaches the client the new epoch, the stale surrogate is
@@ -100,24 +89,25 @@ let test_epoch_restart_recovery () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   let first_failed = ref None and reimport_ok = ref false in
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      Alcotest.(check int) "call before restart" 1 (Stub.call client s m_incr 1);
+      Alcotest.(check int) "call before restart" 1
+        (Stub.call client s Scenario.m_incr 1);
       Sched.sleep (R.sched rt) 5.0;
       (* owner has restarted by now (t=5): the old surrogate must fail *)
-      (match Stub.call client s m_incr 1 with
+      (match Stub.call client s Scenario.m_incr 1 with
       | _ -> ()
       | exception R.Timeout _ -> first_failed := Some `Timeout
       | exception R.Remote_error _ -> first_failed := Some `Remote_error);
       R.release client s;
       (* a fresh import reaches the new incarnation *)
-      let h2 = counter_obj owner in
+      let h2 = Scenario.counter owner in
       R.publish owner "c2" h2;
       let s2 = R.lookup client ~at:0 "c2" in
-      reimport_ok := Stub.call client s2 m_incr 5 = 5;
+      reimport_ok := Stub.call client s2 Scenario.m_incr 5 = 5;
       R.release client s2);
   Sched.timer (R.sched rt) 2.0 (fun () -> R.crash rt 0);
   Sched.timer (R.sched rt) 3.0 (fun () -> R.restart rt 0);
@@ -153,7 +143,7 @@ let retries_with ~backoff ~backoff_cap =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   Transport.set_partitioned (R.transport rt) 0 1 true;
   R.spawn rt (fun () ->
@@ -181,11 +171,11 @@ let test_clean_retry_no_resend () =
   let cfg = R.config ~seed:17L ~clean_retry:0.5 ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client s m_incr 1);
+      ignore (Stub.call client s Scenario.m_incr 1);
       R.release client s);
   ignore (R.run ~until:2.0 rt);
   R.collect client;
@@ -205,11 +195,11 @@ let test_clean_retry_stops_after_ack () =
   let cfg = R.config ~seed:17L ~clean_retry:0.5 ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client s m_incr 1);
+      ignore (Stub.call client s Scenario.m_incr 1);
       R.release client s);
   ignore (R.run ~until:2.0 rt);
   Transport.set_partitioned (R.transport rt) 0 1 true;
@@ -228,6 +218,66 @@ let test_clean_retry_stops_after_ack () =
   let steps = R.run ~max_steps:50 rt in
   Alcotest.(check int) "scheduler idle after ack" 0 steps;
   Alcotest.(check (list string)) "consistent" [] (R.check_consistency rt)
+
+(* --- the scenario kit's drain oracle ------------------------------------ *)
+
+(* Two spaces, a counter published at space 0.  A lost reply's pin is
+   released after a second. *)
+let kit_world ?bug_lookup_leak () =
+  let rt =
+    R.create
+      (R.config ~seed:1L ~nspaces:2
+         ~edge:(Net.bag_edge ~lo:0.005 ~hi:0.005 ())
+         ~call_timeout:0.05 ~pin_timeout:1.0 ?bug_lookup_leak ())
+  in
+  R.publish (R.space rt 0) "c" (Scenario.counter (R.space rt 0));
+  rt
+
+let test_kit_clean () =
+  let rt = kit_world () in
+  R.spawn rt ~name:"client" (fun () ->
+      let sp = R.space rt 1 in
+      let h = R.lookup sp ~at:0 "c" in
+      ignore (Stub.call sp h Scenario.m_incr 1);
+      R.release sp h);
+  Scenario.drain ~quiesce:true rt;
+  Alcotest.(check (list string)) "nothing reported" []
+    (Scenario.drain_problems rt @ Scenario.safety_problems rt)
+
+let test_kit_fiber_raised () =
+  let rt = kit_world () in
+  R.spawn rt ~name:"doomed" (fun () -> failwith "boom");
+  Scenario.drain ~quiesce:true rt;
+  Alcotest.(check (list string)) "the dead fiber"
+    [ "fiber doomed raised Failure(\"boom\")" ]
+    (Scenario.drain_problems rt)
+
+(* The historical lookup leak (bug_lookup_leak): the lookup's reply is
+   lost, the call times out, and the agent surrogate stays rooted.  The
+   oracle reports it with the text mc.t's counterexample pins. *)
+let test_kit_undrained () =
+  let rt = kit_world ~bug_lookup_leak:true () in
+  let lost = ref false in
+  Transport.set_filter (R.transport rt)
+    (Some
+       (fun ~src:_ ~dst:_ ~kind ->
+         if kind = "reply" && not !lost then begin
+           lost := true;
+           false
+         end
+         else true));
+  R.spawn rt ~name:"client" (fun () ->
+      match R.lookup (R.space rt 1) ~at:0 "c" with
+      | h -> R.release (R.space rt 1) h
+      | exception R.Timeout _ -> ());
+  Scenario.drain ~quiesce:true rt;
+  Alcotest.(check bool) "the reply was lost" true !lost;
+  Alcotest.(check (list string)) "the leaked agent surrogate"
+    [
+      "space 1: 1 surrogate(s) failed to drain";
+      "  wr=0.0 state=Usable{sched=false} roots=1 pins=0";
+    ]
+    (Scenario.drain_problems rt)
 
 let () =
   Alcotest.run "chaos"
@@ -252,5 +302,11 @@ let () =
             test_clean_retry_no_resend;
           Alcotest.test_case "clean retries stop at ack" `Quick
             test_clean_retry_stops_after_ack;
+        ] );
+      ( "kit oracle",
+        [
+          Alcotest.test_case "clean run" `Quick test_kit_clean;
+          Alcotest.test_case "fiber raised" `Quick test_kit_fiber_raised;
+          Alcotest.test_case "undrained surrogate" `Quick test_kit_undrained;
         ] );
     ]

@@ -3,23 +3,10 @@
    garbage ones and never a live one. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
-
-let m_set_peer = Stub.declare "set_peer" R.handle_codec P.unit
-
-let node_obj sp =
-  let rec node =
-    lazy
-      (R.allocate sp
-         ~meths:
-           [
-             Stub.implement m_set_peer (fun sp' h ->
-                 R.link sp' ~parent:(Lazy.force node) ~child:h);
-           ])
-  in
-  Lazy.force node
 
 let no_failures rt =
   match Sched.failures (R.sched rt) with
@@ -33,25 +20,13 @@ let build_ring ?cfg ~n ~k () =
     R.create
       (match cfg with Some c -> c | None -> R.config ~seed:5L ~nspaces:n ())
   in
-  let nodes =
-    List.init k (fun i ->
-        let sp = R.space rt (i mod n) in
-        let node = node_obj sp in
-        R.publish sp (Printf.sprintf "node%d" i) node;
-        (sp, node))
-  in
-  (* link node i -> node i+1 (mod k) *)
-  List.iteri
-    (fun i (sp, node) ->
-      let j = (i + 1) mod k in
-      R.spawn rt (fun () ->
-          let peer = R.lookup sp ~at:(j mod n) (Printf.sprintf "node%d" j) in
-          Stub.call sp node m_set_peer peer;
-          R.release sp peer))
-    nodes;
+  (* node i -> node i+1 (mod k) *)
+  let nodes = Array.to_list (Scenario.ring rt ~nodes:k) in
   ignore (R.run rt);
   no_failures rt;
   (rt, nodes)
+
+let drain rt = Scenario.drain ~rounds:5 ~pending:(fun () -> true) rt
 
 let drop_all_roots rt nodes =
   List.iteri
@@ -59,10 +34,7 @@ let drop_all_roots rt nodes =
       R.unpublish sp (Printf.sprintf "node%d" i);
       R.release sp node)
     nodes;
-  for _ = 1 to 5 do
-    R.collect_all rt;
-    ignore (R.run rt)
-  done
+  drain rt
 
 let resident_count nodes =
   List.length
@@ -86,12 +58,6 @@ let detector_pass rt =
   ignore (R.run rt);
   no_failures rt;
   !total
-
-let drain rt =
-  for _ = 1 to 5 do
-    R.collect_all rt;
-    ignore (R.run rt)
-  done
 
 (* Run passes interleaved with drains until a pass commits nothing (or
    the round budget runs out): a committed cycle can expose new
@@ -258,7 +224,7 @@ let prop_detector_vs_tracer =
                 let peer =
                   R.lookup sp ~at:(j mod n) (Printf.sprintf "node%d" j)
                 in
-                Stub.call sp node m_set_peer peer;
+                Stub.call sp node Scenario.m_set_peer peer;
                 R.release sp peer);
             ignore (R.run rt);
             no_failures rt
@@ -329,7 +295,7 @@ let test_live_cycle_kept () =
 let test_global_subsumes_acyclic () =
   let rt = R.create (R.config ~seed:9L ~nspaces:2 ()) in
   let a = R.space rt 0 in
-  let dead = node_obj a in
+  let dead = Scenario.node a in
   let wr = R.wirerep dead in
   R.release a dead;
   Alcotest.(check bool) "resident before" true (R.resident a wr);
@@ -346,7 +312,7 @@ let test_global_keeps_published () =
   let sp0, node0 = List.hd nodes in
   R.spawn rt (fun () ->
       let peer = R.lookup sp0 ~at:1 "node1" in
-      Stub.call sp0 node0 m_set_peer peer;
+      Stub.call sp0 node0 Scenario.m_set_peer peer;
       R.release sp0 peer);
   ignore (R.run rt);
   no_failures rt

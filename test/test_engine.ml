@@ -14,6 +14,7 @@
    oracles and per-space table/dirty-set invariants. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Engine_domains = Netobj_engine.Engine_domains
 module Sched = Netobj_sched.Sched
@@ -27,24 +28,9 @@ module Tcp = Netobj_transport.Tcp
    cross-domain protocol untested. *)
 let () = Unix.putenv "NETOBJ_DOMAINS_POOL" "4"
 
-let m_incr = Stub.declare "incr" P.int P.int
-
-let m_get = Stub.declare "get" P.unit P.int
-
 let m_put = Stub.declare "put" R.handle_codec P.unit
 
 let m_fetch = Stub.declare "fetch" P.unit R.handle_codec
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-        Stub.implement m_get (fun _ () -> !v);
-      ]
 
 let cell_obj sp =
   let stored = ref None in
@@ -103,14 +89,14 @@ let test_lookup_invoke () =
   Alcotest.(check int) "4 shards" 4 (R.nshards rt);
   Alcotest.(check string) "engine name" "domains" (R.engine_name rt);
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   let results = ref [] and finished = ref false in
   R.spawn_at rt ~space:1 (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      results := ("incr1", Stub.call client h m_incr 5) :: !results;
-      results := ("incr2", Stub.call client h m_incr 2) :: !results;
-      results := ("get", Stub.call client h m_get ()) :: !results;
+      results := ("incr1", Stub.call client h Scenario.m_incr 5) :: !results;
+      results := ("incr2", Stub.call client h Scenario.m_incr 2) :: !results;
+      results := ("get", Stub.call client h Scenario.m_get ()) :: !results;
       (match R.lookup client ~at:0 "missing" with
       | _ -> Alcotest.fail "missing binding found?!"
       | exception R.Remote_error _ -> ());
@@ -130,7 +116,7 @@ let test_transfer () =
   let owner = R.space rt 0
   and client = R.space rt 1
   and keeper = R.space rt 2 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let cell = cell_obj keeper in
   R.publish owner "counter" counter;
   R.publish keeper "cell" cell;
@@ -138,10 +124,10 @@ let test_transfer () =
   R.spawn_at rt ~space:1 (fun () ->
       let hc = R.lookup client ~at:0 "counter" in
       let hcell = R.lookup client ~at:2 "cell" in
-      ignore (Stub.call client hc m_incr 3);
+      ignore (Stub.call client hc Scenario.m_incr 3);
       Stub.call client hcell m_put hc;
       let hc2 = Stub.call client hcell m_fetch () in
-      fetched := Stub.call client hc2 m_incr 4;
+      fetched := Stub.call client hc2 Scenario.m_incr 4;
       R.release client hc;
       R.release client hc2;
       R.release client hcell;
@@ -160,12 +146,12 @@ let test_transfer () =
 let test_release_drains () =
   let rt = R.create (domains_config ~nspaces:2 ~domains:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   let finished = ref false in
   R.spawn_at rt ~space:1 (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.release client h;
       R.collect client;
       finished := true);
@@ -182,13 +168,14 @@ let test_release_drains () =
 let test_crash_restart () =
   let rt = R.create (domains_config ~timeouts:true ~nspaces:2 ~domains:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   let h = ref None and finished = ref false in
   R.spawn_at rt ~space:1 (fun () ->
       let h' = R.lookup client ~at:0 "counter" in
       h := Some h';
-      Alcotest.(check int) "before crash" 1 (Stub.call client h' m_incr 1);
+      Alcotest.(check int) "before crash" 1
+        (Stub.call client h' Scenario.m_incr 1);
       finished := true);
   drive rt (fun () -> !finished);
   check_failures rt;
@@ -197,7 +184,7 @@ let test_crash_restart () =
   R.crash rt 0;
   let failed = ref false and finished = ref false in
   R.spawn_at rt ~space:1 (fun () ->
-      (match Stub.call client h m_incr 1 with
+      (match Stub.call client h Scenario.m_incr 1 with
       | _ -> ()
       | exception (R.Remote_error _ | R.Timeout _) -> failed := true);
       finished := true);
@@ -207,18 +194,18 @@ let test_crash_restart () =
   Alcotest.(check int) "owner epoch bumped" 1 (R.epoch owner);
   (* The stale surrogate must be rejected by the new incarnation; a
      fresh import must answer. *)
-  let counter' = counter_obj owner in
+  let counter' = Scenario.counter owner in
   R.publish owner "counter2" counter';
   let stale_failed = ref false
   and fresh = ref 0
   and finished = ref false in
   R.spawn_at rt ~space:1 (fun () ->
-      (match Stub.call client h m_incr 1 with
+      (match Stub.call client h Scenario.m_incr 1 with
       | _ -> ()
       | exception (R.Remote_error _ | R.Timeout _) -> stale_failed := true);
       R.release client h;
       let h' = R.lookup client ~at:0 "counter2" in
-      fresh := Stub.call client h' m_incr 1;
+      fresh := Stub.call client h' Scenario.m_incr 1;
       R.release client h';
       finished := true);
   drive rt (fun () -> !finished);
@@ -228,16 +215,6 @@ let test_crash_restart () =
 
 (* --- scenario: domains x TCP ----------------------------------------------- *)
 
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false)
-
 (* Two shards, four spaces, each shard's own [Tcp] serving its block of
    spaces on loopback.  With a custom transport the engine has no hub,
    so it falls back to polling each shard's transport and detecting
@@ -246,7 +223,7 @@ let free_port () =
    the sockets.  Skipped where loopback is unavailable. *)
 let test_domains_tcp () =
   let nspaces = 4 and nshards = 2 in
-  match List.init nspaces (fun _ -> free_port ()) with
+  match List.init nspaces (fun _ -> Scenario.free_port ()) with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "skipping: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
@@ -283,13 +260,13 @@ let test_domains_tcp () =
             (fun () ->
               Alcotest.(check int) "2 shards" nshards (R.nshards rt);
               let owner = R.space rt 0 and client = R.space rt 2 in
-              let counter = counter_obj owner in
+              let counter = Scenario.counter owner in
               R.publish owner "counter" counter;
               let last = ref 0 and finished = ref false in
               R.spawn_at rt ~space:2 (fun () ->
                   let h = R.lookup client ~at:0 "counter" in
                   for _ = 1 to 100 do
-                    last := Stub.call client h m_incr 1
+                    last := Stub.call client h Scenario.m_incr 1
                   done;
                   R.release client h;
                   R.collect client;
@@ -340,7 +317,7 @@ let storm_prop (seed, nspaces, domains, calls) =
   let counters =
     Array.init nspaces (fun i ->
         let sp = R.space rt i in
-        let c = counter_obj sp in
+        let c = Scenario.counter sp in
         R.publish sp (Printf.sprintf "cnt-%d" i) c;
         c)
   in
@@ -362,7 +339,7 @@ let storm_prop (seed, nspaces, domains, calls) =
           match List.nth handles j with
           | None -> ()
           | Some h ->
-              ignore (Stub.call sp h m_incr 1);
+              ignore (Stub.call sp h Scenario.m_incr 1);
               sent.(i) <- sent.(i) + 1
         done;
         List.iter (function None -> () | Some h -> R.release sp h) handles;
@@ -396,7 +373,7 @@ let storm_prop (seed, nspaces, domains, calls) =
   let reads_done = Array.make nspaces false in
   for i = 0 to nspaces - 1 do
     R.spawn_at rt ~space:i (fun () ->
-        values.(i) <- Stub.call (R.space rt i) counters.(i) m_get ();
+        values.(i) <- Stub.call (R.space rt i) counters.(i) Scenario.m_get ();
         reads_done.(i) <- true)
   done;
   let t0 = Unix.gettimeofday () in

@@ -264,6 +264,7 @@ let test_upper_lower_branches () =
    edge latency (1-10 ms) is negligible against the period. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
@@ -278,18 +279,6 @@ let partition_window rt a b ~after ~duration =
       Transport.set_partitioned tr a b true);
   Sched.timer sched ~name:"net-heal" (after +. duration) (fun () ->
       Transport.set_partitioned tr a b false)
-
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
 
 (* Client 1 imports the owner's counter at t=0 and holds it throughout;
    the 0-1 edge is partitioned over [4.4, 4.4 + duration].  Returns the
@@ -306,11 +295,11 @@ let lease_scenario ?(lease_grace = 0.0) ~duration () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client s m_incr 1)
+      ignore (Stub.call client s Scenario.m_incr 1)
       (* [s] stays rooted: the client is alive and interested the whole
          time, only the network misbehaves. *));
   partition_window rt 0 1 ~after:4.4 ~duration;

@@ -7,6 +7,7 @@ module Trace = Netobj_obs.Trace
 module Metrics = Netobj_obs.Metrics
 module Json = Netobj_obs.Json
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module P = Netobj_pickle.Pickle
 
@@ -444,18 +445,6 @@ let json_roundtrip_prop =
    as a regression oracle: any nondeterminism smuggled into a traced
    code path fails this test. *)
 
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
-
 let traced_run () =
   Obs.enable ~capacity:16384 ();
   let cfg =
@@ -463,14 +452,14 @@ let traced_run () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   for i = 1 to 2 do
     R.spawn rt (fun () ->
         let sp = R.space rt i in
         let h = R.lookup sp ~at:0 "c" in
         for _ = 1 to 3 do
-          ignore (Stub.call sp h m_incr 1)
+          ignore (Stub.call sp h Scenario.m_incr 1)
         done;
         R.release sp h)
   done;
@@ -495,12 +484,12 @@ let test_disabled_emits_nothing () =
   let before = Trace.length (Obs.trace ()) in
   let rt = R.create (R.config ~seed:3L ~nspaces:2 ()) in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   R.spawn rt (fun () ->
       let sp = R.space rt 1 in
       let h = R.lookup sp ~at:0 "c" in
-      ignore (Stub.call sp h m_incr 1);
+      ignore (Stub.call sp h Scenario.m_incr 1);
       R.release sp h);
   ignore (R.run rt);
   Alcotest.(check int)

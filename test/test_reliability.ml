@@ -6,6 +6,7 @@
    simulated network and real TCP loopback. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Sched = Netobj_sched.Sched
@@ -13,8 +14,6 @@ module Transport = Netobj_transport.Transport
 module Tcp = Netobj_transport.Tcp
 module Faulty = Netobj_transport.Faulty
 module P = Netobj_pickle.Pickle
-
-let m_incr = Stub.declare "incr" P.int P.int
 
 let m_slow = Stub.declare "slow" P.int P.int
 
@@ -36,11 +35,7 @@ let in_fiber rt f =
   | Some v -> v
   | None -> Alcotest.fail "fiber did not complete"
 
-let drain rt =
-  for _ = 1 to 6 do
-    R.collect_all rt;
-    ignore (R.run rt)
-  done
+let drain rt = Scenario.drain ~rounds:6 ~pending:(fun () -> true) rt
 
 let edge () = Net.bag_edge ~lo:0.005 ~hi:0.005 ()
 
@@ -76,8 +71,7 @@ let test_timeout_payload () =
          ~call_retries:2 ())
   in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  R.publish owner "c"
-    (R.allocate owner ~meths:[ Stub.implement m_incr (fun _ n -> n + 1) ]);
+  R.publish owner "c" (Scenario.counter owner);
   let tr = R.transport rt in
   let sched = R.sched rt in
   let msg =
@@ -88,7 +82,7 @@ let test_timeout_payload () =
           ~until:(Sched.now sched +. 0.5)
           ();
         let msg =
-          match Stub.call client h m_incr 1 with
+          match Stub.call client h Scenario.m_incr 1 with
           | _ -> Alcotest.fail "call succeeded with every attempt lost"
           | exception R.Timeout msg -> msg
         in
@@ -117,7 +111,7 @@ let test_retry_and_dedup () =
     (R.allocate owner
        ~meths:
          [
-           Stub.implement m_incr (fun _ n ->
+           Stub.implement Scenario.m_incr (fun _ n ->
                incr execs;
                n + 1);
          ]);
@@ -129,14 +123,16 @@ let test_retry_and_dedup () =
       Transport.set_burst tr ~src:1 ~dst:0 ~loss:1.0
         ~until:(Sched.now sched +. 0.02)
         ();
-      Alcotest.(check int) "lost call answered" 42 (Stub.call client h m_incr 41);
+      Alcotest.(check int) "lost call answered" 42
+        (Stub.call client h Scenario.m_incr 41);
       Alcotest.(check int) "executed once" 1 !execs;
       Alcotest.(check int) "one retransmit" 1 (R.call_stats client).R.c_retried;
       (* the Reply is lost; the retransmit must hit the reply cache *)
       Transport.set_burst tr ~src:0 ~dst:1 ~loss:1.0
         ~until:(Sched.now sched +. 0.02)
         ();
-      Alcotest.(check int) "lost reply answered" 99 (Stub.call client h m_incr 98);
+      Alcotest.(check int) "lost reply answered" 99
+        (Stub.call client h Scenario.m_incr 98);
       Alcotest.(check int) "not re-executed" 2 !execs;
       Alcotest.(check int) "replayed from cache" 1
         (R.call_stats owner).R.c_deduped;
@@ -369,24 +365,16 @@ let test_lookup_release_tcp () =
       Printf.printf "skipping tcp side: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
   | rt ->
-      let tr = R.transport rt in
       let sched = R.sched rt in
-      (* interleave short virtual-time slices with socket pumping; the
-         virtual clock only moves to timer deadlines, so nudge it when
-         both clocks stall (same drive as the conformance suite) *)
+      (* one virtual second of the socket drive *)
       let slice () =
         let stop = Sched.now sched +. 1.0 in
-        let t0 = Unix.gettimeofday () in
-        while Sched.now sched < stop && Unix.gettimeofday () -. t0 < 10.0 do
-          let before = Sched.now sched in
-          ignore (R.run ~until:(before +. 0.05) rt);
-          let n = Transport.pump tr ~timeout:0.002 in
-          if n = 0 && Sched.now sched = before then
-            Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-        done
+        Scenario.drive ~pump:0.002 rt
+          ~deadline:(Unix.gettimeofday () +. 10.0)
+          ~stop:(fun () -> Sched.now sched >= stop)
       in
       Fun.protect
-        ~finally:(fun () -> Transport.close tr)
+        ~finally:(fun () -> Transport.close (R.transport rt))
         (fun () -> lookup_timeout_script rt slice)
 
 let () =

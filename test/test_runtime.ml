@@ -3,6 +3,7 @@
    transfers), and the integrated distributed garbage collector. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Wirerep = Netobj_core.Wirerep
 module Sched = Netobj_sched.Sched
@@ -10,24 +11,9 @@ module P = Netobj_pickle.Pickle
 
 (* --- shared interfaces --------------------------------------------------- *)
 
-let m_incr = Stub.declare "incr" P.int P.int (* add n, return new value *)
-
-let m_get = Stub.declare "get" P.unit P.int
-
 let m_put = Stub.declare "put" R.handle_codec P.unit (* store a reference *)
 
 let m_fetch = Stub.declare "fetch" P.unit R.handle_codec
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-        Stub.implement m_get (fun _ () -> !v);
-      ]
 
 (* A cell object that can hold a reference to another network object,
    linking it into the local heap so it stays reachable. *)
@@ -77,13 +63,13 @@ let make ?(n = 3) ?(seed = 7L) () = R.create (R.config ~seed ~nspaces:n ())
 let test_basic_rpc () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      Alcotest.(check int) "incr 5" 5 (Stub.call client h m_incr 5);
-      Alcotest.(check int) "incr 2" 7 (Stub.call client h m_incr 2);
-      Alcotest.(check int) "get" 7 (Stub.call client h m_get ());
+      Alcotest.(check int) "incr 5" 5 (Stub.call client h Scenario.m_incr 5);
+      Alcotest.(check int) "incr 2" 7 (Stub.call client h Scenario.m_incr 2);
+      Alcotest.(check int) "get" 7 (Stub.call client h Scenario.m_get ());
       (* The owner sees the client in the dirty set. *)
       Alcotest.(check (list int)) "dirty set" [ 1 ] (R.dirty_set owner counter);
       R.release client h)
@@ -91,15 +77,17 @@ let test_basic_rpc () =
 let test_local_invoke () =
   let rt = make () in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   in_fiber rt (fun () ->
-      Alcotest.(check int) "local incr" 3 (Stub.call owner counter m_incr 3);
-      Alcotest.(check int) "local get" 3 (Stub.call owner counter m_get ()))
+      Alcotest.(check int) "local incr" 3
+        (Stub.call owner counter Scenario.m_incr 3);
+      Alcotest.(check int) "local get" 3
+        (Stub.call owner counter Scenario.m_get ()))
 
 let test_unknown_method () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
@@ -120,12 +108,12 @@ let test_unknown_name () =
 let test_gc_reclaims_dropped () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let wr = R.wirerep counter in
   R.publish owner "counter" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      Alcotest.(check int) "warm" 1 (Stub.call client h m_incr 1);
+      Alcotest.(check int) "warm" 1 (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   (* Client's collector finds the surrogate unreachable, cleans. *)
   R.collect (R.space rt 1);
@@ -135,7 +123,7 @@ let test_gc_reclaims_dropped () =
   Alcotest.(check bool) "still resident" true (R.resident owner wr);
   (* Owner lets go: unpublish by releasing the root and collecting.
      (The agent also linked it when published; republish over it.) *)
-  R.publish owner "counter" (counter_obj owner);
+  R.publish owner "counter" (Scenario.counter owner);
   R.release owner counter;
   R.collect owner;
   Alcotest.(check bool) "reclaimed at owner" false (R.resident owner wr)
@@ -144,23 +132,25 @@ let test_gc_reclaims_dropped () =
 let test_gc_remote_keeps_alive () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let wr = R.wirerep counter in
   R.publish owner "tmp" counter;
   let h =
     in_fiber rt (fun () ->
         let h = R.lookup client ~at:0 "tmp" in
-        Alcotest.(check int) "reachable" 1 (Stub.call client h m_incr 1);
+        Alcotest.(check int) "reachable" 1
+          (Stub.call client h Scenario.m_incr 1);
         h)
   in
   (* Owner drops all local interest. *)
-  R.publish owner "tmp" (counter_obj owner);
+  R.publish owner "tmp" (Scenario.counter owner);
   R.release owner counter;
   R.collect owner;
   Alcotest.(check bool)
     "remote ref keeps object resident" true (R.resident owner wr);
   in_fiber rt (fun () ->
-      Alcotest.(check int) "still callable" 2 (Stub.call client h m_incr 1);
+      Alcotest.(check int) "still callable" 2
+        (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   R.collect (R.space rt 1);
   ignore (R.run rt);
@@ -172,7 +162,7 @@ let test_gc_remote_keeps_alive () =
 let test_third_party_transfer () =
   let rt = make ~n:3 () in
   let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let wr = R.wirerep counter in
   R.publish owner "counter" counter;
   let cell = cell_obj c in
@@ -192,7 +182,8 @@ let test_third_party_transfer () =
   (* And it works: fetch it back on space 2 and call through it. *)
   in_fiber rt (fun () ->
       let h = Stub.call c cell m_fetch () in
-      Alcotest.(check int) "callable via third party" 1 (Stub.call c h m_incr 1);
+      Alcotest.(check int) "callable via third party" 1
+        (Stub.call c h Scenario.m_incr 1);
       R.release c h);
   Alcotest.(check bool) "resident" true (R.resident owner wr)
 
@@ -202,7 +193,7 @@ let test_third_party_transfer () =
 let test_transmit_pin () =
   let rt = make ~n:3 () in
   let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   let wr = R.wirerep counter in
   R.publish owner "counter" counter;
   let cell = cell_obj c in
@@ -218,7 +209,7 @@ let test_transmit_pin () =
     R.collect_all rt;
     ignore (R.run rt)
   done;
-  R.publish owner "counter" (counter_obj owner);
+  R.publish owner "counter" (Scenario.counter owner);
   R.release owner counter;
   for _ = 1 to 3 do
     R.collect_all rt;
@@ -228,7 +219,7 @@ let test_transmit_pin () =
   Alcotest.(check bool) "survived aggressive GC" true (R.resident owner wr);
   in_fiber rt (fun () ->
       let h = Stub.call c cell m_fetch () in
-      Alcotest.(check int) "alive" 1 (Stub.call c h m_incr 1);
+      Alcotest.(check int) "alive" 1 (Stub.call c h Scenario.m_incr 1);
       R.release c h)
 
 (* Resurrection: the owner hands the reference back to a client that has
@@ -236,11 +227,11 @@ let test_transmit_pin () =
 let test_resurrection () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   (* Schedule the clean (demon will send it) but do NOT deliver yet:
      collect enqueues; then immediately re-import — depending on
@@ -248,7 +239,8 @@ let test_resurrection () =
   R.collect (R.space rt 1);
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      Alcotest.(check int) "usable after re-import" 2 (Stub.call client h m_incr 1);
+      Alcotest.(check int) "usable after re-import" 2
+        (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   ignore (R.run rt);
   R.collect (R.space rt 1);
@@ -259,7 +251,7 @@ let test_resurrection () =
 let test_result_handles_rooted () =
   let rt = make ~n:3 () in
   let owner = R.space rt 0 and a = R.space rt 1 and c = R.space rt 2 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   let cell = cell_obj c in
   R.publish c "cell" cell;
@@ -277,7 +269,7 @@ let test_result_handles_rooted () =
       (* collect immediately: the result must be rooted, not swept *)
       R.collect a;
       Alcotest.(check int) "result rooted and usable" 1
-        (Stub.call a h m_incr 1);
+        (Stub.call a h Scenario.m_incr 1);
       R.release a h;
       R.release a hc)
 
@@ -289,11 +281,11 @@ let test_lease_eviction () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   R.spawn rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      ignore (Stub.call client h m_incr 1));
+      ignore (Stub.call client h Scenario.m_incr 1));
   ignore (R.run ~until:0.5 rt);
   Alcotest.(check (list int)) "registered" [ 1 ] (R.dirty_set owner counter);
   R.crash rt 1;
@@ -312,11 +304,11 @@ let test_lease_live_client_kept () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   R.spawn rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.retain client h;
       ignore h);
   ignore (R.run ~until:15.0 rt);
@@ -328,11 +320,11 @@ let test_lease_live_client_kept () =
 let test_stats () =
   let rt = make () in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   R.collect (R.space rt 1);
   ignore (R.run rt);
@@ -348,14 +340,14 @@ let test_many_clients () =
   let n = 6 in
   let rt = make ~n () in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "counter" counter;
   for i = 1 to n - 1 do
     R.spawn rt (fun () ->
         let sp = R.space rt i in
         let h = R.lookup sp ~at:0 "counter" in
         for _ = 1 to 5 do
-          ignore (Stub.call sp h m_incr 1)
+          ignore (Stub.call sp h Scenario.m_incr 1)
         done;
         R.release sp h)
   done;
@@ -366,7 +358,7 @@ let test_many_clients () =
   in_fiber rt (fun () ->
       Alcotest.(check int)
         "all increments arrived" (5 * (n - 1))
-        (Stub.call owner counter m_get ()));
+        (Stub.call owner counter Scenario.m_get ()));
   (* Everyone released: collect everywhere; dirty set must drain. *)
   R.collect_all rt;
   ignore (R.run rt);

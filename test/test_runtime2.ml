@@ -3,13 +3,12 @@
    payload variety through real calls. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
-
-let m_incr = Stub.declare "incr" P.int P.int
 
 let m_echo =
   Stub.declare "echo"
@@ -18,18 +17,16 @@ let m_echo =
 
 let m_pair = Stub.declare "pair" (P.pair R.handle_codec R.handle_codec) P.bool
 
+(* The kit's counter, plus methods that carry richer payloads. *)
 let counter_obj sp =
-  let v = ref 0 in
   R.allocate sp
     ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-        Stub.implement m_echo (fun _ x -> x);
-        Stub.implement m_pair (fun _ (a, b) ->
-            Netobj_core.Wirerep.equal (R.wirerep a) (R.wirerep b));
-      ]
+      (Scenario.counter_meths ()
+      @ [
+          Stub.implement m_echo (fun _ x -> x);
+          Stub.implement m_pair (fun _ (a, b) ->
+              Netobj_core.Wirerep.equal (R.wirerep a) (R.wirerep b));
+        ])
 
 let in_fiber rt f =
   let result = ref None in
@@ -62,7 +59,8 @@ let test_one_surrogate_per_object () =
       Alcotest.(check int) "surrogate count" 2 (R.surrogate_count client);
       (* two handles, two roots: releasing one keeps it usable *)
       R.release client h1;
-      Alcotest.(check int) "still usable" 1 (Stub.call client h2 m_incr 1);
+      Alcotest.(check int) "still usable" 1
+        (Stub.call client h2 Scenario.m_incr 1);
       R.release client h2)
 
 (* Marshalling both handles of the same object in one message resolves
@@ -89,7 +87,7 @@ let test_unpublish () =
   R.publish owner "c" counter;
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client h m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       R.release client h);
   R.collect client;
   ignore (R.run rt);
@@ -131,18 +129,18 @@ let test_call_timeout () =
   let h =
     in_fiber rt (fun () ->
         let h = R.lookup client ~at:0 "c" in
-        ignore (Stub.call client h m_incr 1);
+        ignore (Stub.call client h Scenario.m_incr 1);
         h)
   in
   Transport.set_partitioned (R.transport rt) 0 1 true;
   in_fiber rt (fun () ->
-      match Stub.call client h m_incr 1 with
+      match Stub.call client h Scenario.m_incr 1 with
       | _ -> Alcotest.fail "expected timeout"
       | exception R.Timeout _ -> ());
   (* heal: calls work again *)
   Transport.set_partitioned (R.transport rt) 0 1 false;
   in_fiber rt (fun () ->
-      Alcotest.(check int) "healed" 2 (Stub.call client h m_incr 1);
+      Alcotest.(check int) "healed" 2 (Stub.call client h Scenario.m_incr 1);
       R.release client h)
 
 (* A partitioned owner during first import: the dirty call times out. *)
@@ -167,7 +165,8 @@ let test_local_no_network () =
   let counter = counter_obj owner in
   Transport.reset_stats (R.transport rt);
   in_fiber rt (fun () ->
-      Alcotest.(check int) "local" 1 (Stub.call owner counter m_incr 1));
+      Alcotest.(check int) "local" 1
+        (Stub.call owner counter Scenario.m_incr 1));
   Alcotest.(check int) "no messages" 0 (Transport.stats (R.transport rt)).Transport.sent
 
 (* Deep recursion through nested remote calls: mutual ping-pong between
@@ -221,7 +220,7 @@ let test_concurrent_import () =
   for _ = 1 to 3 do
     R.spawn rt (fun () ->
         let h = R.lookup client ~at:0 "c" in
-        ignore (Stub.call client h m_incr 1);
+        ignore (Stub.call client h Scenario.m_incr 1);
         incr done_;
         R.release client h)
   done;
@@ -252,12 +251,12 @@ let test_owner_crash () =
   let h =
     in_fiber rt (fun () ->
         let h = R.lookup client ~at:0 "c" in
-        ignore (Stub.call client h m_incr 1);
+        ignore (Stub.call client h Scenario.m_incr 1);
         h)
   in
   R.crash rt 0;
   in_fiber rt (fun () ->
-      match Stub.call client h m_incr 1 with
+      match Stub.call client h Scenario.m_incr 1 with
       | _ -> Alcotest.fail "expected timeout"
       | exception R.Timeout _ -> ());
   (* The client can still drop and GC without deadlock; the clean call

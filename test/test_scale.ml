@@ -10,24 +10,13 @@
    kept a partitioned client's lease alive forever. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Proto = Netobj_core.Proto
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
-
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
 
 (* Partition [a]-[b] [after] seconds from now and heal it [duration]
    seconds later, on the virtual clock. *)
@@ -63,11 +52,11 @@ let replay_scenario ~bug () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client s m_incr 1)
+      ignore (Stub.call client s Scenario.m_incr 1)
       (* [s] stays rooted: only the network misbehaves. *));
   let tr = R.transport rt and sched = R.sched rt in
   (* The gate lets the nemesis' own injections through the sever
@@ -134,11 +123,11 @@ let test_dead_epoch_ack_stale () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let h = counter_obj owner in
+  let h = Scenario.counter owner in
   R.publish owner "c" h;
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "c" in
-      ignore (Stub.call client s m_incr 1));
+      ignore (Stub.call client s Scenario.m_incr 1));
   ignore (R.run ~until:2.2 rt);
   no_failures rt;
   (* The owner recovers into epoch 1; its recovered dirty set still
@@ -179,15 +168,6 @@ let test_dead_epoch_ack_stale () =
    partition under [lease_grace], and — when the partition outlasts
    boundary + grace — evict all [n] entries in one pass. *)
 
-let m_all = Stub.declare "all" P.unit (P.list R.handle_codec)
-
-let registry_obj sp n =
-  let objs = List.init n (fun _ -> R.allocate sp ~meths:[]) in
-  let reg =
-    R.allocate sp ~meths:[ Stub.implement m_all (fun _ () -> objs) ]
-  in
-  (reg, objs)
-
 let scale_scenario ~n ~lease_grace ~duration () =
   let cfg =
     R.config ~seed:5L ~gc_period:0.5 ~ping_period:1.0 ~lease_misses:3
@@ -195,12 +175,12 @@ let scale_scenario ~n ~lease_grace ~duration () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let reg, objs = registry_obj owner n in
+  let reg, objs = Scenario.registry owner n in
   R.publish owner "reg" reg;
   let got = ref [] in
   R.spawn rt (fun () ->
       let s = R.lookup client ~at:0 "reg" in
-      got := Stub.call client s m_all ();
+      got := Stub.call client s Scenario.m_all ();
       R.release client s
       (* the [n] surrogates in [got] stay rooted throughout *));
   partition_window rt 0 1 ~after:4.4 ~duration;
@@ -245,7 +225,7 @@ let test_scale_eviction_drops_all () =
     (R.gc_stats owner).R.evictions;
   Alcotest.(check int) "no entries left under lease" 0
     (R.lease_entries owner 1);
-  List.iter
+  Array.iter
     (fun h ->
       match R.dirty_set owner h with
       | [] -> ()
@@ -265,15 +245,15 @@ let test_multi_owner_single_loss () =
   in
   let rt = R.create cfg in
   let o0 = R.space rt 0 and o1 = R.space rt 1 and client = R.space rt 2 in
-  let a = counter_obj o0 and b = counter_obj o1 in
+  let a = Scenario.counter o0 and b = Scenario.counter o1 in
   R.publish o0 "a" a;
   R.publish o1 "b" b;
   let sb = ref None in
   R.spawn rt (fun () ->
       let sa = R.lookup client ~at:0 "a" in
       let s = R.lookup client ~at:1 "b" in
-      ignore (Stub.call client sa m_incr 1);
-      ignore (Stub.call client s m_incr 1);
+      ignore (Stub.call client sa Scenario.m_incr 1);
+      ignore (Stub.call client s Scenario.m_incr 1);
       sb := Some s);
   partition_window rt 0 2 ~after:4.4 ~duration:6.0;
   ignore (R.run ~until:14.0 rt);
@@ -292,7 +272,7 @@ let test_multi_owner_single_loss () =
   R.spawn rt (fun () ->
       match !sb with
       | Some s -> Alcotest.(check int) "call through survivor" 2
-            (Stub.call client s m_incr 1)
+            (Stub.call client s Scenario.m_incr 1)
       | None -> Alcotest.fail "setup failed");
   ignore (R.run ~until:15.0 rt);
   no_failures rt;

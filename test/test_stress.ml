@@ -4,25 +4,14 @@
    plus long-haul mixed scenarios. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
-let m_incr = Stub.declare "incr" P.int P.int
-
 let m_put = Stub.declare "put" R.handle_codec P.unit
 
 let m_fetch = Stub.declare "fetch" P.unit (P.option R.handle_codec)
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
 
 (* A cell holding at most one reference, with an emptying method. *)
 let cell_obj sp =
@@ -68,7 +57,7 @@ let test_random_schedule_calls () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 in
-    let counter = counter_obj owner in
+    let counter = Scenario.counter owner in
     R.publish owner "c" counter;
     let calls = ref 0 in
     for i = 1 to 3 do
@@ -76,7 +65,7 @@ let test_random_schedule_calls () =
           let sp = R.space rt i in
           for _ = 1 to 4 do
             let h = R.lookup sp ~at:0 "c" in
-            ignore (Stub.call sp h m_incr 1);
+            ignore (Stub.call sp h Scenario.m_incr 1);
             incr calls;
             R.release sp h
           done)
@@ -103,7 +92,7 @@ let test_random_churn_oracle () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 in
-    let target = counter_obj owner in
+    let target = Scenario.counter owner in
     let wr = R.wirerep target in
     R.publish owner "target" target;
     (* one cell per client space *)
@@ -135,7 +124,7 @@ let test_random_churn_oracle () =
     for i = 1 to n - 1 do
       R.spawn rt (fun () ->
           let sp = R.space rt i in
-          let dummy = counter_obj sp in
+          let dummy = Scenario.counter sp in
           let cell = R.lookup sp ~at:i "cell" in
           Stub.call sp cell m_put dummy;
           R.release sp cell;
@@ -144,7 +133,7 @@ let test_random_churn_oracle () =
     ignore (R.run ~until:120.0 rt);
     no_failures rt;
     (* Owner unpublishes and lets go. *)
-    R.publish owner "target" (counter_obj owner);
+    R.publish owner "target" (Scenario.counter owner);
     R.release owner target;
     ignore (R.run ~until:200.0 rt);
     R.collect_all rt;
@@ -164,7 +153,7 @@ let test_forwarding_chain () =
     R.create (R.config ~seed:77L ~nspaces:n ())
   in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   (* each space i>0 has a cell *)
   for i = 1 to n - 1 do
@@ -189,7 +178,7 @@ let test_forwarding_chain () =
               forward (i + 1) h' sp'
           | None -> Alcotest.fail "cell empty"
         end
-        else ignore (Stub.call sp h m_incr 1)
+        else ignore (Stub.call sp h Scenario.m_incr 1)
       in
       forward 2 h sp1);
   ignore (R.run rt);
@@ -206,14 +195,14 @@ let test_forwarding_chain () =
 let test_many_objects () =
   let rt = R.create (R.config ~seed:31L ~nspaces:3 ()) in
   let owner = R.space rt 0 in
-  let objs = Array.init 20 (fun i -> (i, counter_obj owner)) in
+  let objs = Array.init 20 (fun i -> (i, Scenario.counter owner)) in
   Array.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
   R.spawn rt (fun () ->
       let sp = R.space rt 1 in
       Array.iter
         (fun (i, _) ->
           let h = R.lookup sp ~at:0 (Printf.sprintf "o%d" i) in
-          ignore (Stub.call sp h m_incr i);
+          ignore (Stub.call sp h Scenario.m_incr i);
           (* hold on to even ones, release odd ones *)
           if i mod 2 = 1 then R.release sp h)
         objs);

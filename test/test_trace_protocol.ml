@@ -16,20 +16,9 @@
 module Obs = Netobj_obs.Obs
 module Trace = Netobj_obs.Trace
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module P = Netobj_pickle.Pickle
-
-let m_incr = Stub.declare "incr" P.int P.int
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-      ]
 
 let arg_int name e =
   match List.assoc_opt name e.Trace.args with
@@ -76,14 +65,14 @@ let test_dirty_precedes_use () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 in
-  let counter = counter_obj owner in
+  let counter = Scenario.counter owner in
   R.publish owner "c" counter;
   for i = 1 to 3 do
     R.spawn rt (fun () ->
         let sp = R.space rt i in
         let h = R.lookup sp ~at:0 "c" in
         for _ = 1 to 3 do
-          ignore (Stub.call sp h m_incr 1)
+          ignore (Stub.call sp h Scenario.m_incr 1)
         done;
         R.release sp h)
   done;
@@ -110,13 +99,13 @@ let test_dirty_precedes_use_random () =
     in
     let rt = R.create cfg in
     let owner = R.space rt 0 in
-    let counter = counter_obj owner in
+    let counter = Scenario.counter owner in
     R.publish owner "c" counter;
     for i = 1 to 2 do
       R.spawn rt (fun () ->
           let sp = R.space rt i in
           let h = R.lookup sp ~at:0 "c" in
-          ignore (Stub.call sp h m_incr 1);
+          ignore (Stub.call sp h Scenario.m_incr 1);
           R.release sp h)
     done;
     ignore (R.run ~until:30.0 rt);
@@ -133,13 +122,13 @@ let test_clean_batch_coalesces () =
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
-  let objs = List.init 12 (fun i -> (i, counter_obj owner)) in
+  let objs = List.init 12 (fun i -> (i, Scenario.counter owner)) in
   List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
   R.spawn rt (fun () ->
       List.iter
         (fun (i, _) ->
           let h = R.lookup client ~at:0 (Printf.sprintf "o%d" i) in
-          ignore (Stub.call client h m_incr 1);
+          ignore (Stub.call client h Scenario.m_incr 1);
           R.release client h)
         objs);
   ignore (R.run rt);

@@ -13,48 +13,27 @@ module Frame = Netobj_transport.Frame
 module Wire = Netobj_pickle.Wire
 module Obs = Netobj_obs.Obs
 module Trace = Netobj_obs.Trace
+module Scenario = Netobj_chaos.Scenario
 module Metrics = Netobj_obs.Metrics
 
 (* --- frame codec: exact behaviours -------------------------------------- *)
 
 let test_frame_exact () =
-  let m, body = Frame.decode_exact (Frame.encode "hello") in
-  Alcotest.(check bool) "raw mode" true (m = Frame.Raw);
-  Alcotest.(check string) "body" "hello" body;
-  let m, body = Frame.decode_exact (Frame.encode "") in
-  Alcotest.(check bool) "empty raw" true (m = Frame.Raw);
-  Alcotest.(check string) "empty body" "" body;
+  Alcotest.(check string) "body" "hello"
+    (Frame.decode_exact (Frame.encode "hello"));
+  Alcotest.(check string) "empty body" ""
+    (Frame.decode_exact (Frame.encode ""));
   Alcotest.(check int) "overhead" 5 (String.length (Frame.encode ""));
-  (match Frame.encode ~mode:Frame.Compressed "x" with
-  | _ -> Alcotest.fail "expected Unsupported_mode"
-  | exception Frame.Unsupported_mode Frame.Compressed -> ());
   (* Header is big-endian length (flag + body) then the flag byte. *)
   Alcotest.(check string) "wire bytes" "\x00\x00\x00\x06\x00hello"
     (Frame.encode "hello")
 
-let contains ~sub s =
-  let n = String.length sub in
-  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-  at 0
-
-(* Each reserved mode: [encode] refuses it with the flag byte in the
-   message, while the decoder carries the frame through intact (the
-   endpoint, not the framing, rejects reserved modes — see tcp.ml's
-   drain_decoder). *)
+(* A frame has one mode: flag bytes 1, 2 and 3 (compression, signing
+   and encryption on dft's wire) are Corrupt like any other non-zero
+   flag, named in the message, and decode_exact rejects them too. *)
 let test_frame_reserved_flags () =
   List.iter
-    (fun (mode, byte) ->
-      (match Frame.encode ~mode "x" with
-      | _ -> Alcotest.failf "flag 0x%02x: expected Unsupported_mode" byte
-      | exception (Frame.Unsupported_mode m as e) ->
-          Alcotest.(check bool) "mode carried" true (m = mode);
-          Alcotest.(check bool)
-            (Printf.sprintf "message names flag byte 0x%02x" byte)
-            true
-            (contains ~sub:(Printf.sprintf "0x%02x" byte)
-               (Printexc.to_string e)));
-      (* decode side: a hand-built frame with the reserved flag byte
-         decodes to that mode with the body intact *)
+    (fun byte ->
       let wire =
         Wire.Writer.with_pooled (fun w ->
             Wire.Writer.u32_be w 5;
@@ -65,17 +44,16 @@ let test_frame_reserved_flags () =
       let d = Frame.decoder () in
       Frame.feed d wire;
       (match Frame.next d with
-      | Some (m, body) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "flag 0x%02x decodes to its mode" byte)
-            true (m = mode);
-          Alcotest.(check string) "reserved body intact" "body" body
-      | None -> Alcotest.failf "flag 0x%02x: frame not decoded" byte);
-      Alcotest.(check int) "nothing pending" 0 (Frame.pending d);
-      let m, body = Frame.decode_exact wire in
-      Alcotest.(check bool) "decode_exact agrees" true (m = mode);
-      Alcotest.(check string) "decode_exact body" "body" body)
-    [ (Frame.Compressed, 1); (Frame.Signed, 2); (Frame.Encrypted, 3) ]
+      | _ -> Alcotest.failf "flag 0x%02x: expected Corrupt" byte
+      | exception Frame.Corrupt msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "flag 0x%02x named" byte)
+            (Printf.sprintf "unknown flag byte 0x%02x" byte)
+            msg);
+      match Frame.decode_exact wire with
+      | _ -> Alcotest.failf "flag 0x%02x: decode_exact accepted it" byte
+      | exception Frame.Corrupt _ -> ())
+    [ 1; 2; 3 ]
 
 let test_frame_corrupt () =
   let expect_corrupt name s =
@@ -105,10 +83,9 @@ let test_frame_one_byte_feed () =
       Frame.feed d (String.make 1 c);
       let rec drain () =
         match Frame.next d with
-        | Some (Frame.Raw, b) ->
+        | Some b ->
             got := b :: !got;
             drain ()
-        | Some _ -> Alcotest.fail "unexpected mode"
         | None -> ()
       in
       drain ())
@@ -121,8 +98,7 @@ let test_frame_one_byte_feed () =
 let drain_all d =
   let rec loop acc =
     match Frame.next d with
-    | Some (Frame.Raw, b) -> loop (b :: acc)
-    | Some _ -> Alcotest.fail "unexpected mode"
+    | Some b -> loop (b :: acc)
     | None -> List.rev acc
   in
   loop []
@@ -130,8 +106,7 @@ let drain_all d =
 let prop_roundtrip =
   QCheck.Test.make ~name:"encode/decode identity" ~count:300 QCheck.string
     (fun s ->
-      let m, body = Frame.decode_exact (Frame.encode s) in
-      m = Frame.Raw && body = s)
+      Frame.decode_exact (Frame.encode s) = s)
 
 (* Split the concatenation of many frames at positions driven by the
    seed — byte-at-a-time, mid-length-prefix, several frames per chunk —
@@ -244,9 +219,9 @@ let test_tcp_mixed_sizes () =
       let got = ref [] in
       Transport.set_handler tr 1 (fun ~src:_ ~kind:_ ~payload ~off ~len ->
           got := String.sub payload off len :: !got);
-      (* Around the payload, the body holds src, dst and count (a byte
-         each), the kind "m" (2 bytes) and the payload's length (3). *)
-      let fitting = (64 * 1024) - Frame.overhead - 3 - 2 - 3 in
+      (* Around the payload, the body holds src and dst (a byte each),
+         the kind "m" (2 bytes) and the payload's length (3). *)
+      let fitting = (64 * 1024) - Frame.overhead - 2 - 2 - 3 in
       let sent =
         List.mapi
           (fun i n -> String.make n (Char.chr (Char.code 'a' + i)))
@@ -256,21 +231,11 @@ let test_tcp_mixed_sizes () =
       drive sched tr ~until:(fun () -> List.length !got = List.length sent);
       Alcotest.(check (list string)) "whole, in order" sent (List.rev !got))
 
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | _ -> assert false)
-
 (* A message queued towards a dead port survives connect failures and
    arrives once somebody starts listening there — exercising the capped
    backoff reconnect path end to end. *)
 let test_tcp_reconnect () =
-  match free_port () with
+  match Scenario.free_port () with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "skipping: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
@@ -387,17 +352,12 @@ let decoded_payloads dec =
   let rec loop acc =
     match Frame.next dec with
     | None -> List.rev acc
-    | Some (_, body) ->
+    | Some body ->
         let r = Wire.Reader.of_string body in
         let _src = Wire.Reader.uvarint r in
         let _dst = Wire.Reader.uvarint r in
-        let count = Wire.Reader.uvarint r in
-        let acc = ref acc in
-        for _ = 1 to count do
-          let _kind = Wire.Reader.string r in
-          acc := Wire.Reader.string r :: !acc
-        done;
-        loop !acc
+        let _kind = Wire.Reader.string r in
+        loop (Wire.Reader.string r :: acc)
   in
   loop []
 
@@ -422,7 +382,6 @@ let test_tcp_torn_reply_reconnect () =
           (Wire.Writer.with_pooled (fun w ->
                Wire.Writer.uvarint w 1;
                Wire.Writer.uvarint w 0;
-               Wire.Writer.uvarint w 1;
                Wire.Writer.string w "pong";
                Wire.Writer.string w "resent whole";
                Bytes.unsafe_to_string (Wire.Writer.to_bytes w)))
@@ -534,7 +493,7 @@ let test_tcp_torn_gather_reconnect () =
 (* Closing with work still pending — frames queued to an unreachable
    peer — must account the messages as dropped. *)
 let test_tcp_close_drops_pending () =
-  match free_port () with
+  match Scenario.free_port () with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "skipping: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
@@ -571,7 +530,7 @@ let test_tcp_close_drops_pending () =
 (* A blocking pump (negative timeout) must still wake for reconnect
    backoff deadlines instead of selecting forever on an empty fd set. *)
 let test_tcp_blocking_pump_backoff () =
-  match free_port () with
+  match Scenario.free_port () with
   | exception Unix.Unix_error (e, _, _) ->
       Printf.printf "skipping: loopback unavailable (%s)\n%!"
         (Unix.error_message e)
@@ -624,11 +583,12 @@ let raw_connect port =
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   fd
 
-(* A well-formed frame whose body promises five submessages but holds
-   one and a torn second must act on nothing: [pump] does not raise, no
-   submessage is delivered, and the connection is closed like any other
-   unparseable stream.  A fresh connection from the same source still
-   delivers. *)
+(* A well-formed frame whose body does not parse whole must act on
+   nothing: [pump] does not raise, nothing is delivered, and the
+   connection is closed like any other unparseable stream.  Two bodies:
+   a payload whose length byte promises more than the body holds, and
+   a whole message followed by a second one (a frame carries exactly
+   one).  A fresh connection from the same source still delivers. *)
 let test_tcp_malformed_body () =
   with_tcp' ~serving:[ 0 ] ~endpoints:[ (0, ep 0) ] (fun sched tcp tr ->
       let got = ref [] in
@@ -639,52 +599,35 @@ let test_tcp_malformed_body () =
         let frame = Frame.encode body in
         ignore (Unix.write_substring fd frame 0 (String.length frame))
       in
-      let bad = raw_connect port in
-      Fun.protect ~finally:(fun () -> Unix.close bad) (fun () ->
-          (* src 1, dst 0, count 5; "m" with an empty payload; then a
-             kind whose length byte promises more than the body holds *)
-          send_raw bad "\x01\x00\x05\x01\x6d\x00\x01";
-          let buf = Bytes.create 16 in
-          let eof = ref false in
-          let t0 = Unix.gettimeofday () in
-          while (not !eof) && Unix.gettimeofday () -. t0 < 10.0 do
-            ignore (Transport.pump tr ~timeout:0.02);
-            ignore (Sched.run sched);
-            match Unix.select [ bad ] [] [] 0.0 with
-            | [], _, _ -> ()
-            | _ -> eof := Unix.read bad buf 0 (Bytes.length buf) = 0
-          done;
-          Alcotest.(check bool) "connection closed" true !eof;
-          Alcotest.(check (list string)) "nothing delivered" [] !got);
+      List.iter
+        (fun body ->
+          let bad = raw_connect port in
+          Fun.protect ~finally:(fun () -> Unix.close bad) (fun () ->
+              send_raw bad body;
+              let buf = Bytes.create 16 in
+              let eof = ref false in
+              let t0 = Unix.gettimeofday () in
+              while (not !eof) && Unix.gettimeofday () -. t0 < 10.0 do
+                ignore (Transport.pump tr ~timeout:0.02);
+                ignore (Sched.run sched);
+                match Unix.select [ bad ] [] [] 0.0 with
+                | [], _, _ -> ()
+                | _ -> eof := Unix.read bad buf 0 (Bytes.length buf) = 0
+              done;
+              Alcotest.(check bool) "connection closed" true !eof;
+              Alcotest.(check (list string)) "nothing delivered" [] !got))
+        [
+          (* src 1, dst 0, kind "m", a payload of 5 bytes holding 2 *)
+          "\x01\x00\x01m\x05ok";
+          (* src 1, dst 0, kind "a" "one", then kind "b" "two" *)
+          "\x01\x00\x01a\x03one\x01b\x03two";
+        ];
       let good = raw_connect port in
       Fun.protect ~finally:(fun () -> Unix.close good) (fun () ->
-          send_raw good "\x01\x00\x01\x01m\x02ok";
+          send_raw good "\x01\x00\x01m\x02ok";
           drive sched tr ~until:(fun () -> !got <> []);
           Alcotest.(check (list string)) "fresh connection delivers" [ "ok" ]
             !got))
-
-(* Senders here put one message in each frame, but the wire format
-   carries a count, and a receiver must deliver every submessage of a
-   frame that holds several, in order. *)
-let test_tcp_multi_message_frame () =
-  with_tcp' ~serving:[ 0 ] ~endpoints:[ (0, ep 0) ] (fun sched tcp tr ->
-      let got = ref [] in
-      Transport.set_handler tr 0 (fun ~src ~kind ~payload ~off ~len ->
-          got := (src, kind, String.sub payload off len) :: !got);
-      let fd = raw_connect (Tcp.bound_port tcp 0) in
-      Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
-          (* src 1, dst 0, count 3, then three (kind, payload) pairs *)
-          let frame =
-            Frame.encode "\x01\x00\x03\x01a\x03one\x01b\x03two\x01a\x05three"
-          in
-          ignore (Unix.write_substring fd frame 0 (String.length frame));
-          drive sched tr ~until:(fun () -> List.length !got = 3);
-          Alcotest.(check (list (triple int string string)))
-            "in frame order"
-            [ (1, "a", "one"); (1, "b", "two"); (1, "a", "three") ]
-            (List.rev !got);
-          Alcotest.(check int) "three delivered" 3
-            (Transport.stats tr).Transport.delivered))
 
 (* --- faulty decorator ----------------------------------------------------- *)
 
@@ -907,8 +850,6 @@ let () =
       ( "tcp",
         [
           Alcotest.test_case "loopback roundtrip" `Quick test_tcp_roundtrip;
-          Alcotest.test_case "multi-message frame" `Quick
-            test_tcp_multi_message_frame;
           Alcotest.test_case "frames around the gather cap" `Quick
             test_tcp_mixed_sizes;
           Alcotest.test_case "reconnect with backoff" `Quick test_tcp_reconnect;

@@ -8,6 +8,7 @@
    never recorded. *)
 
 module R = Netobj_core.Runtime
+module Scenario = Netobj_chaos.Scenario
 module Stub = Netobj_core.Stub
 module Sched = Netobj_sched.Sched
 module Transport = Netobj_transport.Transport
@@ -15,24 +16,9 @@ module Tcp = Netobj_transport.Tcp
 module Faulty = Netobj_transport.Faulty
 module P = Netobj_pickle.Pickle
 
-let m_incr = Stub.declare "incr" P.int P.int
-
-let m_get = Stub.declare "get" P.unit P.int
-
 let m_put = Stub.declare "put" R.handle_codec P.unit
 
 let m_fetch = Stub.declare "fetch" P.unit R.handle_codec
-
-let counter_obj sp =
-  let v = ref 0 in
-  R.allocate sp
-    ~meths:
-      [
-        Stub.implement m_incr (fun _ n ->
-            v := !v + n;
-            !v);
-        Stub.implement m_get (fun _ () -> !v);
-      ]
 
 let cell_obj sp =
   let stored = ref None in
@@ -70,14 +56,14 @@ let lookup_scenario =
     s_script =
       (fun rt ev ->
         let owner = R.space rt 0 and client = R.space rt 1 in
-        let counter = counter_obj owner in
+        let counter = Scenario.counter owner in
         R.publish owner "counter" counter;
         ev "published";
         let h = R.lookup client ~at:0 "counter" in
         ev "lookup ok";
-        ev (Printf.sprintf "incr=%d" (Stub.call client h m_incr 5));
-        ev (Printf.sprintf "incr=%d" (Stub.call client h m_incr 2));
-        ev (Printf.sprintf "get=%d" (Stub.call client h m_get ()));
+        ev (Printf.sprintf "incr=%d" (Stub.call client h Scenario.m_incr 5));
+        ev (Printf.sprintf "incr=%d" (Stub.call client h Scenario.m_incr 2));
+        ev (Printf.sprintf "get=%d" (Stub.call client h Scenario.m_get ()));
         (match R.lookup client ~at:0 "missing" with
         | _ -> ev "missing: found?!"
         | exception R.Remote_error _ -> ev "missing: remote error");
@@ -97,17 +83,18 @@ let transfer_scenario =
         let owner = R.space rt 0
         and client = R.space rt 1
         and keeper = R.space rt 2 in
-        let counter = counter_obj owner in
+        let counter = Scenario.counter owner in
         let cell = cell_obj keeper in
         R.publish owner "counter" counter;
         R.publish keeper "cell" cell;
         let hc = R.lookup client ~at:0 "counter" in
         let hcell = R.lookup client ~at:2 "cell" in
-        ev (Printf.sprintf "warm=%d" (Stub.call client hc m_incr 3));
+        ev (Printf.sprintf "warm=%d" (Stub.call client hc Scenario.m_incr 3));
         Stub.call client hcell m_put hc;
         ev "stored";
         let hc2 = Stub.call client hcell m_fetch () in
-        ev (Printf.sprintf "fetched incr=%d" (Stub.call client hc2 m_incr 4));
+        ev (Printf.sprintf "fetched incr=%d"
+          (Stub.call client hc2 Scenario.m_incr 4));
         ev
           (Printf.sprintf "owner sees %d holders"
              (List.length (R.dirty_set owner counter)));
@@ -126,10 +113,10 @@ let release_scenario =
     s_script =
       (fun rt ev ->
         let owner = R.space rt 0 and client = R.space rt 1 in
-        let counter = counter_obj owner in
+        let counter = Scenario.counter owner in
         R.publish owner "counter" counter;
         let h = R.lookup client ~at:0 "counter" in
-        ev (Printf.sprintf "incr=%d" (Stub.call client h m_incr 1));
+        ev (Printf.sprintf "incr=%d" (Stub.call client h Scenario.m_incr 1));
         ev
           (Printf.sprintf "dirty=%s"
              (String.concat ","
@@ -159,13 +146,14 @@ let recover_scenario =
     s_script =
       (fun rt ev ->
         let owner = R.space rt 0 and client = R.space rt 1 in
-        let counter = counter_obj owner in
+        let counter = Scenario.counter owner in
         R.publish owner "counter" counter;
         let h = R.lookup client ~at:0 "counter" in
-        ev (Printf.sprintf "before crash incr=%d" (Stub.call client h m_incr 1));
+        ev (Printf.sprintf "before crash incr=%d"
+          (Stub.call client h Scenario.m_incr 1));
         R.crash rt 0;
         ev "owner crashed";
-        (match Stub.call client h m_incr 1 with
+        (match Stub.call client h Scenario.m_incr 1 with
         | _ -> ev "call to dead owner: succeeded?!"
         | exception (R.Remote_error _ | R.Timeout _) ->
             ev "call to dead owner: failed");
@@ -174,17 +162,17 @@ let recover_scenario =
         (* The stale surrogate's call is rejected by the new incarnation;
            the reject teaches the client the new epoch and evicts the
            dead incarnation's surrogates. *)
-        (match Stub.call client h m_incr 1 with
+        (match Stub.call client h Scenario.m_incr 1 with
         | _ -> ev "stale call: succeeded?!"
         | exception (R.Remote_error _ | R.Timeout _) -> ev "stale call: failed");
         Sched.sleep (R.sched rt) 1.0;
         R.release client h;
-        let counter' = counter_obj owner in
+        let counter' = Scenario.counter owner in
         R.publish owner "counter2" counter';
         let h' = R.lookup client ~at:0 "counter2" in
         ev
           (Printf.sprintf "fresh incr=%d after restart"
-             (Stub.call client h' m_incr 1));
+             (Stub.call client h' Scenario.m_incr 1));
         R.release client h');
   }
 
@@ -241,18 +229,9 @@ let run_tcp s =
   let rt = R.create cfg in
   let tr = R.transport rt in
   let drive rt finished =
-    let sched = R.sched rt in
-    let t0 = Unix.gettimeofday () in
-    while (not !finished) && Unix.gettimeofday () -. t0 < 30.0 do
-      let before = Sched.now sched in
-      ignore (R.run rt ~until:(before +. 0.05));
-      let n = Transport.pump tr ~timeout:0.002 in
-      (* The virtual clock only moves to timer deadlines; when both
-         clocks are stalled (fibers parked on calls, no socket traffic)
-         nudge it forward so virtual-time timeouts eventually fire. *)
-      if n = 0 && Sched.now sched = before then
-        Sched.timer sched ~name:"drive-tick" 0.05 (fun () -> ())
-    done
+    Scenario.drive ~pump:0.002 rt
+      ~deadline:(Unix.gettimeofday () +. 30.0)
+      ~stop:(fun () -> !finished)
   in
   Fun.protect
     ~finally:(fun () -> Transport.close tr)
