@@ -389,6 +389,97 @@ let test_recover_during_inflight_clean () =
   Alcotest.(check bool) "object reclaimed" false (R.resident owner owr);
   Alcotest.(check (list string)) "consistent" [] (R.check_consistency rt)
 
+(* One seeded durable workload, recovered twice: once from a snapshot
+   forced just before the crash (empty log), once from the log alone.
+   Both images must rebuild the same owner: the same fingerprint and
+   dirty sets right after recovery, and again after a follow-on
+   invoke/release/collect round. *)
+let recovered_world ~seed ~snapshot =
+  let cfg =
+    R.config ~seed:(Int64.of_int seed) ~nspaces:3 ~durable:true
+      ~fsync_delay:0.005 ~recover_grace:0.3 ()
+  in
+  let rt = R.create cfg in
+  R.register_factory rt "counter" (fun () -> Scenario.counter_meths ());
+  let owner = R.space rt 0 in
+  let rng = Random.State.make [| seed |] in
+  let n = 2 + (seed mod 3) in
+  let counters =
+    Array.init n (fun i ->
+        let h = Scenario.counter ~tag:"counter" owner in
+        R.publish owner (Printf.sprintf "c%d" i) h;
+        h)
+  in
+  let node = Scenario.node owner in
+  R.publish owner "node" node;
+  let held = Array.make 3 [] in
+  for c = 1 to 2 do
+    let sp = R.space rt c in
+    let picks = List.init n (fun i -> (i, Random.State.bool rng)) in
+    let link = Random.State.int rng n in
+    R.spawn rt (fun () ->
+        List.iter
+          (fun (i, keep) ->
+            let h = R.lookup sp ~at:0 (Printf.sprintf "c%d" i) in
+            ignore (Stub.call sp h Scenario.m_incr (i + c));
+            if c = 1 && i = link then begin
+              let nh = R.lookup sp ~at:0 "node" in
+              Stub.call sp nh Scenario.m_set_peer h;
+              R.release sp nh
+            end;
+            if keep then held.(c) <- h :: held.(c) else R.release sp h)
+          picks)
+  done;
+  ignore (R.run rt);
+  R.release owner counters.(seed mod n);
+  if seed mod 2 = 0 then R.unpublish owner "c0";
+  R.collect_all rt;
+  ignore (R.run rt);
+  if snapshot then R.force_snapshot owner;
+  let log_at_crash = R.log_size owner in
+  R.crash rt 0;
+  R.recover rt 0;
+  let view () =
+    ( R.state_fingerprint rt,
+      Array.to_list counters
+      |> List.map (fun h ->
+             if R.resident owner (R.wirerep h) then R.dirty_set owner h
+             else [ -1 ]) )
+  in
+  let recovered = view () in
+  ignore (R.run rt);
+  let sp2 = R.space rt 2 in
+  R.spawn rt (fun () ->
+      let h = R.lookup sp2 ~at:0 (Printf.sprintf "c%d" (n - 1)) in
+      ignore (Stub.call sp2 h Scenario.m_incr 1);
+      R.release sp2 h);
+  ignore (R.run rt);
+  List.iter (R.release (R.space rt 1)) held.(1);
+  R.collect_all rt;
+  ignore (R.run rt);
+  (log_at_crash, recovered, view ())
+
+let test_snapshot_equals_log_replay () =
+  for seed = 1 to 20 do
+    let log_snap, rec_snap, after_snap =
+      recovered_world ~seed ~snapshot:true
+    in
+    let log_only, rec_log, after_log = recovered_world ~seed ~snapshot:false in
+    if log_snap >= log_only then
+      Alcotest.failf "seed %d: the forced snapshot did not shorten the log"
+        seed;
+    let check what (fa, da) (fb, db) =
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "seed %d %s: dirty sets" seed what)
+        db da;
+      Alcotest.(check int)
+        (Printf.sprintf "seed %d %s: fingerprint" seed what)
+        fb fa
+    in
+    check "after recovery" rec_snap rec_log;
+    check "after follow-on" after_snap after_log
+  done
+
 let () =
   Alcotest.run "fault"
     [
@@ -424,5 +515,7 @@ let () =
         [
           Alcotest.test_case "restart during in-flight clean" `Quick
             test_recover_during_inflight_clean;
+          Alcotest.test_case "snapshot image equals log replay" `Quick
+            test_snapshot_equals_log_replay;
         ] );
     ]
