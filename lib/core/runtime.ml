@@ -2372,6 +2372,14 @@ let unlink sp ~parent ~child =
   | Some (Surrogate _) | None ->
       invalid_arg "Runtime.unlink: parent is not a local concrete object"
 
+(* The well-known agent at index 0 of a fresh or wiped space, built
+   through its registered factory exactly as recovery re-instantiates
+   any other object. *)
+let allocate_agent sp =
+  let meths = (Hashtbl.find sp.rt.factories "agent") () in
+  let agent = allocate sp ~tag:"agent" ~meths in
+  assert (agent.wr.Wirerep.index = 0)
+
 (* --- invocation ------------------------------------------------------------ *)
 
 let fresh_call_id sp =
@@ -2986,11 +2994,7 @@ let create (config : config) =
     (fun sp ->
       (* The agent object occupies the well-known index 0 of each space
          and is permanently rooted. *)
-      let agent =
-        allocate sp ~tag:"agent"
-          ~meths:[ agent_publish_meth; agent_lookup_meth ]
-      in
-      assert (agent.wr.Wirerep.index = 0);
+      allocate_agent sp;
       Transport.set_handler (stransport sp) sp.id
         (fun ~src ~kind:_ ~payload ~off ~len ->
           match Pickle.decode_slice Proto.packet_codec payload ~off ~len with
@@ -3099,10 +3103,7 @@ let restart rt i =
   | None -> ());
   sp.crashed <- false;
   Transport.restore (stransport sp) i;
-  let agent =
-    allocate sp ~tag:"agent" ~meths:[ agent_publish_meth; agent_lookup_meth ]
-  in
-  assert (agent.wr.Wirerep.index = 0);
+  allocate_agent sp;
   spawn_periodic_demons sp;
   if Obs.on () then begin
     Metrics.incr m_restart;
@@ -3322,11 +3323,7 @@ let recover rt i =
   if not (Wirerep.Tbl.mem sp.table agent_wr) then begin
     let saved = sp.next_index in
     sp.next_index <- 0;
-    let agent =
-      allocate sp ~tag:"agent"
-        ~meths:[ agent_publish_meth; agent_lookup_meth ]
-    in
-    assert (agent.wr.Wirerep.index = 0);
+    allocate_agent sp;
     sp.next_index <- max saved sp.next_index
   end;
   (* The recovered image at the new epoch becomes the durable baseline:
