@@ -2,6 +2,29 @@
 
 open Space
 
+(* --- the retry arm ----------------------------------------------------------
+
+   TR §2.3 repeats unacknowledged dirty and clean calls until they
+   succeed (sequence numbers make the repeats idempotent); a recovered
+   space's reasserts repeat the same way.  Attempt [n] fires after
+   [retry_delay ~attempt:n ~base]; [resend ()] re-sends if the call is
+   still unacknowledged and says whether to keep going.  Each pending
+   timer's cancel goes to [on_arm], so the acknowledgement stops the
+   cycle at once: a cancelled retry can neither fire late nor hold the
+   scheduler back from quiescing.  The epoch guard retires the arm of a
+   dead incarnation. *)
+let retry_arm sp ?name ~base ~on_arm resend =
+  let gen = sp.epoch in
+  let rec arm attempt =
+    on_arm
+      (Sched.timer_cancel (ssched sp) ?name
+         (retry_delay sp ~attempt ~base)
+         (fun () ->
+           if (not sp.crashed) && sp.epoch = gen && resend () then
+             arm (attempt + 1)))
+  in
+  arm 0
+
 (* --- surrogate registration (the dirty protocol, client side) ----------- *)
 
 let send_dirty sp wr =
@@ -16,41 +39,31 @@ let send_dirty sp wr =
 
 (* Send the dirty call and, when dirty retries are configured, keep
    resending (same sequence number: the owner acks idempotently) until
-   the registration ivar fills.  The cancel hooks onto the ivar so an ack
-   stops the pending timer outright instead of leaving it to fire as a
-   no-op and delay quiescence. *)
+   the registration ivar fills. *)
 let send_dirty_retrying sp wr iv =
   send_dirty sp wr;
   match sp.rt.config.dirty_retry with
   | None -> ()
   | Some base ->
-      let gen = sp.epoch in
-      let rec arm attempt =
-        let cancel =
-          Sched.timer_cancel (ssched sp)
-            (retry_delay sp ~attempt ~base)
-            (fun () ->
-              if (not sp.crashed) && sp.epoch = gen
-                 && not (Sched.Ivar.is_filled iv)
-              then
-                match Wirerep.Tbl.find_opt sp.table wr with
-                | Some (Surrogate st) -> (
-                    match !st with
-                    | Creating iv' when iv' == iv ->
-                        count_retry sp "dirty_retry" wr;
-                        send_env sp ~dst:wr.Wirerep.space
-                          (Proto.Dirty
-                             {
-                               wr;
-                               seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
-                             });
-                        arm (attempt + 1)
-                    | Creating _ | Usable _ | Cleaning _ -> ())
-                | Some (Concrete _) | None -> ())
-        in
-        Sched.Ivar.on_fill iv (fun () -> cancel ())
-      in
-      arm 0
+      retry_arm sp ~base
+        ~on_arm:(fun cancel -> Sched.Ivar.on_fill iv cancel)
+        (fun () ->
+          (not (Sched.Ivar.is_filled iv))
+          &&
+          match Wirerep.Tbl.find_opt sp.table wr with
+          | Some (Surrogate st) -> (
+              match !st with
+              | Creating iv' when iv' == iv ->
+                  count_retry sp "dirty_retry" wr;
+                  send_env sp ~dst:wr.Wirerep.space
+                    (Proto.Dirty
+                       {
+                         wr;
+                         seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
+                       });
+                  true
+              | Creating _ | Usable _ | Cleaning _ -> false)
+          | Some (Concrete _) | None -> false)
 
 let obs_begin_clean sp wr =
   if Obs.on () then begin
@@ -266,44 +279,33 @@ let global_collect rt =
 
 (* --- cleaning demon ------------------------------------------------------ *)
 
-(* TR §2.3: an unacknowledged clean is repeated until it succeeds
-   (sequence numbers make the repeats idempotent), with capped
-   exponential backoff between attempts.  The pending timer's cancel is
-   stored on the Cleaning state so the owner's ack stops the cycle
-   immediately — a cancelled retry can neither fire after the state left
-   Cleaning nor hold the scheduler back from quiescing. *)
+(* Repeat an unacknowledged clean until it succeeds.  The pending
+   timer's cancel is stored on the Cleaning state, where the owner's ack
+   (or a forgotten owner) finds it. *)
 let schedule_clean_retry sp cl wr =
   match sp.rt.config.clean_retry with
   | None -> ()
   | Some base ->
-      let rec arm attempt =
-        cl.retry_cancel <-
-          Some
-            (Sched.timer_cancel (ssched sp)
-               (retry_delay sp ~attempt ~base)
-               (fun () ->
-                 if not sp.crashed then
-                   match Wirerep.Tbl.find_opt sp.table wr with
-                   | Some (Surrogate st) -> (
-                       match !st with
-                       | Cleaning cl' when cl' == cl ->
-                           sp.s_clean <- sp.s_clean + 1;
-                           count_retry sp "clean_retry" wr;
-                           if Obs.on () then Metrics.incr m_clean;
-                           send_env sp ~dst:wr.Wirerep.space
-                             (Proto.Clean
-                                {
-                                  wr;
-                                  seq =
-                                    Itbl.find sp.seqno (Wirerep.key wr)
-                                      ~default:0;
-                                  strong = false;
-                                });
-                           arm (attempt + 1)
-                       | Cleaning _ | Creating _ | Usable _ -> ())
-                   | Some (Concrete _) | None -> ()))
-      in
-      arm 0
+      retry_arm sp ~base
+        ~on_arm:(fun cancel -> cl.retry_cancel <- Some cancel)
+        (fun () ->
+          match Wirerep.Tbl.find_opt sp.table wr with
+          | Some (Surrogate st) -> (
+              match !st with
+              | Cleaning cl' when cl' == cl ->
+                  sp.s_clean <- sp.s_clean + 1;
+                  count_retry sp "clean_retry" wr;
+                  if Obs.on () then Metrics.incr m_clean;
+                  send_env sp ~dst:wr.Wirerep.space
+                    (Proto.Clean
+                       {
+                         wr;
+                         seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
+                         strong = false;
+                       });
+                  true
+              | Cleaning _ | Creating _ | Usable _ -> false)
+          | Some (Concrete _) | None -> false)
 
 (* Transition a scheduled surrogate to Cleaning and return its new
    Cleaning state, unless a fresh copy cancelled the clean meanwhile
@@ -624,26 +626,17 @@ let schedule_reassert sp peer =
       send_env sp ~dst:peer (Proto.Reassert { items })
     in
     send ();
-    let base = Option.value ~default:0.3 sp.rt.config.clean_retry in
-    let gen = sp.epoch in
-    let rec arm attempt =
-      let cancel =
-        Sched.timer_cancel (ssched sp)
-          ~name:(Printf.sprintf "reassert-%d" sp.id)
-          (retry_delay sp ~attempt ~base)
-          (fun () ->
-            if
-              (not sp.crashed) && sp.epoch = gen
-              && not (Sched.Ivar.is_filled iv)
-            then begin
-              count_retry sp "reassert_retry" (fst (List.hd items));
-              send ();
-              arm (attempt + 1)
-            end)
-      in
-      Sched.Ivar.on_fill iv (fun () -> cancel ())
-    in
-    arm 0
+    retry_arm sp
+      ~name:(Printf.sprintf "reassert-%d" sp.id)
+      ~base:(Option.value ~default:0.3 sp.rt.config.clean_retry)
+      ~on_arm:(fun cancel -> Sched.Ivar.on_fill iv cancel)
+      (fun () ->
+        (not (Sched.Ivar.is_filled iv))
+        && begin
+             count_retry sp "reassert_retry" (fst (List.hd items));
+             send ();
+             true
+           end)
   end
 
 (* A peer bumped its epoch but kept its continuity floor: same logical
@@ -781,81 +774,59 @@ let forget_peer_state sp peer =
       ~args:[ ("peer", Trace.I peer); ("surrogates", Trace.I (List.length !stale)) ]
       "epoch_forget"
 
-(* Demons carry the epoch they were spawned for and exit as soon as the
-   space's epoch moves on: [restart] spawns a fresh set, and without the
-   guard an old demon sleeping across the crash+restart window would wake
-   up alongside its replacement. *)
-
-(* A lease expires after [lease_misses] consecutive unanswered pings,
-   but with a configured [lease_grace] the client is only marked suspect
-   and kept pinged for that much longer before eviction — so a healed
-   transient partition keeps the lease (TR §2.4's tradeoff between
-   promptness and tolerance). *)
-let ping_demon sp gen period () =
-  let rec loop () =
-    Sched.sleep (ssched sp) period;
-    if (not sp.crashed) && sp.epoch = gen then begin
-      let grace = sp.rt.config.lease_grace in
-      (* One nonce per tick, shared by every (client, owner) heartbeat:
-         the epoch rides the high bits so acks from a previous
-         incarnation can never match (the sequence restarts at 1 after
-         a restart, but under a fresh epoch). *)
-      let seq = sp.next_ping in
-      sp.next_ping <- seq + 1;
-      let nonce = lease_nonce sp seq in
-      let clients = clients_with_surrogates sp in
-      List.iter
-        (fun cl ->
-          let l = lease_of sp cl in
-          (* Outstanding unanswered pings, derived from the aggregate:
-             equals the historical per-tick miss counter whenever acks
-             return within a period. *)
-          let missed = nonce_seq l.l_sent - nonce_seq l.l_acked + 1 in
-          let expired =
-            missed > sp.rt.config.lease_misses
-            &&
-            if grace <= 0.0 then true
-            else begin
-              let now = Sched.now (ssched sp) in
-              match Hashtbl.find_opt sp.suspect_since cl with
-              | None ->
-                  Hashtbl.replace sp.suspect_since cl now;
-                  if Obs.on () then
-                    Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-                      ~args:[ ("client", Trace.I cl) ]
-                      "suspect";
-                  false
-              | Some t0 -> now -. t0 >= grace
-            end
-          in
-          if expired then begin
-            Log.info (fun m -> m "space %d: evicting client %d" sp.id cl);
-            evict_client sp cl;
-            Hashtbl.remove sp.suspect_since cl
-          end
-          else begin
-            sp.s_ping <- sp.s_ping + 1;
-            if Obs.on () then begin
-              Metrics.incr m_ping;
-              Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-                ~args:[ ("client", Trace.I cl); ("missed", Trace.I missed) ]
-                "ping"
-            end;
-            l.l_sent <- nonce;
-            send_env sp ~dst:cl (Proto.Ping { nonce })
-          end)
-        clients;
-      loop ()
-    end
-  in
-  loop ()
-
-let gc_demon sp gen period () =
-  let rec loop () =
-    Sched.sleep (ssched sp) period;
-    if (not sp.crashed) && sp.epoch = gen then begin
-      collect sp;
-      loop ()
-    end
-  in
-  loop ()
+(* One ping tick.  A lease expires after [lease_misses] consecutive
+   unanswered pings, but with a configured [lease_grace] the client is
+   only marked suspect and kept pinged for that much longer before
+   eviction — so a healed transient partition keeps the lease (TR §2.4's
+   tradeoff between promptness and tolerance). *)
+let ping_tick sp =
+  let grace = sp.rt.config.lease_grace in
+  (* One nonce per tick, shared by every (client, owner) heartbeat:
+     the epoch rides the high bits so acks from a previous
+     incarnation can never match (the sequence restarts at 1 after
+     a restart, but under a fresh epoch). *)
+  let seq = sp.next_ping in
+  sp.next_ping <- seq + 1;
+  let nonce = lease_nonce sp seq in
+  let clients = clients_with_surrogates sp in
+  List.iter
+    (fun cl ->
+      let l = lease_of sp cl in
+      (* Outstanding unanswered pings, derived from the aggregate:
+         equals the historical per-tick miss counter whenever acks
+         return within a period. *)
+      let missed = nonce_seq l.l_sent - nonce_seq l.l_acked + 1 in
+      let expired =
+        missed > sp.rt.config.lease_misses
+        &&
+        if grace <= 0.0 then true
+        else begin
+          let now = Sched.now (ssched sp) in
+          match Hashtbl.find_opt sp.suspect_since cl with
+          | None ->
+              Hashtbl.replace sp.suspect_since cl now;
+              if Obs.on () then
+                Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
+                  ~args:[ ("client", Trace.I cl) ]
+                  "suspect";
+              false
+          | Some t0 -> now -. t0 >= grace
+        end
+      in
+      if expired then begin
+        Log.info (fun m -> m "space %d: evicting client %d" sp.id cl);
+        evict_client sp cl;
+        Hashtbl.remove sp.suspect_since cl
+      end
+      else begin
+        sp.s_ping <- sp.s_ping + 1;
+        if Obs.on () then begin
+          Metrics.incr m_ping;
+          Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
+            ~args:[ ("client", Trace.I cl); ("missed", Trace.I missed) ]
+            "ping"
+        end;
+        l.l_sent <- nonce;
+        send_env sp ~dst:cl (Proto.Ping { nonce })
+      end)
+    clients

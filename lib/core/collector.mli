@@ -34,9 +34,9 @@ val cleaning_demon : space -> unit -> unit
 
 val cleaning_demon_batched : space -> float -> unit -> unit
 
-val ping_demon : space -> int -> float -> unit -> unit
-
-val gc_demon : space -> int -> float -> unit -> unit
+(** One tick of the ping demon: ping every client holding a lease
+    here, evicting those whose lease (and grace) ran out. *)
+val ping_tick : space -> unit
 
 (** {1 Envelope handlers} *)
 

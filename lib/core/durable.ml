@@ -11,94 +11,122 @@ let crash rt i =
 
 (* --- durable snapshots -------------------------------------------------
 
-   A snapshot is the whole durable image at one commit point; taking one
-   truncates the log (and, as a group commit, flushes the write cache,
-   releasing any queued barriers).  Only committed protocol state goes
-   in: usable surrogates and dirty entries with their idempotence
-   watermarks, never [Creating]/[Cleaning] transients (those re-run or
-   are re-asserted after recovery). *)
+   A snapshot is the whole durable image at one commit point, written as
+   the list of records that rebuilds it; taking one truncates the log
+   (and, as a group commit, flushes the write cache, releasing any
+   queued barriers).  Only committed protocol state goes in: usable
+   surrogates and dirty entries with their idempotence watermarks, never
+   [Creating]/[Cleaning] transients (those re-run or are re-asserted
+   after recovery).  Each table is folded the way it iterates and
+   replayed front to back, so recovery rebuilds every table in the same
+   insertion order whether it reads the image or the log. *)
 
-let build_snapshot sp =
+let image_codec = Pickle.list Wal.record_codec
+
+let image sp =
   let concretes = ref [] and surrogates = ref [] in
   Wirerep.Tbl.iter
     (fun wr entry ->
       match entry with
-      | Concrete c ->
-          let c_dirty =
-            Itbl.fold
-              (fun client _ acc ->
-                (client, Itbl.find c.c_last_seq client ~default:0) :: acc)
-              c.c_dirty []
-          in
-          concretes :=
-            { Wal.c_wr = wr; c_tag = c.c_tag; c_slots = c.c_slots; c_dirty }
-            :: !concretes
+      | Concrete c -> concretes := (wr, c) :: !concretes
       | Surrogate st -> (
           match !st with
-          | Usable _ -> surrogates := wr :: !surrogates
+          | Usable _ ->
+              surrogates := Wal.Surrogate { wr; add = true } :: !surrogates
           | Creating _ | Cleaning _ -> ()))
     sp.table;
-  {
-    Wal.s_epoch = sp.epoch;
-    s_cont = sp.cont;
-    s_next_index = sp.next_index;
-    s_next_msg = sp.next_msg;
-    s_next_call = sp.next_call;
-    s_peers = Hashtbl.fold (fun p e acc -> (p, e) :: acc) sp.peer_epoch [];
-    s_concretes = !concretes;
-    s_surrogates = !surrogates;
-    s_roots =
-      Itbl.fold (fun k r acc -> (Wirerep.of_key k, r) :: acc) sp.roots [];
-    s_pins =
+  let concrete (wr, c) =
+    (* Replayed links prepend, so they go oldest-last.  The agent's slots
+       are its bindings, which the Bind records relink. *)
+    let links =
+      if wr.Wirerep.index = 0 then []
+      else
+        List.rev_map
+          (fun child -> Wal.Link { parent = wr; child; add = true })
+          c.c_slots
+    in
+    let dirty =
+      Itbl.fold
+        (fun client _ acc ->
+          let seq = Itbl.find c.c_last_seq client ~default:0 in
+          Wal.Dirty { wr; client; seq; add = true } :: acc)
+        c.c_dirty []
+    in
+    (Wal.Export { wr; tag = c.c_tag } :: links) @ dirty
+  in
+  List.concat
+    [
+      [
+        Wal.Epoch { epoch = sp.epoch; cont = sp.cont };
+        Wal.Watermarks
+          {
+            next_index = sp.next_index;
+            next_msg = sp.next_msg;
+            next_call = sp.next_call;
+          };
+      ];
       Hashtbl.fold
-        (fun (m : Proto.msg_id) wrs acc -> (m.Proto.seq, wrs) :: acc)
+        (fun peer epoch acc -> Wal.Peer { peer; epoch } :: acc)
+        sp.peer_epoch [];
+      List.concat_map concrete !concretes;
+      !surrogates;
+      Itbl.fold
+        (fun k delta acc -> Wal.Root { wr = Wirerep.of_key k; delta } :: acc)
+        sp.roots [];
+      Hashtbl.fold
+        (fun (m : Proto.msg_id) wrs acc ->
+          Wal.Pins { msg = m.Proto.seq; wrs } :: acc)
         sp.tdirty [];
-    s_seqno =
-      Itbl.fold (fun k n acc -> (Wirerep.of_key k, n) :: acc) sp.seqno [];
-    s_bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) sp.bindings [];
-  }
+      Itbl.fold
+        (fun k n acc -> Wal.Seqno { wr = Wirerep.of_key k; n } :: acc)
+        sp.seqno [];
+      Hashtbl.fold (fun name wr acc -> Wal.Bind { name; wr } :: acc)
+        sp.bindings [];
+    ]
 
 let take_snapshot sp =
   match sp.store with
   | None -> ()
-  | Some st ->
-      Store.snapshot st (Pickle.encode Wal.snapshot_codec (build_snapshot sp))
+  | Some st -> Store.snapshot st (Pickle.encode image_codec (image sp))
+
+(* Demons carry the epoch they were spawned for and exit as soon as the
+   space's epoch moves on: [restart] spawns a fresh set, and without the
+   guard an old demon sleeping across the crash+restart window would wake
+   up alongside its replacement.  [periodic] runs [tick] every [period]
+   under that guard, as the fiber ["<name>-<space>.<epoch>"]. *)
+let periodic sp ~name period tick =
+  let gen = sp.epoch in
+  let sched = ssched sp in
+  Sched.spawn sched
+    ~name:(Printf.sprintf "%s-%d.%d" name sp.id gen)
+    (fun () ->
+      let rec loop () =
+        Sched.sleep sched period;
+        if (not sp.crashed) && sp.epoch = gen then begin
+          tick ();
+          loop ()
+        end
+      in
+      loop ())
 
 let spawn_periodic_demons sp =
-  let gen = sp.epoch in
-  let sched = (ssched sp) in
-  (match (sp.rt.config.snapshot_period, sp.store) with
-  | Some p, Some _ ->
-      Sched.spawn sched
-        ~name:(Printf.sprintf "snap-demon-%d.%d" sp.id gen)
-        (fun () ->
-          let rec loop () =
-            Sched.sleep sched p;
-            if (not sp.crashed) && sp.epoch = gen then begin
-              take_snapshot sp;
-              loop ()
-            end
-          in
-          loop ())
+  let cfg = sp.rt.config in
+  (match (cfg.snapshot_period, sp.store) with
+  | Some p, Some _ -> periodic sp ~name:"snap-demon" p (fun () -> take_snapshot sp)
   | (Some _ | None), _ -> ());
-  (match sp.rt.config.gc_period with
-  | Some p ->
-      Sched.spawn sched
-        ~name:(Printf.sprintf "gc-demon-%d.%d" sp.id gen)
-        (gc_demon sp gen p)
-  | None -> ());
-  (match sp.rt.config.cycle_period with
-  | Some p ->
-      Sched.spawn sched
-        ~name:(Printf.sprintf "cycle-demon-%d.%d" sp.id gen)
-        (cycle_demon sp gen p)
-  | None -> ());
-  match sp.rt.config.ping_period with
-  | Some p ->
-      Sched.spawn sched
-        ~name:(Printf.sprintf "ping-demon-%d.%d" sp.id gen)
-        (ping_demon sp gen p)
-  | None -> ()
+  Option.iter
+    (fun p -> periodic sp ~name:"gc-demon" p (fun () -> collect sp))
+    cfg.gc_period;
+  (* The cycle demon paces itself (it speeds up on a backlog). *)
+  Option.iter
+    (fun p ->
+      Sched.spawn (ssched sp)
+        ~name:(Printf.sprintf "cycle-demon-%d.%d" sp.id sp.epoch)
+        (cycle_demon sp sp.epoch p))
+    cfg.cycle_period;
+  Option.iter
+    (fun p -> periodic sp ~name:"ping-demon" p (fun () -> ping_tick sp))
+    cfg.ping_period
 
 (* Unwind a crashed incarnation and clear its volatile state, ahead of
    [restart] (amnesia) or [recover] (replay) rebuilding it.  The dead
@@ -207,12 +235,7 @@ let restart rt i =
    handshake under a grace window during which the collector stands
    down and every recovered dirty entry waits for re-confirmation. *)
 
-let replay_record sp r =
-  let rec remove_one x = function
-    | [] -> []
-    | y :: rest -> if Wirerep.equal x y then rest else y :: remove_one x rest
-  in
-  match r with
+let replay_record sp = function
   | Wal.Epoch { epoch; cont } ->
       sp.epoch <- epoch;
       sp.cont <- cont
@@ -245,7 +268,9 @@ let replay_record sp r =
       | None -> ());
       Wirerep.Tbl.remove sp.table wr
   | Wal.Root { wr; delta } ->
-      if delta > 0 then bump sp.roots wr else unbump sp.roots wr
+      let k = Wirerep.key wr in
+      let n = Itbl.find sp.roots k ~default:0 + delta in
+      if n <= 0 then Itbl.remove sp.roots k else Itbl.replace sp.roots k n
   | Wal.Link { parent; child; add } -> (
       match find_concrete sp parent with
       | Some c ->
@@ -310,59 +335,10 @@ let replay_record sp r =
           List.iter (fun wr -> unbump sp.pins wr) wrs
       | None -> ())
   | Wal.Peer { peer; epoch } -> Hashtbl.replace sp.peer_epoch peer epoch
-
-let apply_snapshot sp (s : Wal.snapshot) =
-  sp.epoch <- s.Wal.s_epoch;
-  sp.cont <- s.Wal.s_cont;
-  sp.next_index <- s.Wal.s_next_index;
-  sp.next_msg <- s.Wal.s_next_msg;
-  sp.next_call <- s.Wal.s_next_call;
-  List.iter
-    (fun (p, e) -> Hashtbl.replace sp.peer_epoch p e)
-    s.Wal.s_peers;
-  List.iter
-    (fun (c : Wal.concrete) ->
-      let meths =
-        match Hashtbl.find_opt sp.rt.factories c.Wal.c_tag with
-        | Some f -> f ()
-        | None -> []
-      in
-      let cobj =
-        {
-          c_wr = c.Wal.c_wr;
-          c_tag = c.Wal.c_tag;
-          c_meths = List.map (fun m -> (m.m_name, m)) meths;
-          c_slots = c.Wal.c_slots;
-          c_dirty = Itbl.create ();
-          c_last_seq = Itbl.create ();
-        }
-      in
-      List.iter
-        (fun (client, seq) ->
-          Itbl.replace cobj.c_last_seq client seq;
-          ignore (dirty_add sp cobj client : bool))
-        c.Wal.c_dirty;
-      Wirerep.Tbl.replace sp.table c.Wal.c_wr (Concrete cobj))
-    s.Wal.s_concretes;
-  List.iter
-    (fun wr ->
-      Wirerep.Tbl.replace sp.table wr
-        (Surrogate (ref (Usable { clean_scheduled = false }))))
-    s.Wal.s_surrogates;
-  List.iter
-    (fun (wr, n) -> if n > 0 then Itbl.replace sp.roots (Wirerep.key wr) n)
-    s.Wal.s_roots;
-  List.iter
-    (fun (msg, wrs) ->
-      Hashtbl.replace sp.tdirty { Proto.origin = sp.id; seq = msg } wrs;
-      List.iter (fun wr -> bump sp.pins wr) wrs)
-    s.Wal.s_pins;
-  List.iter
-    (fun (wr, n) -> Itbl.replace sp.seqno (Wirerep.key wr) n)
-    s.Wal.s_seqno;
-  List.iter
-    (fun (name, wr) -> Hashtbl.replace sp.bindings name wr)
-    s.Wal.s_bindings
+  | Wal.Watermarks { next_index; next_msg; next_call } ->
+      sp.next_index <- next_index;
+      sp.next_msg <- next_msg;
+      sp.next_call <- next_call
 
 let recover rt i =
   let sp = space rt i in
@@ -374,12 +350,13 @@ let recover rt i =
   in
   let t0 = Sys.time () in
   reset_incarnation sp ~reason:"space recovering";
-  (* Replay: snapshot first, then the log suffix, in append order.  A
-     record that fails to decode is counted by the store as torn and
-     skipped — it can only be the damaged tail. *)
+  (* Replay: the snapshot's records first, then the log suffix, in
+     append order.  A log record that fails to decode is counted by the
+     store as torn and skipped — it can only be the damaged tail.  Only
+     log records count as replayed. *)
   let snap, records, _torn = Store.recover st in
   (match snap with
-  | Some s -> apply_snapshot sp (Pickle.decode Wal.snapshot_codec s)
+  | Some s -> List.iter (replay_record sp) (Pickle.decode image_codec s)
   | None -> ());
   let replayed = ref 0 in
   List.iter

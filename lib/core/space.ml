@@ -777,15 +777,15 @@ let link sp ~parent ~child =
   | Some (Surrogate _) | None ->
       invalid_arg "Runtime.link: parent is not a local concrete object"
 
+(* Drop the first occurrence of [x]: heap slots are a multiset. *)
+let rec remove_one x = function
+  | [] -> []
+  | y :: rest -> if Wirerep.equal x y then rest else y :: remove_one x rest
+
 let unlink sp ~parent ~child =
   match Wirerep.Tbl.find_opt sp.table parent.wr with
   | Some (Concrete c) ->
-      let rec remove_one = function
-        | [] -> []
-        | wr :: rest ->
-            if Wirerep.equal wr child.wr then rest else wr :: remove_one rest
-      in
-      c.c_slots <- remove_one c.c_slots;
+      c.c_slots <- remove_one child.wr c.c_slots;
       wal sp (Wal.Link { parent = parent.wr; child = child.wr; add = false })
   | Some (Surrogate _) | None ->
       invalid_arg "Runtime.unlink: parent is not a local concrete object"
@@ -802,34 +802,21 @@ let allocate_agent sp =
    rebinding a name unlinks the object it previously kept alive.
    [agent_bind_nolog] is the raw state change, shared with recovery
    replay (which must not re-append the records it is replaying). *)
+let agent_slots sp f =
+  match find_concrete sp (Wirerep.v ~space:sp.id ~index:0) with
+  | Some agent -> agent.c_slots <- f agent.c_slots
+  | None -> ()
+
 let agent_bind_nolog sp name wr =
-  let agent_wr = Wirerep.v ~space:sp.id ~index:0 in
-  (match Wirerep.Tbl.find_opt sp.table agent_wr with
-  | Some (Concrete agent) ->
-      (match Hashtbl.find_opt sp.bindings name with
-      | Some old ->
-          let rec remove_one = function
-            | [] -> []
-            | x :: rest -> if Wirerep.equal x old then rest else x :: remove_one rest
-          in
-          agent.c_slots <- remove_one agent.c_slots
-      | None -> ());
-      agent.c_slots <- wr :: agent.c_slots
-  | Some (Surrogate _) | None -> ());
+  agent_slots sp (fun slots ->
+      match Hashtbl.find_opt sp.bindings name with
+      | Some old -> wr :: remove_one old slots
+      | None -> wr :: slots);
   Hashtbl.replace sp.bindings name wr
 
 let unbind_nolog sp name =
   match Hashtbl.find_opt sp.bindings name with
   | None -> ()
   | Some old ->
-      let agent_wr = Wirerep.v ~space:sp.id ~index:0 in
-      (match Wirerep.Tbl.find_opt sp.table agent_wr with
-      | Some (Concrete agent) ->
-          let rec remove_one = function
-            | [] -> []
-            | x :: rest ->
-                if Wirerep.equal x old then rest else x :: remove_one rest
-          in
-          agent.c_slots <- remove_one agent.c_slots
-      | Some (Surrogate _) | None -> ());
+      agent_slots sp (remove_one old);
       Hashtbl.remove sp.bindings name

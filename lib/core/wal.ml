@@ -1,7 +1,8 @@
-(* Write-ahead-log records and snapshots for durable spaces.  The
-   store ships opaque byte strings; this module owns the schema.  One
-   record per GC-relevant state transition, logged at the commit point
-   that makes the transition visible (see Runtime). *)
+(* Write-ahead-log records for durable spaces.  The store ships opaque
+   byte strings; this module owns the schema.  One record per
+   GC-relevant state transition, logged at the commit point that makes
+   the transition visible (see Runtime); a snapshot is the list of
+   records that rebuilds the whole image. *)
 
 module P = Netobj_pickle.Pickle
 
@@ -12,7 +13,9 @@ type record =
       (* a concrete object entered the table; [tag] picks the method
          suite factory at recovery *)
   | Reclaim of Wirerep.t (* the collector removed a dead concrete *)
-  | Root of { wr : Wirerep.t; delta : int } (* local root count +-1 *)
+  | Root of { wr : Wirerep.t; delta : int } (* local root count change:
+                                             +-1 in the log, the whole
+                                             count in a snapshot *)
   | Link of { parent : Wirerep.t; child : Wirerep.t; add : bool }
       (* heap edge between local concretes *)
   | Bind of { name : string; wr : Wirerep.t } (* agent name-table bind *)
@@ -33,6 +36,9 @@ type record =
   | Peer of { peer : int; epoch : int }
       (* highest incarnation epoch seen from this peer: guards the
          forget-vs-reconcile decision across our own recovery *)
+  | Watermarks of { next_index : int; next_msg : int; next_call : int }
+      (* the id counters, carried only by a snapshot: the log suffix
+         after it advances them past anything it mentions *)
 
 let record_codec =
   P.sum "wal"
@@ -94,94 +100,14 @@ let record_codec =
       P.case 14 "peer" (P.pair P.int P.int)
         (fun (peer, epoch) -> Peer { peer; epoch })
         (function Peer { peer; epoch } -> Some (peer, epoch) | _ -> None);
+      P.case 15 "watermarks" (P.triple P.int P.int P.int)
+        (fun (next_index, next_msg, next_call) ->
+          Watermarks { next_index; next_msg; next_call })
+        (function
+          | Watermarks { next_index; next_msg; next_call } ->
+              Some (next_index, next_msg, next_call)
+          | _ -> None);
     ]
-
-(* A snapshot is the whole durable image of a space at one commit
-   point: replaying it plus the log suffix reproduces the state. *)
-
-type concrete = {
-  c_wr : Wirerep.t;
-  c_tag : string;
-  c_slots : Wirerep.t list;
-  c_dirty : (int * int) list; (* (client, last seq accepted) *)
-}
-
-type snapshot = {
-  s_epoch : int;
-  s_cont : int;
-  s_next_index : int;
-  s_next_msg : int;
-  s_next_call : int;
-  s_peers : (int * int) list; (* peer -> highest epoch seen *)
-  s_concretes : concrete list;
-  s_surrogates : Wirerep.t list; (* usable surrogates *)
-  s_roots : (Wirerep.t * int) list;
-  s_pins : (int * Wirerep.t list) list; (* outstanding transient pins *)
-  s_seqno : (Wirerep.t * int) list;
-  s_bindings : (string * Wirerep.t) list;
-}
-
-let concrete_codec =
-  P.map ~name:"concrete"
-    (fun (c_wr, c_tag, c_slots, c_dirty) -> { c_wr; c_tag; c_slots; c_dirty })
-    (fun { c_wr; c_tag; c_slots; c_dirty } -> (c_wr, c_tag, c_slots, c_dirty))
-    (P.quad Wirerep.codec P.string
-       (P.list Wirerep.codec)
-       (P.list (P.pair P.int P.int)))
-
-let snapshot_codec =
-  P.map ~name:"snapshot"
-    (fun
-      ( (s_epoch, s_cont, s_next_index),
-        (s_next_msg, s_next_call, s_peers),
-        (s_concretes, s_surrogates),
-        ((s_roots, s_pins), (s_seqno, s_bindings)) )
-    ->
-      {
-        s_epoch;
-        s_cont;
-        s_next_index;
-        s_next_msg;
-        s_next_call;
-        s_peers;
-        s_concretes;
-        s_surrogates;
-        s_roots;
-        s_pins;
-        s_seqno;
-        s_bindings;
-      })
-    (fun
-      {
-        s_epoch;
-        s_cont;
-        s_next_index;
-        s_next_msg;
-        s_next_call;
-        s_peers;
-        s_concretes;
-        s_surrogates;
-        s_roots;
-        s_pins;
-        s_seqno;
-        s_bindings;
-      }
-    ->
-      ( (s_epoch, s_cont, s_next_index),
-        (s_next_msg, s_next_call, s_peers),
-        (s_concretes, s_surrogates),
-        ((s_roots, s_pins), (s_seqno, s_bindings)) ))
-    (P.quad
-       (P.triple P.int P.int P.int)
-       (P.triple P.int P.int (P.list (P.pair P.int P.int)))
-       (P.pair (P.list concrete_codec) (P.list Wirerep.codec))
-       (P.pair
-          (P.pair
-             (P.list (P.pair Wirerep.codec P.int))
-             (P.list (P.pair P.int (P.list Wirerep.codec))))
-          (P.pair
-             (P.list (P.pair Wirerep.codec P.int))
-             (P.list (P.pair P.string Wirerep.codec)))))
 
 let pp_record ppf = function
   | Epoch { epoch; cont } -> Fmt.pf ppf "epoch %d cont=%d" epoch cont
@@ -206,3 +132,6 @@ let pp_record ppf = function
   | Pins { msg; wrs } -> Fmt.pf ppf "pins msg=%d (%d)" msg (List.length wrs)
   | Unpins msg -> Fmt.pf ppf "unpins msg=%d" msg
   | Peer { peer; epoch } -> Fmt.pf ppf "peer %d epoch=%d" peer epoch
+  | Watermarks { next_index; next_msg; next_call } ->
+      Fmt.pf ppf "watermarks index=%d msg=%d call=%d" next_index next_msg
+        next_call

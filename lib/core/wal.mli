@@ -2,10 +2,11 @@
 
     The {!Netobj_store.Store} carries opaque byte strings; this module
     defines what a durable space writes into them: one {!record} per
-    GC-relevant state transition (appended at the commit point that
-    makes the transition visible to peers) and a {!snapshot} of the
-    whole image for log truncation.  Recovery replays the snapshot,
-    then the log suffix, in order. *)
+    GC-relevant state transition, appended at the commit point that
+    makes the transition visible to peers.  A snapshot, taken to
+    truncate the log, is the list of records that rebuilds the whole
+    image.  Recovery replays the snapshot's records, then the log
+    suffix, in order, through the same applier. *)
 
 type record =
   | Epoch of { epoch : int; cont : int }
@@ -15,7 +16,8 @@ type record =
       (** a concrete object entered the table; [tag] selects the
           registered method-suite factory at recovery *)
   | Reclaim of Wirerep.t  (** the collector removed a dead concrete *)
-  | Root of { wr : Wirerep.t; delta : int }  (** local root count ±1 *)
+  | Root of { wr : Wirerep.t; delta : int }  (** local root count change: ±1 in the log, the whole count in a
+          snapshot *)
   | Link of { parent : Wirerep.t; child : Wirerep.t; add : bool }
       (** heap edge between local concretes *)
   | Bind of { name : string; wr : Wirerep.t }  (** agent name bind *)
@@ -36,33 +38,9 @@ type record =
   | Peer of { peer : int; epoch : int }
       (** highest incarnation epoch seen from this peer — guards the
           forget-vs-reconcile decision across our own recovery *)
+  | Watermarks of { next_index : int; next_msg : int; next_call : int }
+      (** the id counters, carried only by a snapshot *)
 
 val record_codec : record Netobj_pickle.Pickle.t
 
 val pp_record : record Fmt.t
-
-type concrete = {
-  c_wr : Wirerep.t;
-  c_tag : string;
-  c_slots : Wirerep.t list;
-  c_dirty : (int * int) list;  (** (client, last seq accepted) *)
-}
-
-type snapshot = {
-  s_epoch : int;
-  s_cont : int;
-  s_next_index : int;
-  s_next_msg : int;
-  s_next_call : int;
-  s_peers : (int * int) list;  (** peer -> highest epoch seen *)
-  s_concretes : concrete list;
-  s_surrogates : Wirerep.t list;  (** usable surrogates *)
-  s_roots : (Wirerep.t * int) list;
-  s_pins : (int * Wirerep.t list) list;
-  s_seqno : (Wirerep.t * int) list;
-  s_bindings : (string * Wirerep.t) list;
-}
-
-val concrete_codec : concrete Netobj_pickle.Pickle.t
-
-val snapshot_codec : snapshot Netobj_pickle.Pickle.t

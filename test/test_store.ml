@@ -1,6 +1,6 @@
-(* Durable-store properties: WAL record and snapshot codec roundtrips,
-   and the tolerant log decoder (a truncated or corrupt tail decodes to
-   a clean prefix plus a torn count, never an exception). *)
+(* Durable-store properties: WAL record and image (record list) codec
+   roundtrips, and the tolerant log decoder (a truncated or corrupt tail
+   decodes to a clean prefix plus a torn count, never an exception). *)
 
 module Store = Netobj_store.Store
 module Wal = Netobj_core.Wal
@@ -40,46 +40,11 @@ let record_gen =
       map2 (fun msg wrs -> Wal.Pins { msg; wrs }) nat (small_list wr_gen);
       map (fun msg -> Wal.Unpins msg) nat;
       map2 (fun peer epoch -> Wal.Peer { peer; epoch }) (int_bound 50) nat;
+      map3
+        (fun next_index next_msg next_call ->
+          Wal.Watermarks { next_index; next_msg; next_call })
+        nat nat nat;
     ]
-
-let concrete_gen =
-  QCheck.Gen.(
-    map
-      (fun (c_wr, c_tag, c_slots, c_dirty) ->
-        { Wal.c_wr; c_tag; c_slots; c_dirty })
-      (tup4 wr_gen string_small (small_list wr_gen)
-         (small_list (tup2 (int_bound 50) nat))))
-
-let snapshot_gen =
-  let open QCheck.Gen in
-  map
-    (fun ((s_epoch, s_cont, s_next_index, s_next_msg),
-          (s_next_call, s_peers, s_concretes, s_surrogates),
-          (s_roots, s_pins, s_seqno, s_bindings)) ->
-      {
-        Wal.s_epoch;
-        s_cont;
-        s_next_index;
-        s_next_msg;
-        s_next_call;
-        s_peers;
-        s_concretes;
-        s_surrogates;
-        s_roots;
-        s_pins;
-        s_seqno;
-        s_bindings;
-      })
-    (tup3
-       (tup4 nat nat nat nat)
-       (tup4 nat
-          (small_list (tup2 (int_bound 50) nat))
-          (small_list concrete_gen) (small_list wr_gen))
-       (tup4
-          (small_list (tup2 wr_gen nat))
-          (small_list (tup2 nat (small_list wr_gen)))
-          (small_list (tup2 wr_gen nat))
-          (small_list (tup2 string_small wr_gen))))
 
 (* --- codec roundtrips ------------------------------------------------------ *)
 
@@ -89,12 +54,15 @@ let prop_record_roundtrip =
       let s = P.encode Wal.record_codec r in
       String.equal s (P.encode Wal.record_codec (P.decode Wal.record_codec s)))
 
-let prop_snapshot_roundtrip =
-  QCheck.Test.make ~name:"wal snapshot roundtrip" ~count:300
-    (QCheck.make snapshot_gen) (fun s ->
-      let b = P.encode Wal.snapshot_codec s in
-      String.equal b
-        (P.encode Wal.snapshot_codec (P.decode Wal.snapshot_codec b)))
+(* A snapshot is a record list: every case, watermarks included, must
+   survive the list codec. *)
+let prop_image_roundtrip =
+  let image = P.list Wal.record_codec in
+  QCheck.Test.make ~name:"wal image roundtrip" ~count:300
+    (QCheck.make QCheck.Gen.(small_list record_gen))
+    (fun rs ->
+      let b = P.encode image rs in
+      String.equal b (P.encode image (P.decode image b)))
 
 (* --- tolerant log decoding ------------------------------------------------- *)
 
@@ -200,7 +168,7 @@ let () =
       ( "codec",
         [
           QCheck_alcotest.to_alcotest prop_record_roundtrip;
-          QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest prop_image_roundtrip;
         ] );
       ( "decode",
         [
