@@ -201,14 +201,6 @@ val create : config -> t
     reach the others). *)
 val sched : t -> Sched.t
 
-(** Shard 0's simulated network: the channel model (edge order and
-    latency).  It serves only the model checker's delivery-choice hook
-    ({!Netobj_net.Net.set_delivery_choice}) and tests that inject a raw
-    packet past the transport.  Faults are injected, and traffic is
-    counted, through {!transport}: under a custom transport this network
-    carries nothing and its counters stay at zero. *)
-val net : t -> Net.t
-
 (** Shard 0's transport.  Harness fault operations ({!crash} and
     friends) go through each shard's fault hooks, which
     {!Netobj_transport.Faulty} implements: the sim engine's default

@@ -623,8 +623,6 @@ let space_id sp = sp.id
    chaos and the CLI only drive the sim engine). *)
 let sched rt = rt.shards.(0).Engine.s_sched
 
-let net rt = rt.shards.(0).Engine.s_net
-
 let transport rt = rt.shards.(0).Engine.s_transport
 
 let engine_name rt = Engine.name rt.engine

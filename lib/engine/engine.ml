@@ -5,7 +5,6 @@ module Transport = Netobj_transport.Transport
 type shard = {
   s_id : int;
   s_sched : Sched.t;
-  s_net : Net.t;
   s_transport : Transport.t;
 }
 

@@ -1,10 +1,11 @@
 (** The execution-engine interface.
 
     Everything the runtime needs from "how code runs" — fibers, timers
-    and the virtual clock ({!Netobj_sched.Sched}), the simulated network
-    with its delivery-choice hooks ({!Netobj_net.Net}), and the message
+    and the virtual clock ({!Netobj_sched.Sched}) and the message
     transport ({!Netobj_transport.Transport}) — is bundled into
-    {!shard}s handed out by an engine.  The runtime itself stays
+    {!shard}s handed out by an engine.  A shard's simulated network
+    ({!Netobj_net.Net}) is reachable only through the [?transport]
+    hook that builds its transport.  The runtime itself stays
     engine-agnostic: every space belongs to exactly one shard and all of
     its blocking operations, demons and timers live on that shard's
     scheduler, so the same protocol code runs single-domain and
@@ -28,16 +29,10 @@ module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
 
-(** One execution context: a scheduler (fibers, timers, virtual clock),
-    a simulated network (edge shaping, choice hooks; idle when a custom
-    transport routes traffic elsewhere) and the transport endpoint the
-    shard's spaces send and receive through. *)
-type shard = {
-  s_id : int;
-  s_sched : Sched.t;
-  s_net : Net.t;
-  s_transport : Transport.t;
-}
+(** One execution context: a scheduler (fibers, timers, virtual clock)
+    and the transport endpoint the shard's spaces send and receive
+    through. *)
+type shard = { s_id : int; s_sched : Sched.t; s_transport : Transport.t }
 
 (** Construction parameters, assembled by {!Netobj_core.Runtime.create}
     from its config.  [p_mk_transport] (the [?transport] config hook) is

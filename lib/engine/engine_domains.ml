@@ -77,18 +77,17 @@ let create (p : Engine.params) =
   let shards =
     Array.init nshards (fun k ->
         let sched = Sched.create ~policy:p.p_policy () in
-        let net =
-          Net.create ~sched
-            ~seed:(Int64.add p.p_seed (Int64.of_int k))
-            ~edge:p.p_edge ()
-        in
         let tr =
           match (p.p_mk_transport, hub) with
-          | Some f, _ -> f sched net
+          | Some f, _ ->
+              f sched
+                (Net.create ~sched
+                   ~seed:(Int64.add p.p_seed (Int64.of_int k))
+                   ~edge:p.p_edge ())
           | None, Some h -> Engine_hub.view h ~shard:k ~sched
           | None, None -> assert false
         in
-        { Engine.s_id = k; s_sched = sched; s_net = net; s_transport = tr })
+        { Engine.s_id = k; s_sched = sched; s_transport = tr })
   in
   (* Observability timestamps follow shard 0's clock; cross-shard traces
      are best-effort under this engine (see README). *)

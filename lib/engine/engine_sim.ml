@@ -20,11 +20,12 @@ let create (p : Engine.params) =
      against the default event-counter clock). *)
   Obs.set_clock (fun () -> Sched.now sched);
   let net = Net.create ~sched ~seed:p.p_seed ~edge:p.p_edge () in
-  (* The simulated network is always created (the model checker's
-     delivery-choice hook and edge shaping live there); a custom
-     transport simply routes traffic elsewhere and leaves it idle.  The
-     default stacks the fault gates on the network, drawing from its
-     RNG, so fault draws interleave with latency draws deterministically. *)
+  (* The simulated network is always created and handed to a custom
+     transport hook (the model checker sets its delivery choice there);
+     the hook's type fixes it even for a transport that routes traffic
+     elsewhere and leaves it idle.  The default stacks the fault gates
+     on the network, drawing from its RNG, so fault draws interleave
+     with latency draws deterministically. *)
   let tr =
     match p.p_mk_transport with
     | Some f -> f sched net
@@ -32,7 +33,7 @@ let create (p : Engine.params) =
   in
   {
     shard =
-      { Engine.s_id = 0; s_sched = sched; s_net = net; s_transport = tr };
+      { Engine.s_id = 0; s_sched = sched; s_transport = tr };
   }
 
 let shards t = [| t.shard |]

@@ -1,6 +1,7 @@
 module Sched = Netobj_sched.Sched
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
+module Faulty = Netobj_transport.Faulty
 module Runtime = Netobj_core.Runtime
 module Store = Netobj_store.Store
 module Chaos = Netobj_chaos.Chaos
@@ -394,12 +395,17 @@ let setup x cfg nemesis =
     let k = match kind with Sched.Fiber -> "fiber" | Sched.Timer -> "timer" in
     decide x ~kind:k labels
   in
-  let cfg = R.override ~policy:(Sched.Controlled chooser) cfg in
+  (* The sim engine's default transport, with the delivery-choice hook
+     on its network. *)
+  let transport sched net =
+    if x.b.slots > 1 then
+      Net.set_delivery_choice net ~slots:x.b.slots (fun ~label ~n ->
+          decide x ~kind:"net" (Array.make n label));
+    Faulty.of_net ~sched net
+  in
+  let cfg = R.override ~policy:(Sched.Controlled chooser) ~transport cfg in
   let rt = R.create cfg in
   x.rt <- Some rt;
-  if x.b.slots > 1 then
-    Net.set_delivery_choice (R.net rt) ~slots:x.b.slots (fun ~label ~n ->
-        decide x ~kind:"net" (Array.make n label));
   List.iter
     (fun (ev : Chaos.event) ->
       Sched.timer (R.sched rt) ~name:"nemesis" ev.Chaos.at (fun () ->

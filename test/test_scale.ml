@@ -15,6 +15,7 @@ module Stub = Netobj_core.Stub
 module Proto = Netobj_core.Proto
 module Net = Netobj_net.Net
 module Transport = Netobj_transport.Transport
+module Faulty = Netobj_transport.Faulty
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
 
@@ -117,9 +118,17 @@ let test_replay_immortal_without_fix () =
    current [dst_epoch] stamp (so the packet-layer epoch check cannot
    catch it). *)
 let test_dead_epoch_ack_stale () =
+  (* The default sim stack, keeping its network to inject the spoofed
+     packet past the transport. *)
+  let net = ref None in
+  let transport sched n =
+    net := Some n;
+    Faulty.of_net ~sched n
+  in
   let cfg =
     R.config ~seed:7L ~gc_period:0.5 ~ping_period:1.0 ~lease_misses:3
-      ~durable:true ~fsync_delay:0.005 ~recover_grace:0.5 ~nspaces:2 ()
+      ~durable:true ~fsync_delay:0.005 ~recover_grace:0.5 ~transport
+      ~nspaces:2 ()
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
@@ -152,7 +161,7 @@ let test_dead_epoch_ack_stale () =
       }
   in
   Sched.timer (R.sched rt) ~name:"nemesis-dead-epoch" 0.1 (fun () ->
-      Net.send (R.net rt) ~src:1 ~dst:0 ~kind:"ping_ack" spoof);
+      Net.send (Option.get !net) ~src:1 ~dst:0 ~kind:"ping_ack" spoof);
   ignore (R.run ~until:7.0 rt);
   no_failures rt;
   Alcotest.(check bool) "dead-epoch ack dropped as stale" true
