@@ -313,8 +313,8 @@ let chaos seed spaces duration objects events cycles partitions
     }
   in
   let r = Chaos.run cfg in
-  Fmt.pr "%a@." Chaos.pp_report r;
-  if Chaos.survived r then 0 else 1
+  Fmt.pr "%a" Chaos.pp_report r;
+  Chaos.finish r
 
 let chaos_spaces_arg =
   Arg.(

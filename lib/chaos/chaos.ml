@@ -470,12 +470,16 @@ let pp_report ppf r =
     r.r_ops_timeout r.r_ops_error r.r_orphans;
   Fmt.pf ppf "protocol: retries=%d epoch_rejections=%d evictions=%d@."
     r.r_retries r.r_epoch_rejections r.r_evictions;
-  (match r.r_drain_time with
+  match r.r_drain_time with
   | Some t -> Fmt.pf ppf "drain: converged in %.2fs@." t
-  | None -> Fmt.pf ppf "drain: DID NOT CONVERGE@.");
-  List.iter (fun v -> Fmt.pf ppf "SAFETY: %s@." v) r.r_safety;
-  List.iter (fun v -> Fmt.pf ppf "LIVENESS: %s@." v) r.r_liveness;
-  Fmt.pf ppf "result: %s" (if survived r then "SURVIVED" else "FAILED")
+  | None -> Fmt.pf ppf "drain: DID NOT CONVERGE@."
+
+let finish r =
+  let v = Scenario.verdict () in
+  Scenario.report v
+    (List.map (( ^ ) "safety: ") r.r_safety
+    @ List.map (( ^ ) "liveness: ") r.r_liveness);
+  Scenario.finish v
 
 (* --- harness state ---------------------------------------------------------- *)
 
@@ -1116,33 +1120,25 @@ let checker ctx () =
 (* --- drain oracle -------------------------------------------------------------- *)
 
 (* Convergence to ground truth after the faults stop and every mutator
-   released: no protocol invariant violated, no surrogate anywhere (so no
-   dirty entry anywhere), every minted object reclaimed by its owner.
-   Returns [] when converged. *)
+   released: the kit's drain oracle (no fiber died, no surrogate anywhere
+   — so no dirty entry anywhere — and no protocol invariant violated),
+   plus every minted object reclaimed by its owner.  Returns [] when
+   converged. *)
 let drain_oracle ctx =
-  let problems = ref [] in
-  let add fmt = Fmt.kstr (fun s -> problems := s :: !problems) fmt in
-  List.iter (fun p -> add "%s" p) (R.check_consistency ctx.rt);
-  List.iter
-    (fun sp ->
-      let n = R.surrogate_count sp in
-      if n > 0 then begin
-        add "space %d: %d surrogates not drained" (R.space_id sp) n;
-        List.iter (fun s -> add "  %s" s) (R.surrogate_summary sp)
-      end)
-    (R.spaces ctx.rt);
-  List.iter
-    (fun o ->
-      let osp = R.space ctx.rt o.o_owner in
-      if
-        R.cont osp <= o.o_mint_epoch
-        && live_holders ctx o = []
-        && R.resident osp o.o_wr
-      then
-        add "orphan %d.%d unreachable but not reclaimed" o.o_wr.Wirerep.space
-          o.o_wr.Wirerep.index)
-    ctx.orphans;
-  List.rev !problems
+  Scenario.drain_problems ctx.rt
+  @ List.filter_map
+      (fun o ->
+        let osp = R.space ctx.rt o.o_owner in
+        if
+          R.cont osp <= o.o_mint_epoch
+          && live_holders ctx o = []
+          && R.resident osp o.o_wr
+        then
+          Some
+            (Printf.sprintf "orphan %d.%d unreachable but not reclaimed"
+               o.o_wr.Wirerep.space o.o_wr.Wirerep.index)
+        else None)
+      ctx.orphans
 
 (* --- the run ------------------------------------------------------------------- *)
 

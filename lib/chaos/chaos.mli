@@ -170,7 +170,14 @@ type report = {
 
 val survived : report -> bool
 
+(** The report's numbers: seed, faults, ops, protocol counters and the
+    drain time, one line each. *)
 val pp_report : report Fmt.t
+
+(** The verdict through the scenario kit: one [FAIL: safety: ...] or
+    [FAIL: liveness: ...] line per problem, then [result: SURVIVED] or
+    [result: FAILED] ({!Scenario.finish}); returns the exit code. *)
+val finish : report -> int
 
 (** Run the harness.  [schedule] overrides the seeded random schedule
     (for scripted scenarios); it must respect the same reachability
