@@ -761,9 +761,13 @@ let apply_fault ctx ev =
                         && Sched.now sched < until
                         && not (Transport.is_crashed ctx.tr s)
                       then begin
+                        let t0 = Sched.now sched in
                         (try ignore (Stub.call sp h m_slow 1) with
                         | R.Timeout _ | R.Remote_error _ -> ());
-                        hammer ()
+                        (* A call that returns without the clock moving
+                           failed at once (a dangling handle): calling
+                           again would fail the same way, forever. *)
+                        if Sched.now sched > t0 then hammer ()
                       end
                     in
                     hammer ();
