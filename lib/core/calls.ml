@@ -370,6 +370,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
         | None, None -> None
       in
       let t0 = Sched.now sched in
+      let epoch0 = sp.epoch in
       let retries = cfg.call_retries in
       let timeout_exn ~attempts ~server_side =
         let elapsed = Sched.now sched -. t0 in
@@ -486,6 +487,18 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
                   | None -> d
                 in
                 if pause > 0. then Sched.sleep sched pause;
+                if sp.epoch <> epoch0 then begin
+                  (* The space restarted while this fiber slept: the
+                     restart failed every other call of the dead
+                     incarnation, and this one's id is the new
+                     incarnation's to reuse. *)
+                  if Obs.on () then
+                    Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id
+                      ~id:obs_id
+                      ~args:[ ("ok", Trace.I 0) ]
+                      "call";
+                  raise (Remote_error "calling space restarted")
+                end;
                 attempt (k + 1)
               end
               else begin

@@ -279,6 +279,24 @@ let test_kit_undrained () =
     ]
     (Scenario.drain_problems rt)
 
+(* Seed 21 under storms and crash-recover faults restarts a space while
+   one of its storm callers sleeps in a busy-owner backoff.  The caller
+   must not resume as the new incarnation: its dead call id would
+   collide with the new incarnation's at the owner's reply cache, and a
+   later call would decode another call's reply. *)
+let test_restart_during_busy_backoff () =
+  let cfg =
+    {
+      Chaos.default with
+      seed = 21L;
+      mix =
+        { Chaos.default_mix with crash_recovers = 2; disk_faults = 2; storms = 2 };
+    }
+  in
+  let r = Chaos.run cfg in
+  Alcotest.(check (list string)) "safety" [] r.Chaos.r_safety;
+  Alcotest.(check (list string)) "liveness" [] r.Chaos.r_liveness
+
 let () =
   Alcotest.run "chaos"
     [
@@ -294,6 +312,8 @@ let () =
             test_epoch_restart_recovery;
           Alcotest.test_case "restart requires crash" `Quick
             test_restart_requires_crash;
+          Alcotest.test_case "restart during busy backoff" `Quick
+            test_restart_during_busy_backoff;
         ] );
       ( "retries",
         [
