@@ -11,7 +11,12 @@ val cycle_demon : space -> int -> float -> unit -> unit
 (** {1 Envelope handlers} *)
 
 val handle_cycle_probe :
-  space -> src:int -> probe_id:int -> confirm:bool -> targets:Wirerep.t list -> unit
+  space ->
+  src:int ->
+  probe_id:int ->
+  confirm:bool ->
+  targets:Wirerep.t list ->
+  unit
 
 val handle_cycle_reply :
   space ->

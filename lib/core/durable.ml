@@ -112,7 +112,8 @@ let periodic sp ~name period tick =
 let spawn_periodic_demons sp =
   let cfg = sp.rt.config in
   (match (cfg.snapshot_period, sp.store) with
-  | Some p, Some _ -> periodic sp ~name:"snap-demon" p (fun () -> take_snapshot sp)
+  | Some p, Some _ ->
+      periodic sp ~name:"snap-demon" p (fun () -> take_snapshot sp)
   | (Some _ | None), _ -> ());
   Option.iter
     (fun p -> periodic sp ~name:"gc-demon" p (fun () -> collect sp))

@@ -9,7 +9,7 @@ open Cycle_detector
 open Durable
 module Engine_sim = Netobj_engine.Engine_sim
 
-(* --- the planes' public entry points ----------------------------------------- *)
+(* --- the planes' public entry points -------------------------------------- *)
 
 let handle_codec = Collector.handle_codec
 
@@ -29,7 +29,7 @@ let restart = Durable.restart
 
 let recover = Durable.recover
 
-(* --- packet dispatch ------------------------------------------------------- *)
+(* --- packet dispatch ----------------------------------------------------- *)
 
 let handle_envelope sp ~src env =
   if not sp.crashed then

@@ -13,9 +13,9 @@ type record =
       (* a concrete object entered the table; [tag] picks the method
          suite factory at recovery *)
   | Reclaim of Wirerep.t (* the collector removed a dead concrete *)
-  | Root of { wr : Wirerep.t; delta : int } (* local root count change:
-                                             +-1 in the log, the whole
-                                             count in a snapshot *)
+  | Root of { wr : Wirerep.t; delta : int }
+      (* local root count change: +-1 in the log, the whole count in a
+         snapshot *)
   | Link of { parent : Wirerep.t; child : Wirerep.t; add : bool }
       (* heap edge between local concretes *)
   | Bind of { name : string; wr : Wirerep.t } (* agent name-table bind *)

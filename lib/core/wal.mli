@@ -16,7 +16,8 @@ type record =
       (** a concrete object entered the table; [tag] selects the
           registered method-suite factory at recovery *)
   | Reclaim of Wirerep.t  (** the collector removed a dead concrete *)
-  | Root of { wr : Wirerep.t; delta : int }  (** local root count change: ±1 in the log, the whole count in a
+  | Root of { wr : Wirerep.t; delta : int }
+      (** local root count change: ±1 in the log, the whole count in a
           snapshot *)
   | Link of { parent : Wirerep.t; child : Wirerep.t; add : bool }
       (** heap edge between local concretes *)

@@ -290,7 +290,12 @@ let test_restart_during_busy_backoff () =
       Chaos.default with
       seed = 21L;
       mix =
-        { Chaos.default_mix with crash_recovers = 2; disk_faults = 2; storms = 2 };
+        {
+          Chaos.default_mix with
+          crash_recovers = 2;
+          disk_faults = 2;
+          storms = 2;
+        };
     }
   in
   let r = Chaos.run cfg in
