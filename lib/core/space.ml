@@ -618,9 +618,9 @@ let spaces rt = Array.to_list rt.space_arr
 let space_id sp = sp.id
 
 (* Shard 0's world: with the sim engine this is *the* scheduler and
-   transport; with a parallel engine these accessors keep
-   meaning "the first shard" for compatibility (the model checker,
-   chaos and the CLI only drive the sim engine). *)
+   transport; with a parallel engine these accessors keep meaning "the
+   first shard" for compatibility (the model checker, chaos and the CLI
+   only drive the sim engine). *)
 let sched rt = rt.shards.(0).Engine.s_sched
 
 let transport rt = rt.shards.(0).Engine.s_transport
