@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-json bench-compare perf-smoke verify examples check clean doc
+.PHONY: all build test bench bench-baseline bench-compare perf-smoke verify examples check clean doc
 
 all: build
 
@@ -12,15 +12,17 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Same, plus a machine-readable per-experiment metrics dump.
-bench-json:
-	dune exec bench/main.exe -- --json BENCH_netobj.json
+# The call benchmark's regression gate (BENCHMARK.json, perfbench/):
+# bench-baseline records ten seeded runs of every workload into the
+# committed BENCH_netobj.json; bench-compare reruns them and also flags
+# any median worse than the baseline's by more than its bound.  Both
+# exit 1 on an incorrect run or a spread above a third of its bound.
+# The deterministic experiment tables are pinned in test/cram/bench.t.
+bench-baseline:
+	python3 perfbench/spread.py --json=BENCH_netobj.json
 
-# Re-run the bench and diff CPU times against the committed baseline;
-# fails on a >20% regression in any experiment above the noise floor.
 bench-compare:
-	dune exec bench/main.exe -- --json /tmp/bench_current.json
-	dune exec tools/bench_compare.exe -- BENCH_netobj.json /tmp/bench_current.json
+	python3 perfbench/spread.py --against=BENCH_netobj.json
 
 # The seeded chaos, model-checking, recovery, transport, cycle, scale,
 # reliability and domain-parallel (a forced 4-domain pool) scenarios run

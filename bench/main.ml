@@ -980,8 +980,7 @@ module Chaos = Netobj_chaos.Chaos
    drain oracles.  The sweep is repeated with fixed-interval retries and
    with exponential backoff; the oracles must hold either way, the
    difference is retry traffic and drain time.  Every number here is a
-   function of the seeds alone — the rows are deterministic, but they
-   measure survival, not speed, so bench_compare skips them by default. *)
+   function of the seeds alone, so the rows are deterministic. *)
 let e18_chaos () =
   section "E18: chaos survival — fault schedules vs retry policy (8 seeds)";
   let seeds = List.init 8 (fun i -> Int64.of_int (i + 1)) in
@@ -1027,8 +1026,8 @@ module Mc = Netobj_mc.Mc
    hard each scenario is (states, pruning ratio) and — for the lookup
    scenario with the historical agent-root leak re-enabled via
    [bug_lookup_leak] — how many schedules each mode needs to re-find the
-   bug.  Everything is deterministic; bench_compare skips the rows by
-   default because they count schedules, not time. *)
+   bug.  Everything is deterministic: the rows count schedules, not
+   time. *)
 let e19_mc () =
   section "E19: systematic schedule exploration (lib/mc)";
   let ratio (s : Mc.stats) =
@@ -1070,8 +1069,7 @@ module Mx = Netobj_obs.Metrics
    group-commit fsyncs.  Part two grows the owner's heap before a
    crash: log bytes and records replayed grow linearly with live
    objects, every object must be resident again after replay.  The
-   wall-clock column is machine-dependent, so bench_compare skips
-   [recover] by default. *)
+   wall-clock column is machine-dependent. *)
 let e20_recover () =
   section "E20: durable spaces — WAL overhead and recovery replay";
   (* the store's counters are gated on the observability switch *)
@@ -1278,13 +1276,12 @@ module Engine_domains = Netobj_engine.Engine_domains
    deterministic sim engine (full virtual-clock packet simulation) and
    on the domains engine at 1, 2 and 4 shards (real inter-domain
    mailboxes, no packet simulation), under par's accounting oracle.
-   Aggregate calls/sec is wall-clock over the storm phase; per-row
-   gauges land in the JSON dump.  On a host with fewer cores than shards
-   the domains rows cannot exhibit true hardware parallelism, so the
-   table reports every row and lets the ratio speak for itself. *)
+   Aggregate calls/sec is wall-clock over the storm phase.  On a host
+   with fewer cores than shards the domains rows cannot exhibit true
+   hardware parallelism, so the table reports every row and lets the
+   ratio speak for itself. *)
 let e22_par () =
   section "E22: engine scaling — multi-space invoke storm, sim vs domains";
-  let module Mx = Netobj_obs.Metrics in
   (* Each space runs [fibers] concurrent clients (pipelined RPC, the
      realistic shape for a storm): with one sequential caller per space
      every cross-shard hop pays a full domain handoff, which measures
@@ -1305,7 +1302,6 @@ let e22_par () =
   row "%-12s %8s %8s %12s %12s@." "engine" "shards" "calls" "wall-ms"
     "calls/s";
   let report label shards (sent, wall, rate) =
-    Mx.set_gauge (Mx.gauge Mx.global ("par.calls_per_s." ^ label)) rate;
     row "%-12s %8d %8d %12.1f %12.0f@." label shards sent (wall *. 1e3) rate;
     rate
   in
@@ -1322,7 +1318,6 @@ let e22_par () =
   let d2 = dom 2 in
   let d4 = dom 4 in
   let speedup = d4 /. base in
-  Mx.set_gauge (Mx.gauge Mx.global "par.speedup.domains4_vs_sim") speedup;
   row "@.domains-4 vs sim baseline: %.2fx (domains-1 %.2fx, domains-2 %.2fx)@."
     speedup (d1 /. base) (d2 /. base)
 
@@ -1332,15 +1327,12 @@ let e22_par () =
    drop every root, and drive reclamation — once with the trial-deletion
    detector run to quiescence, once with the listing collector alone,
    the no-detector baseline that provably cannot reclaim any of them.
-   Headline: cycles reclaimed per wall second and the residual leak
-   (objects and reachable heap bytes) each configuration leaves
-   behind. *)
+   Headline: cycles reclaimed per wall second and the residual objects
+   each configuration leaves behind. *)
 let e23_cycle_churn () =
   section
     "E23: cycle-heavy churn — detector reclamation vs no-detector baseline";
-  let module Mx = Netobj_obs.Metrics in
   let spaces = 4 and k = 96 in
-  let word_bytes = Sys.word_size / 8 in
   let run ~detector =
     let rt = R.create (R.config ~seed:23L ~nspaces:spaces ()) in
     let wra = Array.make k None and wrb = Array.make k None in
@@ -1404,36 +1396,23 @@ let e23_cycle_churn () =
     let wall = Unix.gettimeofday () -. t0 in
     let after = leaked () in
     let reclaimed = (before - after) / 2 in
-    let bytes = Obj.reachable_words (Obj.repr rt) * word_bytes in
-    (before / 2, reclaimed, after, wall, bytes)
+    (before / 2, reclaimed, after, wall)
   in
-  row "%-12s %8s %12s %14s %14s@." "config" "cycles" "reclaimed/s"
-    "residual objs" "heap bytes";
-  let report label (minted, reclaimed, residual, wall, bytes) =
+  row "%-12s %8s %12s %14s@." "config" "cycles" "reclaimed/s" "residual objs";
+  let report label (minted, reclaimed, residual, wall) =
     let rate = if wall > 0.0 then float_of_int reclaimed /. wall else 0.0 in
-    Mx.set_gauge (Mx.gauge Mx.global ("cycles.reclaimed_per_s." ^ label)) rate;
-    Mx.set_gauge
-      (Mx.gauge Mx.global ("cycles.residual_objects." ^ label))
-      (float_of_int residual);
-    Mx.set_gauge
-      (Mx.gauge Mx.global ("cycles.heap_bytes." ^ label))
-      (float_of_int bytes);
-    row "%-12s %8d %12.0f %14d %14d@." label minted rate residual bytes;
-    (reclaimed, residual, bytes)
+    row "%-12s %8d %12.0f %14d@." label minted rate residual;
+    (reclaimed, residual)
   in
-  let _, base_residual, base_bytes = report "baseline" (run ~detector:false) in
-  let det_reclaimed, det_residual, det_bytes =
-    report "detector" (run ~detector:true)
-  in
+  let _, base_residual = report "baseline" (run ~detector:false) in
+  let det_reclaimed, det_residual = report "detector" (run ~detector:true) in
   if det_residual > 0 then
     Fmt.failwith "E23: detector left %d nodes resident" det_residual;
   if base_residual <> 2 * k then
     Fmt.failwith "E23: baseline expected to leak all %d nodes, kept %d"
       (2 * k) base_residual;
   row "@.detector reclaimed all %d cycles; baseline leaked %d objects@."
-    det_reclaimed base_residual;
-  row "(residual heap delta: baseline holds %d bytes the detector frees)@."
-    (base_bytes - det_bytes)
+    det_reclaimed base_residual
 
 (* ------------------------------------------------------------------ E24 *)
 
@@ -1446,7 +1425,6 @@ let e23_cycle_churn () =
    a whole-aggregate eviction. *)
 let e24_scale_churn () =
   section "E24: churn at scale — aggregated leases over compact tables";
-  let module Mx = Netobj_obs.Metrics in
   let word_bytes = Sys.word_size / 8 in
   let clients = 4 in
   row "%-10s %13s %14s %17s %10s %12s@." "handles" "bytes/handle"
@@ -1550,22 +1528,6 @@ let e24_scale_churn () =
           Array.sort compare a;
           a.(min (Array.length a - 1) (Array.length a * 99 / 100))
         in
-        let label = string_of_int size in
-        Mx.set_gauge
-          (Mx.gauge Mx.global ("churn.bytes_per_handle." ^ label))
-          (float_of_int bytes_per_handle);
-        Mx.set_gauge
-          (Mx.gauge Mx.global ("churn.heartbeats_per_handle_s." ^ label))
-          beats;
-        Mx.set_gauge
-          (Mx.gauge Mx.global ("churn.aggregation_gain." ^ label))
-          gain;
-        Mx.set_gauge
-          (Mx.gauge Mx.global ("churn.tick_wall_ms." ^ label))
-          (tick_wall *. 1e3);
-        Mx.set_gauge
-          (Mx.gauge Mx.global ("churn.p99_pause_ms." ^ label))
-          (p99 *. 1e3);
         row "%-10d %13d %15d %17.6f %9.0fx %10.2fms@." size bytes_per_handle
           pings beats gain (p99 *. 1e3);
         tick_wall)
@@ -1601,7 +1563,6 @@ let m_step = Stub.declare "step" P.int P.int
    keep a bounded p99. *)
 let e25_reliability () =
   section "E25: call reliability — retries under loss, shedding under overload";
-  let module Mx = Netobj_obs.Metrics in
   let chains = 40 and links = 10 in
   let lookup_retry sp ~at name =
     let rec go n =
@@ -1735,21 +1696,7 @@ let e25_reliability () =
   if shed_p99 > 0.1 then
     Fmt.failwith "E25: shed rejection p99 %.3fs not O(RTT)" shed_p99;
   if ok_p99 > 0.5 then
-    Fmt.failwith "E25: admitted p99 %.3fs unbounded under the gate" ok_p99;
-  Mx.set_gauge (Mx.gauge Mx.global "reliability.goodput_bare")
-    (float_of_int base_done);
-  Mx.set_gauge
-    (Mx.gauge Mx.global "reliability.goodput_retries")
-    (float_of_int rel_done);
-  Mx.set_gauge (Mx.gauge Mx.global "reliability.goodput_gain") gain;
-  Mx.set_gauge
-    (Mx.gauge Mx.global "reliability.duplicate_execs")
-    (float_of_int (max 0 (rel_execs - rel_distinct)));
-  Mx.set_gauge (Mx.gauge Mx.global "reliability.shed")
-    (float_of_int st.R.c_shed);
-  Mx.set_gauge (Mx.gauge Mx.global "reliability.shed_p99_ms") (shed_p99 *. 1e3);
-  Mx.set_gauge (Mx.gauge Mx.global "reliability.admitted_p99_ms")
-    (ok_p99 *. 1e3)
+    Fmt.failwith "E25: admitted p99 %.3fs unbounded under the gate" ok_p99
 
 (* ------------------------------------------------------------------ main *)
 
@@ -1781,20 +1728,11 @@ let experiments =
     ("reliability", e25_reliability);
   ]
 
-(* --json PATH: machine-readable results.  Each experiment runs with the
-   metrics registry freshly zeroed, so its dump is the per-experiment
-   instrument state (message/byte counts by kind, protocol counters, GC
-   histograms) plus the CPU time it took. *)
 let () =
-  let args = match Array.to_list Sys.argv with _ :: rest -> rest | [] -> [] in
-  let rec split_json acc = function
-    | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-    | x :: rest -> split_json (x :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let json_out, names = split_json [] args in
   let requested =
-    match names with [] -> List.map fst experiments | names -> names
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst experiments
+    | names -> names
   in
   List.iter
     (fun name ->
@@ -1804,38 +1742,4 @@ let () =
         exit 1
       end)
     requested;
-  let module Obs = Netobj_obs.Obs in
-  let module Metrics = Netobj_obs.Metrics in
-  let module Json = Netobj_obs.Json in
-  if json_out <> None then Obs.enable ~capacity:1024 ();
-  let results =
-    List.map
-      (fun name ->
-        let f = List.assoc name experiments in
-        if json_out <> None then Metrics.reset Metrics.global;
-        let t0 = Sys.time () in
-        f ();
-        let elapsed = Sys.time () -. t0 in
-        ( name,
-          Json.Obj
-            [
-              ("elapsed_cpu_s", Json.Float elapsed);
-              ("metrics", Metrics.json Metrics.global);
-            ] ))
-      requested
-  in
-  match json_out with
-  | None -> ()
-  | Some path ->
-      let doc =
-        Json.Obj
-          [
-            ("schema", Json.Str "netobj.bench/1");
-            ("experiments", Json.Obj results);
-          ]
-      in
-      let oc = open_out_bin path in
-      output_string oc (Json.to_string doc);
-      output_string oc "\n";
-      close_out oc;
-      Fmt.pr "@.wrote %s@." path
+  List.iter (fun name -> (List.assoc name experiments) ()) requested

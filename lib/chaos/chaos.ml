@@ -131,79 +131,6 @@ let event_to_json ev =
 
 let events_to_json evs = Json.List (List.map event_to_json evs)
 
-let events_of_json j =
-  let ( let* ) = Result.bind in
-  let num name o =
-    match Option.bind (Json.member name o) Json.to_float_opt with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing number %S" name)
-  in
-  let int name o = Result.map int_of_float (num name o) in
-  let fault_of_json o =
-    match Json.member "kind" o with
-    | Some (Json.Str "partition") ->
-        let* a = int "a" o in
-        let* b = int "b" o in
-        let* duration = num "duration" o in
-        Ok (Partition { a; b; duration })
-    | Some (Json.Str "crash") ->
-        let* victim = int "victim" o in
-        let* downtime = num "downtime" o in
-        Ok (Crash { victim; downtime })
-    | Some (Json.Str "crash_recover") ->
-        let* victim = int "victim" o in
-        let* downtime = num "downtime" o in
-        Ok (Crash_recover { victim; downtime })
-    | Some (Json.Str "disk_fault") ->
-        let* victim = int "victim" o in
-        let* fault =
-          match Json.member "fault" o with
-          | Some (Json.Str "torn_tail") -> Ok Store.Torn_tail
-          | Some (Json.Str "lost_suffix") -> Ok Store.Lost_suffix
-          | Some (Json.Str "slow_fsync") ->
-              let* d = num "delay" o in
-              Ok (Store.Slow_fsync d)
-          | _ -> Error "unknown disk fault"
-        in
-        Ok (Disk_fault { victim; fault })
-    | Some (Json.Str "loss_burst") ->
-        let* src = int "src" o in
-        let* dst = int "dst" o in
-        let* loss = num "loss" o in
-        let* duration = num "duration" o in
-        Ok (Loss_burst { src; dst; loss; duration })
-    | Some (Json.Str "dup_burst") ->
-        let* src = int "src" o in
-        let* dst = int "dst" o in
-        let* dup = num "dup" o in
-        let* duration = num "duration" o in
-        Ok (Dup_burst { src; dst; dup; duration })
-    | Some (Json.Str "latency_spike") ->
-        let* src = int "src" o in
-        let* dst = int "dst" o in
-        let* factor = num "factor" o in
-        let* duration = num "duration" o in
-        Ok (Latency_spike { src; dst; factor; duration })
-    | Some (Json.Str "call_storm") ->
-        let* victim = int "victim" o in
-        let* callers = int "callers" o in
-        let* duration = num "duration" o in
-        Ok (Call_storm { victim; callers; duration })
-    | _ -> Error "unknown fault kind"
-  in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | e :: rest ->
-        let* at = num "at" e in
-        let* fault =
-          match Json.member "fault" e with
-          | Some f -> fault_of_json f
-          | None -> Error "missing fault"
-        in
-        go ({ at; fault } :: acc) rest
-  in
-  match j with Json.List es -> go [] es | _ -> Error "expected a list"
-
 type mix = {
   partitions : int;
   crashes : int;
@@ -224,21 +151,6 @@ let default_mix =
     loss_bursts = 3;
     dup_bursts = 2;
     spikes = 2;
-    storms = 0;
-  }
-
-(* The default mix with recovery faults in: crash+recover replaces one
-   amnesia crash, plus armed disk faults (consumed by whichever crash
-   comes next). *)
-let recovery_mix =
-  {
-    partitions = 2;
-    crashes = 1;
-    crash_recovers = 2;
-    disk_faults = 2;
-    loss_bursts = 2;
-    dup_bursts = 1;
-    spikes = 1;
     storms = 0;
   }
 

@@ -86,12 +86,9 @@ val pp_fault : fault Fmt.t
 
 val pp_event : event Fmt.t
 
-(** JSON round trip for scripted nemeses: export a fault schedule (e.g.
-    from a model-checker counterexample) and feed it back to
-    {!run}[ ?schedule]. *)
+(** A fault schedule as JSON (the nemesis a model-checker counterexample
+    records). *)
 val events_to_json : event list -> Netobj_obs.Json.t
-
-val events_of_json : Netobj_obs.Json.t -> (event list, string) result
 
 (** How many faults of each kind a random schedule contains.  When
     [crash_recovers] or [disk_faults] is nonzero (or a scripted schedule
@@ -110,10 +107,6 @@ type mix = {
 }
 
 val default_mix : mix
-
-(** The recovery-heavy mix: crash+recover events plus armed disk faults,
-    alongside the usual connectivity churn. *)
-val recovery_mix : mix
 
 (** Generate a seeded random schedule over [\[0.6, duration\]].
     Connectivity-threatening faults (partitions, loss bursts, crashes)

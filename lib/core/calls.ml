@@ -53,16 +53,20 @@ let encode_with_pins sp f =
   (msg_id, has_refs, payload)
 
 (* Decode a payload; returns the value, the acquired references (already
-   pinned once each) and the registrations to await. *)
+   pinned once each) and the registrations to await.  A decode that
+   fails part-way unpins the references it had already acquired. *)
 let decode_with_acquire sp payload f =
   let acquired = ref [] in
   let pending = ref [] in
   let r = Wire.Reader.of_string payload in
-  let v =
+  match
     with_ctx (Dec { dsp = sp; d_acquired = acquired; d_pending = pending })
       (fun () -> f r)
-  in
-  (v, !acquired, !pending)
+  with
+  | v -> (v, !acquired, !pending)
+  | exception e ->
+      List.iter (unpin sp) !acquired;
+      raise e
 
 (* Block until every registration triggered by a decode has completed.
    This is the spec's suspended deserialisation; with a configured
@@ -534,7 +538,16 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
       match result with
       | Error e -> raise (Remote_error e)
       | Ok payload ->
-          let v, acquired, pending = decode_with_acquire sp payload decode in
+          let v, acquired, pending =
+            match decode_with_acquire sp payload decode with
+            | decoded -> decoded
+            | exception Wire.Error { msg; _ } ->
+                ack_reply ();
+                raise
+                  (Remote_error
+                     (Printf.sprintf "call %s: undecodable reply: %s" meth_name
+                        msg))
+          in
           (match await_registrations sp pending with
           | () -> ()
           | exception e ->

@@ -14,8 +14,6 @@ type message =
 
 type rstate = Bot | Nil | Ok | Ccit | Ccitnil
 
-let compare_proc = Int.compare
-
 let compare_rref a b =
   match Int.compare a.owner b.owner with
   | 0 -> Int.compare a.index b.index
@@ -48,11 +46,6 @@ let compare_message a b =
 let rstate_rank = function Bot -> 0 | Nil -> 1 | Ok -> 2 | Ccit -> 3 | Ccitnil -> 4
 
 let compare_rstate a b = Int.compare (rstate_rank a) (rstate_rank b)
-
-let message_ref = function
-  | Copy (r, _) | Copy_ack (r, _) | Dirty r | Dirty_ack r | Clean r | Clean_ack r
-    ->
-      r
 
 let pp_proc ppf p = Fmt.pf ppf "p%d" p
 

@@ -33,8 +33,6 @@ type message =
     formalisation adds to Birrell's account). *)
 type rstate = Bot | Nil | Ok | Ccit | Ccitnil
 
-val compare_proc : proc -> proc -> int
-
 val compare_rref : rref -> rref -> int
 
 val compare_msg_id : msg_id -> msg_id -> int
@@ -42,9 +40,6 @@ val compare_msg_id : msg_id -> msg_id -> int
 val compare_message : message -> message -> int
 
 val compare_rstate : rstate -> rstate -> int
-
-(** The reference a message is about. *)
-val message_ref : message -> rref
 
 val pp_proc : proc Fmt.t
 

@@ -88,8 +88,6 @@ let set_delivery_choice t ?(slots = 2) choose =
   if slots < 1 then invalid_arg "Net.set_delivery_choice: slots must be >= 1";
   t.delivery_choice <- Some (slots, choose)
 
-let clear_delivery_choice t = t.delivery_choice <- None
-
 let rng t = t.rng
 
 let edge t src dst =

@@ -101,10 +101,6 @@ val rng : t -> Netobj_util.Rng.t
 val set_delivery_choice :
   t -> ?slots:int -> (label:string -> n:int -> int) -> unit
 
-(** Remove the {!set_delivery_choice} hook; Bag edges draw latencies
-    again. *)
-val clear_delivery_choice : t -> unit
-
 (** {1 Accounting}
 
     Every count is per message: [sent]/[bytes] and {!stats_by_kind}

@@ -230,8 +230,3 @@ let of_string s =
 (* {2 Accessors} *)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let to_float_opt = function
-  | Int i -> Some (float_of_int i)
-  | Float f -> Some f
-  | _ -> None

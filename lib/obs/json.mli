@@ -33,7 +33,3 @@ val of_string : string -> (t, string) result
 
 (** [member k j] is the value bound to [k] when [j] is an object. *)
 val member : string -> t -> t option
-
-(** Numeric coercion: [Int] and [Float] both convert, everything else is
-    [None]. *)
-val to_float_opt : t -> float option

@@ -83,8 +83,6 @@ let observe h v =
 
 let hist_count h = h.hcount
 
-let hist_sum h = h.hsum
-
 let hist_buckets h =
   let acc = ref [] in
   for k = nbuckets - 1 downto 0 do
@@ -120,15 +118,6 @@ let reset t =
           h.hmin <- infinity;
           h.hmax <- neg_infinity)
     t.tbl
-
-let counters_with_prefix t prefix =
-  Hashtbl.fold
-    (fun name i acc ->
-      match i with
-      | C c when String.starts_with ~prefix name -> (name, c.c) :: acc
-      | C _ | G _ | H _ -> acc)
-    t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let instrument_json = function
   | C c -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Int c.c) ]

@@ -53,8 +53,6 @@ val observe : histogram -> float -> unit
 
 val hist_count : histogram -> int
 
-val hist_sum : histogram -> float
-
 (** Non-empty buckets as [(bucket_index, count)], ascending. *)
 val hist_buckets : histogram -> (int * int) list
 
@@ -66,11 +64,6 @@ val quantile : histogram -> float -> float
 
 (** Zero every instrument, keeping registrations (handles stay valid). *)
 val reset : t -> unit
-
-(** All counters whose name starts with [prefix], as [(name, value)]
-    sorted by name — e.g. [counters_with_prefix t "chaos."] for a
-    deterministic fault-injection summary. *)
-val counters_with_prefix : t -> string -> (string * int) list
 
 (** The registry as a JSON object, instruments sorted by name. *)
 val json : t -> Json.t

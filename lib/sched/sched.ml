@@ -196,8 +196,6 @@ let enqueue t ?(phase = 0) ?fls label thunk =
 
 let ready_count t = List.length t.ready + List.length t.ready_front
 
-let choice_points t = t.choices
-
 (* Remove and return element [i] of [ready_front @ List.rev ready],
    leaving the rest in order. *)
 let take_nth t i =

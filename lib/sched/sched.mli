@@ -34,19 +34,15 @@ type policy =
   | Fifo  (** run in enqueue order: deterministic baseline *)
   | Random of int64
       (** pick a uniformly random ready fiber: adversarial interleavings.
-          Each draw is a pure function of (seed, choice-point index) — see
-          {!choice_points} — never of the ready queue's internal layout,
-          so a recorded schedule replays identically. *)
+          Each draw is a pure function of (seed, choice-point index),
+          never of the ready queue's internal layout, so a recorded
+          schedule replays identically. *)
   | Controlled of chooser
       (** every nondeterministic point (≥ 2 ready fibers, or ≥ 2 timers
           due at the same instant) is surfaced to the callback, which
           dictates the schedule: the hook a model checker drives. *)
 
 val create : ?policy:policy -> unit -> t
-
-(** Number of scheduling choice points consumed so far (points with a
-    single alternative don't count). *)
-val choice_points : t -> int
 
 (** Register a fiber.  It starts running only under {!run}. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit

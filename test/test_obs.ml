@@ -330,13 +330,14 @@ let test_metrics_json_parses () =
         (List.map fst fields)
   | _ -> Alcotest.fail "metrics json not an object"
 
-(* The library's own parser (what tools/bench_compare reads dumps with)
-   roundtrips the emitter's output and rejects malformed input. *)
+(* The library's own parser (what `netobj_sim mc --replay` reads
+   counterexamples with) roundtrips the emitter's output and rejects
+   malformed input. *)
 let test_json_of_string_roundtrip () =
   let doc =
     Json.Obj
       [
-        ("schema", Json.Str "netobj.bench/1");
+        ("schema", Json.Str "netobj.mc/1");
         ("ok", Json.Bool true);
         ("none", Json.Null);
         ("n", Json.Int 42);
@@ -361,14 +362,14 @@ let test_json_of_string_roundtrip () =
 
 (* Property: [Json.of_string (Json.to_string j)] recovers [j] for every
    document, modulo the emitter's two lossy normalisations — non-finite
-   floats become [null] (the netobj.bench/1 emitter path) and a finite
+   floats become [null] (JSON has no literal for them) and a finite
    float prints as %.12g, so it reparses as [Int] when that rendering is
    integral and otherwise as the nearest 12-significant-digit float.
    [normalize] applies exactly those two rules; everything else — keys,
    escaped quotes/backslashes, control characters (the \u00XX escapes),
    nesting — must survive byte-exactly.  [Json.of_string] is the one
-   parser in the tree: tools/bench_compare.ml reads bench dumps with it,
-   so this property covers that consumer too. *)
+   parser in the tree: `netobj_sim mc --replay` reads counterexamples
+   with it, so this property covers that consumer too. *)
 let rec json_normalize = function
   | Json.Float f when not (Float.is_finite f) -> Json.Null
   | Json.Float f -> (

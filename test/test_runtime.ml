@@ -96,6 +96,56 @@ let test_unknown_method () =
       | exception R.Remote_error _ -> ());
       R.release client h)
 
+(* A reply the caller cannot decode is a typed [Remote_error], and the
+   references decoded before the failure are not leaked: the reply is
+   acknowledged and the caller's pins go, so a collect drains the
+   owner's dirty set. *)
+let test_undecodable_reply () =
+  let rt = make () in
+  let owner = R.space rt 0 and client = R.space rt 1 in
+  let counter = Scenario.counter owner in
+  let m_mint = Stub.declare "mint" P.unit (P.pair R.handle_codec P.int) in
+  let minted = ref None in
+  let minter =
+    R.allocate owner
+      ~meths:
+        [
+          Stub.implement m_mint (fun sp () ->
+              let c = Scenario.counter sp in
+              minted := Some c;
+              (c, 7));
+        ]
+  in
+  R.publish owner "counter" counter;
+  R.publish owner "minter" minter;
+  let expect_remote_error what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Remote_error" what
+    | exception R.Remote_error _ -> ()
+  in
+  in_fiber rt (fun () ->
+      let h = R.lookup client ~at:0 "counter" in
+      expect_remote_error "incr as bool" (fun () ->
+          Stub.call client h (Stub.declare "incr" P.int P.bool) 5);
+      let hm = R.lookup client ~at:0 "minter" in
+      expect_remote_error "mint as (handle, bool)" (fun () ->
+          Stub.call client hm
+            (Stub.declare "mint" P.unit (P.pair R.handle_codec P.bool))
+            ());
+      R.release client h;
+      R.release client hm);
+  let c = Option.get !minted in
+  Alcotest.(check (list int)) "minted object registered" [ 1 ]
+    (R.dirty_set owner c);
+  R.collect client;
+  ignore (R.run rt);
+  Alcotest.(check (list int)) "dirty set drained" [] (R.dirty_set owner c);
+  (* the reply's transient pin went with its copy_ack *)
+  R.release owner c;
+  R.collect owner;
+  Alcotest.(check bool) "minted object reclaimed" false
+    (R.resident owner (R.wirerep c))
+
 let test_unknown_name () =
   let rt = make () in
   let client = R.space rt 1 in
@@ -372,6 +422,7 @@ let () =
           Alcotest.test_case "basic rpc" `Quick test_basic_rpc;
           Alcotest.test_case "local invoke" `Quick test_local_invoke;
           Alcotest.test_case "unknown method" `Quick test_unknown_method;
+          Alcotest.test_case "undecodable reply" `Quick test_undecodable_reply;
           Alcotest.test_case "unknown name" `Quick test_unknown_name;
           Alcotest.test_case "many clients" `Quick test_many_clients;
         ] );
