@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-baseline bench-compare perf-smoke verify examples check clean doc
+.PHONY: all build test bench bench-baseline bench-compare perf-smoke verify chaos-sweep examples check clean doc
 
 all: build
 
@@ -47,6 +47,32 @@ perf-smoke:
 # The full local gate: build everything, run the test suite (unit,
 # property, cram), then the call-benchmark smoke.
 verify: build test perf-smoke
+
+# A wide chaos sweep, not part of `make test`: seeds 1-1000 of
+# `netobj_sim chaos` under each of three fault profiles (durable
+# crash-recover with storms and cycles; more crash-recovers over a
+# longer run; storms, cycles and partitions).  Prints every FAIL line
+# with its seed and profile and exits 1 on any failing run.  A run
+# takes about 20 ms, so the 3,000 runs take about a minute.
+CHAOS_PROFILES = \
+  "--crash-recovers 2 --disk-faults 2 --cycles 4 --storms 2" \
+  "--crash-recovers 3 --disk-faults 1 --duration 30" \
+  "--storms 3 --cycles 4 --partitions 3"
+
+chaos-sweep: build
+	@sim=_build/default/bin/netobj_sim.exe; runs=0; failed=0; \
+	for p in $(CHAOS_PROFILES); do \
+	  for s in $$(seq 1 1000); do \
+	    runs=$$((runs + 1)); \
+	    if ! out=$$($$sim chaos --seed $$s $$p 2>&1); then \
+	      failed=$$((failed + 1)); \
+	      echo "$$out" | grep '^FAIL' | sed "s|^|seed=$$s [$$p] |" \
+	        || echo "seed=$$s [$$p] failed with no FAIL line"; \
+	    fi; \
+	  done; \
+	done; \
+	echo "chaos-sweep: $$failed of $$runs runs failed"; \
+	[ $$failed -eq 0 ]
 
 examples:
 	dune exec examples/quickstart.exe

@@ -1568,7 +1568,7 @@ let e25_reliability () =
     let rec go n =
       match R.lookup sp ~at name with
       | h -> h
-      | exception (R.Timeout _ | R.Remote_error _) when n < 20 -> go (n + 1)
+      | exception R.Call_failed _ when n < 20 -> go (n + 1)
     in
     go 0
   in
@@ -1605,7 +1605,7 @@ let e25_reliability () =
               v := Stub.call sp h m_step !v
             done;
             incr completed
-          with R.Timeout _ | R.Remote_error _ -> ()
+          with R.Call_failed _ -> ()
         done;
         R.release sp h);
     ignore (R.run rt);
@@ -1670,9 +1670,9 @@ let e25_reliability () =
             let t0 = Sched.now sched in
             (match Stub.call sp h m_step 0 with
             | _ -> ok_lat := (Sched.now sched -. t0) :: !ok_lat
-            | exception R.Remote_error _ ->
+            | exception R.Call_failed (Shed _) ->
                 shed_lat := (Sched.now sched -. t0) :: !shed_lat
-            | exception R.Timeout _ -> ());
+            | exception R.Call_failed _ -> ());
             decr left;
             if !left = 0 then R.release sp h)
       done);

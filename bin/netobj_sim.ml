@@ -430,9 +430,8 @@ let recover_run seed fault_name trace_out metrics_out =
     | Some h -> (
         match Stub.call sp1 h Scenario.m_incr 1 with
         | n -> Fmt.pr "client: poke -> %d@." n
-        | exception R.Remote_error msg ->
-            Scenario.fail v "%s: remote error: %s" tag msg
-        | exception R.Timeout _ -> Scenario.fail v "%s: timeout" tag)
+        | exception R.Call_failed f ->
+            Scenario.fail v "%s: %a" tag R.pp_failure f)
   in
   Fmt.pr "durable run: 2 spaces, disk fault = %s@." fault_name;
   R.spawn rt ~name:"client-acquire" (fun () ->
@@ -442,7 +441,7 @@ let recover_run seed fault_name trace_out metrics_out =
           held := Some h;
           poke "pre-crash";
           poke "pre-crash"
-      | exception (R.Timeout _ | R.Remote_error _) ->
+      | exception R.Call_failed _ ->
           Scenario.fail v "acquire: lookup failed");
   ignore (R.run ~until:1.0 rt);
   (match fault with
@@ -632,7 +631,7 @@ let scale_run seed trace_out metrics_out =
         | s ->
             held.(c) <- Stub.call (sp c) s Scenario.m_all ();
             R.release (sp c) s
-        | exception (R.Timeout _ | R.Remote_error _) ->
+        | exception R.Call_failed _ ->
             Scenario.fail v "importer %d: lookup failed" c)
   done;
   ignore (R.run ~until:4.3 rt);
@@ -688,7 +687,7 @@ let scale_run seed trace_out metrics_out =
   R.spawn rt ~name:"sharded-lookup" (fun () ->
       match R.lookup_sharded (sp 1) "svc5" with
       | h -> R.release (sp 1) h
-      | exception (R.Timeout _ | R.Remote_error _) ->
+      | exception R.Call_failed _ ->
           Scenario.fail v "sharded lookup failed");
   ignore (R.run ~until:18.3 rt);
   Scenario.report v (Scenario.fiber_problems rt @ Scenario.safety_problems rt);
@@ -716,8 +715,8 @@ let scale_cmd =
 (* A deterministic narrative of the call-reliability plane: a lost call
    is retransmitted and succeeds, a lost reply is retransmitted and hits
    the owner's reply cache instead of re-executing (at-most-once), a
-   herd over the bounded inflight gate is shed with Busy and recovers
-   through backoff, and an abandoned call's Cancel releases the reply's
+   herd over the bounded inflight gate is shed and recovers through
+   backoff, and an abandoned call's Cancel releases the reply's
    transient pin long before the pin timeout would. *)
 let reliability_run seed trace_out metrics_out =
   with_obs ~trace_out ~metrics_out @@ fun () ->
@@ -828,7 +827,7 @@ let reliability_run seed trace_out metrics_out =
           (fun () ->
             (match Stub.call client hs m_slow i with
             | _ -> incr done_ok
-            | exception (R.Timeout _ | R.Remote_error _) -> incr done_err);
+            | exception R.Call_failed _ -> incr done_err);
             decr left)
       done;
       while !left > 0 do
@@ -849,7 +848,8 @@ let reliability_run seed trace_out metrics_out =
         ();
       (match Stub.call client hm m_mint () with
       | _ -> Scenario.fail v "cancel: call succeeded with every reply lost"
-      | exception R.Timeout msg -> Fmt.pr "cancel: caller abandoned: %s@." msg);
+      | exception R.Call_failed (No_reply _ as f) ->
+          Fmt.pr "cancel: caller abandoned: %a@." R.pp_failure f);
       Transport.set_burst tr ~src:0 ~dst:1 ~loss:0.0 ~until:(Sched.now sched) ();
       R.release client he;
       R.release client hs;
@@ -884,8 +884,8 @@ let reliability_cmd =
          "Run a deterministic narrative of the call-reliability plane: a \
           lost call is retransmitted, a lost reply hits the owner's reply \
           cache instead of re-executing (at-most-once), a herd over the \
-          bounded inflight gate is shed with Busy and drains through \
-          backoff, and an abandoned call's Cancel releases the reply's \
+          bounded inflight gate is shed and drains through backoff, \
+          and an abandoned call's Cancel releases the reply's \
           transient pin immediately.  Exits 0 iff every step held.")
     Term.(
       const reliability_run $ seed_arg
@@ -969,11 +969,11 @@ let connect addr spaces peers seed =
           | h ->
               (match Stub.call sp h Scenario.m_incr 1 with
               | n -> Fmt.pr "connect: counter@%d incr -> %d@." a n
-              | exception (R.Remote_error _ | R.Timeout _) ->
+              | exception R.Call_failed _ ->
                   failed := true;
                   Fmt.pr "connect: counter@%d call failed@." a);
               R.release sp h
-          | exception (R.Remote_error _ | R.Timeout _) ->
+          | exception R.Call_failed _ ->
               failed := true;
               Fmt.pr "connect: counter@%d lookup failed@." a)
         targets;
@@ -1094,7 +1094,7 @@ let transport_demo seed =
     let incr_to tag h =
       match Stub.call sp h Scenario.m_incr 1 with
       | n -> Fmt.pr "client: %s incr -> %d@." tag n
-      | exception (R.Remote_error _ | R.Timeout _) ->
+      | exception R.Call_failed _ ->
           Scenario.fail v "%s incr failed" tag
     in
     R.spawn rt ~name:"demo-client" (fun () ->
@@ -1107,7 +1107,7 @@ let transport_demo seed =
         Fmt.pr "demo: killed server 0@.";
         (match Stub.call sp h0 Scenario.m_incr 1 with
         | _ -> Scenario.fail v "call to dead owner succeeded"
-        | exception (R.Remote_error _ | R.Timeout _) ->
+        | exception R.Call_failed _ ->
             Fmt.pr "client: call to dead owner: failed@.");
         pid0 := spawn_quiet (serve_args 0 p0 ~other:(1, p1) ~epoch:1);
         if not (Scenario.wait_port p0 ~timeout:10.0) then
@@ -1119,7 +1119,7 @@ let transport_demo seed =
              and evicts the dead incarnation's surrogates. *)
           (match Stub.call sp h0 Scenario.m_incr 1 with
           | _ -> Scenario.fail v "stale call succeeded"
-          | exception (R.Remote_error _ | R.Timeout _) ->
+          | exception R.Call_failed _ ->
               Fmt.pr "client: stale call: failed@.");
           Sched.sleep (R.sched rt) 1.0;
           R.release sp h0;
@@ -1127,7 +1127,7 @@ let transport_demo seed =
           | h0' ->
               incr_to "fresh counter@0" h0';
               R.release sp h0'
-          | exception (R.Remote_error _ | R.Timeout _) ->
+          | exception R.Call_failed _ ->
               Scenario.fail v "fresh lookup failed");
           incr_to "counter@1" h1;
           R.release sp h1

@@ -431,6 +431,13 @@ let bump ctx k =
   | None -> Hashtbl.add ctx.fault_counts k (ref 1));
   Metrics.incr (Metrics.counter Metrics.global ("chaos." ^ k))
 
+(* A reply that does not decode is counted wherever a call fails, by
+   the callers that tolerate every other failure too (see
+   [classify_failure]). *)
+let tolerate ctx = function
+  | R.Undecodable_reply _ -> bump ctx "undecodable_replies"
+  | _ -> ()
+
 let violate ctx fmt =
   Fmt.kstr
     (fun s ->
@@ -649,8 +656,8 @@ let apply_fault ctx ev =
   | Call_storm { victim; callers; duration } ->
       (* Overload, not connectivity: a herd of short-lived callers hammers
          one of the victim's published counters in a tight loop, driving
-         its inflight gate into [Busy] shedding while the ordinary
-         mutators keep running.  Callers originate round-robin at the
+         its inflight gate into shedding while the ordinary mutators
+         keep running.  Callers originate round-robin at the
          other spaces, tolerate every failure, and release what they
          looked up when the window closes. *)
       if not (Transport.is_crashed ctx.tr victim) then begin
@@ -674,8 +681,8 @@ let apply_fault ctx ev =
                         && not (Transport.is_crashed ctx.tr s)
                       then begin
                         let t0 = Sched.now sched in
-                        (try ignore (Stub.call sp h m_slow 1) with
-                        | R.Timeout _ | R.Remote_error _ -> ());
+                        (try ignore (Stub.call sp h m_slow 1)
+                         with R.Call_failed f -> tolerate ctx f);
                         (* A call that returns without the clock moving
                            failed at once (a dangling handle): calling
                            again would fail the same way, forever. *)
@@ -684,7 +691,7 @@ let apply_fault ctx ev =
                     in
                     hammer ();
                     (try R.release sp h with _ -> ())
-                | exception (R.Timeout _ | R.Remote_error _) -> ())
+                | exception R.Call_failed f -> tolerate ctx f)
         done
       end
 
@@ -719,45 +726,47 @@ let remove_holder it s =
       in
       o.o_holders <- rm o.o_holders
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(* Classify a failed operation on a held reference.  Timeouts are always
-   legitimate (crash, partition, loss).  An overload shed ([Busy] after
-   retry exhaustion) says nothing about the object's existence — the
-   owner rejected the call before even decoding the target — so it
-   counts with the timeouts.  Any other [Remote_error] is legitimate
-   only if one of the incarnations involved moved: if both the caller and
-   the owner are up and in the same epochs as when the reference was
-   acquired, the object cannot have disappeared — that is the safety
-   property under test. *)
-let classify_error ctx s it msg =
-  if contains_sub msg "shed by busy owner" then begin
-    ctx.ops_timeout <- ctx.ops_timeout + 1;
-    bump ctx "sheds"
-  end
-  else begin
-  ctx.ops_error <- ctx.ops_error + 1;
-  bump ctx "ops_error";
-  match it with
-  | None -> ()
-  | Some it ->
-      let sp = R.space ctx.rt s in
-      let osp = R.space ctx.rt it.iowner in
-      if
-        (not (Transport.is_crashed ctx.tr s))
-        && R.cont sp <= it.ihold
-        && (not (Transport.is_crashed ctx.tr it.iowner))
-        && R.cont osp <= it.imint
-      then
-        let wr = R.wirerep it.ih in
-        violate ctx
-          "space %d: held object %d.%d vanished with owner %d alive (epoch \
-           %d): %s"
-          s wr.Wirerep.space wr.Wirerep.index it.iowner it.imint msg
-  end
+(* Classify a failed operation, on a held reference when [it] is given.
+   Timeouts are always legitimate (crash, partition, loss).  An overload
+   shed says nothing about the object's existence — the owner rejected
+   the call before even decoding the target — so it counts with the
+   timeouts.  A reply that does not decode is counted apart: with no
+   adversary that corrupts bytes, it can only be another call's reply.
+   Any other failure is legitimate if the caller's own incarnation was
+   reset under the call (a restart, or a recovery that keeps the
+   continuity floor), or if one of the incarnations involved moved: if
+   both the caller and the owner are up and in the same epochs as when
+   the reference was acquired, the object cannot have disappeared —
+   that is the safety property under test. *)
+let classify_failure ctx s it (f : R.failure) =
+  match f with
+  | No_reply _ | Dirty_timeout ->
+      ctx.ops_timeout <- ctx.ops_timeout + 1;
+      bump ctx "ops_timeout"
+  | Shed _ ->
+      ctx.ops_timeout <- ctx.ops_timeout + 1;
+      bump ctx "sheds"
+  | _ -> (
+      ctx.ops_error <- ctx.ops_error + 1;
+      bump ctx "ops_error";
+      match (f, it) with
+      | Undecodable_reply _, _ -> tolerate ctx f
+      | (Caller_crashed | Caller_restarted _), _ | _, None -> ()
+      | _, Some it ->
+          let sp = R.space ctx.rt s in
+          let osp = R.space ctx.rt it.iowner in
+          if
+            (not (Transport.is_crashed ctx.tr s))
+            && R.cont sp <= it.ihold
+            && (not (Transport.is_crashed ctx.tr it.iowner))
+            && R.cont osp <= it.imint
+          then
+            let wr = R.wirerep it.ih in
+            violate ctx
+              "space %d: held object %d.%d vanished with owner %d alive \
+               (epoch %d): %a"
+              s wr.Wirerep.space wr.Wirerep.index it.iowner it.imint
+              R.pp_failure f)
 
 let mutator ctx s ops () =
   let sp = R.space ctx.rt s in
@@ -784,10 +793,6 @@ let mutator ctx s ops () =
   let ok () =
     ctx.ops_ok <- ctx.ops_ok + 1;
     bump ctx "ops_ok"
-  in
-  let timeout () =
-    ctx.ops_timeout <- ctx.ops_timeout + 1;
-    bump ctx "ops_timeout"
   in
   let release_item it =
     remove_holder it s;
@@ -846,8 +851,7 @@ let mutator ctx s ops () =
             ok ()
           end
           else (try R.release sp h with _ -> ())
-      | exception R.Timeout _ -> timeout ()
-      | exception R.Remote_error msg -> classify_error ctx s None msg
+      | exception R.Call_failed f -> classify_failure ctx s None f
     end
   in
   let poke () =
@@ -857,11 +861,13 @@ let mutator ctx s ops () =
         let it = List.nth items (Rng.int rng (List.length items)) in
         match Stub.call sp it.ih Scenario.m_incr 1 with
         | _ -> ok ()
-        | exception R.Timeout _ -> timeout ()
-        | exception R.Remote_error msg ->
-            classify_error ctx s (Some it) msg;
-            (* Whatever the reason, the reference is unusable: drop it so
-               the heap can converge. *)
+        | exception R.Call_failed ((No_reply _ | Dirty_timeout) as f) ->
+            (* a timeout: the reference may still be good *)
+            classify_failure ctx s (Some it) f
+        | exception R.Call_failed f ->
+            classify_failure ctx s (Some it) f;
+            (* Any other failure leaves the reference unusable: drop it
+               so the heap can converge. *)
             sync_epoch ();
             if List.memq it !held then begin
               held := List.filter (fun x -> x != it) !held;
@@ -971,7 +977,7 @@ let cycler ctx s n () =
             (* forward edge locally, back edge through the wire *)
             R.link sp ~parent:nl ~child:nr;
             (try Stub.call sp nr Scenario.m_set_peer nl
-             with R.Timeout _ | R.Remote_error _ -> ());
+             with R.Call_failed f -> tolerate ctx f);
             bump ctx "cycles";
             sync_epoch ();
             if Rng.int rng 2 = 0 then
@@ -980,8 +986,7 @@ let cycler ctx s n () =
             else held := items @ !held
           end
           else (try R.release sp nr with _ -> ())
-      | exception R.Timeout _ -> ()
-      | exception R.Remote_error _ -> ()
+      | exception R.Call_failed f -> tolerate ctx f
     end
   in
   let gap = ctx.cfg.duration /. float_of_int (max 1 n) in
@@ -1218,6 +1223,7 @@ let run ?schedule cfg =
         "latency_spikes";
         "storms";
         "sheds";
+        "undecodable_replies";
         "cycles";
       ]
   in

@@ -73,8 +73,8 @@ type fault =
       (** overload, not connectivity: [callers] extra fibers hammer one
           of the victim's published counters in a tight loop for
           [duration], driving its inflight admission gate
-          ([max_inflight]) into [Busy] shedding while the ordinary
-          mutators keep running.  When a run's mix or scripted schedule
+          ([max_inflight]) into shedding while the ordinary mutators
+          keep running.  When a run's mix or scripted schedule
           contains storms the harness arms the call-reliability plane
           (bounded inflight gate, retries); shed operations count under
           the ["sheds"] fault key and are never safety violations —
@@ -146,7 +146,13 @@ type report = {
   r_seed : int64;
   r_spaces : int;
   r_end_time : float;  (** virtual clock at the end of the run *)
-  r_faults : (string * int) list;  (** applied faults by kind, sorted *)
+  r_faults : (string * int) list;
+      (** applied faults by kind, in a fixed order, plus the counts
+          ["sheds"], ["cycles"] and ["undecodable_replies"] (calls whose
+          reply did not decode with their result codec: with no
+          adversary that corrupts bytes, each is another call's reply,
+          so a correct run has none); kinds that never happened are
+          left out *)
   r_ops_ok : int;
   r_ops_timeout : int;
   r_ops_error : int;

@@ -70,7 +70,8 @@ let decode_with_acquire sp payload f =
 
 (* Block until every registration triggered by a decode has completed.
    This is the spec's suspended deserialisation; with a configured
-   dirty_timeout it raises [Timeout] instead of waiting forever. *)
+   dirty_timeout it fails with [Dirty_timeout] instead of waiting
+   forever. *)
 let await_registrations sp pending =
   List.iter
     (fun iv ->
@@ -80,15 +81,10 @@ let await_registrations sp pending =
         | Some dt -> (
             match Sched.read_timeout (ssched sp) iv ~timeout:dt with
             | Some ok -> ok
-            | None -> raise (Timeout "dirty call"))
+            | None -> raise (Call_failed Dirty_timeout))
       in
-      if not ok then raise (Remote_error "object no longer available at owner"))
+      if not ok then raise (Call_failed Registration_failed))
     pending
-
-let lookup_meth c name =
-  match List.assoc_opt name c.c_meths with
-  | Some m -> m
-  | None -> raise (Remote_error (Printf.sprintf "no method %s" name))
 
 (* Record a settled call in [client]'s bounded reply cache. *)
 let cache_reply sp ~client ~call_id env =
@@ -121,6 +117,19 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
     ~deadline =
   let ron = reliability_on sp in
   let ack_now () = if needs_ack then send_copy_ack sp ~dst:src msg_id in
+  (* A shed or expired call is refused before anything runs: the reply
+     carries no references, takes no message id from the sequence and
+     is not cached. *)
+  let refuse verdict =
+    send_env sp ~dst:src
+      (Proto.Reply
+         {
+           call_id;
+           msg_id = { Proto.origin = sp.id; seq = 0 };
+           needs_ack = false;
+           result = Error verdict;
+         })
+  in
   (* At-most-once: a retransmission of a settled call replays the cached
      reply verbatim (and re-acks the copy — the original ack may have
      been lost along with the reply); one of a still-executing call is
@@ -153,7 +162,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
           (* O(1) shed: nothing decoded, nothing pinned, no state. *)
           sp.s_call_shed <- sp.s_call_shed + 1;
           if Obs.on () then Metrics.incr m_call_shed;
-          send_env sp ~dst:src (Proto.Busy { call_id })
+          refuse Proto.V_shed
       | Some _ | None ->
           let sched = ssched sp in
           let ic = { if_cancelled = false } in
@@ -174,7 +183,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
               | Ok fill ->
                   let id, has_refs, s = encode_with_pins sp fill in
                   (id, has_refs, Ok s)
-              | Error e -> (fresh_msg_id sp, false, Error e)
+              | Error v -> (fresh_msg_id sp, false, Error v)
             in
             let env =
               Proto.Reply
@@ -197,25 +206,30 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
               send_env sp ~dst:src env
             end
           in
+          let raised e = Error (Proto.V_raised (Printexc.to_string e)) in
           let serve () =
-            match find_concrete sp target with
+            match
+              Option.map
+                (fun c -> List.assoc_opt meth_name c.c_meths)
+                (find_concrete sp target)
+            with
             | None ->
                 ack_now ();
-                reply (Error (Fmt.str "no such object %a" Wirerep.pp target))
-            | Some c -> (
-                match
-                  let m = lookup_meth c meth_name in
-                  decode_with_acquire sp args (fun r -> m.m_run sp r)
-                with
+                reply (Error Proto.V_no_object)
+            | Some None ->
+                ack_now ();
+                reply (Error Proto.V_no_method)
+            | Some (Some m) -> (
+                match decode_with_acquire sp args (fun r -> m.m_run sp r) with
                 | exception e ->
                     ack_now ();
-                    reply (Error (Printexc.to_string e))
+                    reply (raised e)
                 | compute, acquired, pending -> (
                     match await_registrations sp pending with
                     | exception e ->
                         List.iter (unpin sp) acquired;
                         ack_now ();
-                        reply (Error (Printexc.to_string e))
+                        reply (raised e)
                     | () -> (
                         ack_now ();
                         match until with
@@ -226,7 +240,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
                             List.iter (unpin sp) acquired;
                             sp.s_call_expired <- sp.s_call_expired + 1;
                             if Obs.on () then Metrics.incr m_deadline_expired;
-                            send_env sp ~dst:src (Proto.Expired { call_id })
+                            refuse Proto.V_expired
                         | Some _ | None -> (
                             sp.s_call_executed <- sp.s_call_executed + 1;
                             (* Phase 2: run the implementation (it may
@@ -236,7 +250,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
                                 reply (Ok fill);
                                 List.iter (unpin sp) acquired
                             | exception e ->
-                                reply (Error (Printexc.to_string e));
+                                reply (raised e);
                                 List.iter (unpin sp) acquired))))
           in
           if ron then begin
@@ -257,15 +271,12 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
           end
           else serve ())
 
-let settle_call sp ~call_id outcome =
+let handle_reply sp ~call_id ~msg_id ~needs_ack ~result =
   match Hashtbl.find_opt sp.pending_calls call_id with
   | None -> () (* timed out and forgotten, or a stale earlier attempt *)
   | Some iv ->
       Hashtbl.remove sp.pending_calls call_id;
-      Sched.Ivar.fill iv outcome
-
-let handle_reply sp ~call_id ~msg_id ~needs_ack ~result =
-  settle_call sp ~call_id (O_reply (msg_id, needs_ack, result))
+      Sched.Ivar.fill iv (Ok (msg_id, needs_ack, result))
 
 (* The caller abandoned [call_id]: drop its cached reply (releasing the
    reply's transient pins) or flag the still-executing instance so its
@@ -306,15 +317,19 @@ let await_usable sp h =
       | Usable _ -> ()
       | Creating iv | Cleaning { resurrect = Some iv; _ } ->
           if not (Sched.Ivar.read iv) then
-            raise (Remote_error "surrogate registration failed")
+            raise (Call_failed Registration_failed)
       | Cleaning { resurrect = None; _ } ->
-          raise (Remote_error "surrogate is being cleaned up"))
-  | None -> raise (Remote_error "dangling handle (surrogate collected)")
+          raise (Call_failed Surrogate_cleaning))
+  | None -> raise (Call_failed Dangling_handle)
 
 (* Local invocation: the owner calls one of its own objects.  Runs the
    same three phases without touching the network. *)
 let invoke_local sp c ~meth:meth_name ~encode ~decode =
-  let m = lookup_meth c meth_name in
+  let m =
+    match List.assoc_opt meth_name c.c_meths with
+    | Some m -> m
+    | None -> raise (Call_failed (No_such_method meth_name))
+  in
   let msg_id, _, payload = encode_with_pins sp encode in
   let compute, acquired, pending =
     decode_with_acquire sp payload (fun r -> m.m_run sp r)
@@ -336,7 +351,7 @@ let invoke_local sp c ~meth:meth_name ~encode ~decode =
   v
 
 let invoke_raw sp h ~meth:meth_name ~encode ~decode =
-  if sp.crashed then raise (Remote_error "calling space has crashed");
+  if sp.crashed then raise (Call_failed Caller_crashed);
   match Wirerep.Tbl.find_opt sp.table h.wr with
   | Some (Concrete c) -> invoke_local sp c ~meth:meth_name ~encode ~decode
   | Some (Surrogate _) | None -> (
@@ -376,23 +391,11 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
       let t0 = Sched.now sched in
       let epoch0 = sp.epoch in
       let retries = cfg.call_retries in
-      let timeout_exn ~attempts ~server_side =
-        let elapsed = Sched.now sched -. t0 in
-        Timeout
-          (Printf.sprintf
-             "call %s: %s after %d attempt%s, %.3fs elapsed (timeout %s, \
-              deadline %s)"
-             meth_name
-             (if server_side then "deadline expired at owner" else "no reply")
-             attempts
-             (if attempts = 1 then "" else "s")
-             elapsed
-             (match cfg.call_timeout with
-             | Some d -> Printf.sprintf "%.3fs" d
-             | None -> "none")
-             (match until with
-             | Some u -> Printf.sprintf "%.3fs" (u -. t0)
-             | None -> "none"))
+      let fail ?(args = [ ("ok", Trace.I 0) ]) f =
+        if Obs.on () then
+          Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id ~id:obs_id
+            ~args "call";
+        raise (Call_failed f)
       in
       let msg_id, has_refs, args = encode_with_pins sp encode in
       let send_attempt () =
@@ -416,7 +419,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
                deadline = budget;
              })
       in
-      let abandon ~attempts ~server_side =
+      let abandon ~attempts ~at_owner =
         Hashtbl.remove sp.pending_calls call_id;
         (* Tell the owner to settle the abandoned call: drop its cached
            reply or suppress the in-flight one, releasing the reply's
@@ -425,22 +428,28 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
            byte-identical on the wire. *)
         if reliability_on sp && attempts > 0 then
           send_env sp ~dst:owner (Proto.Cancel { call_id; msg_id });
-        if Obs.on () then
-          Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id ~id:obs_id
-            ~args:[ ("timeout", Trace.I 1) ]
-            "call";
-        raise (timeout_exn ~attempts ~server_side)
+        fail
+          ~args:[ ("timeout", Trace.I 1) ]
+          (No_reply
+             {
+               meth = meth_name;
+               at_owner;
+               attempts;
+               elapsed = Sched.now sched -. t0;
+               timeout = cfg.call_timeout;
+               deadline = Option.map (fun u -> u -. t0) until;
+             })
       in
       let budget_left () =
         match until with Some u -> Sched.now sched < u | None -> true
       in
       let rec attempt k =
-        if not (budget_left ()) then abandon ~attempts:k ~server_side:false
+        if not (budget_left ()) then abandon ~attempts:k ~at_owner:false
         else begin
-          (* Fresh ivar per attempt; a straggling settlement for a
-             removed ivar is dropped by [settle_call].  Retransmissions
-             reuse the call_id, msg_id and encoded args — the owner's
-             dedup keys on them. *)
+          (* Fresh ivar per attempt; a straggling reply for a removed
+             ivar is dropped by [handle_reply].  Retransmissions reuse
+             the call_id, msg_id and encoded args — the owner's dedup
+             keys on them. *)
           let iv = Sched.Ivar.create () in
           Hashtbl.replace sp.pending_calls call_id iv;
           send_attempt ();
@@ -471,13 +480,19 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
             | Some d -> Sched.read_timeout sched iv ~timeout:d
           in
           match outcome with
-          | Some (O_reply (rmsg_id, rneeds_ack, result)) ->
-              (rmsg_id, rneeds_ack, result)
-          | Some O_expired ->
+          | Some (Ok (rmsg_id, rneeds_ack, Ok payload)) ->
+              (rmsg_id, rneeds_ack, payload)
+          | Some (Error f) -> fail f
+          | Some (Ok (_, _, Error Proto.V_no_object)) ->
+              fail (No_such_object h.wr)
+          | Some (Ok (_, _, Error Proto.V_no_method)) ->
+              fail (No_such_method meth_name)
+          | Some (Ok (_, _, Error (Proto.V_raised text))) -> fail (Raised text)
+          | Some (Ok (_, _, Error Proto.V_expired)) ->
               (* Server-side rejection: the budget is gone, retrying
                  cannot help. *)
-              abandon ~attempts:(k + 1) ~server_side:true
-          | Some O_busy ->
+              abandon ~attempts:(k + 1) ~at_owner:true
+          | Some (Ok (_, _, Error Proto.V_shed)) ->
               Hashtbl.remove sp.pending_calls call_id;
               if k < retries && budget_left () then begin
                 (* Retryable-with-backoff: wait out the owner's burst
@@ -491,74 +506,52 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
                   | None -> d
                 in
                 if pause > 0. then Sched.sleep sched pause;
-                if sp.epoch <> epoch0 then begin
-                  (* The space restarted while this fiber slept: the
-                     restart failed every other call of the dead
-                     incarnation, and this one's id is the new
-                     incarnation's to reuse. *)
-                  if Obs.on () then
-                    Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id
-                      ~id:obs_id
-                      ~args:[ ("ok", Trace.I 0) ]
-                      "call";
-                  raise (Remote_error "calling space restarted")
-                end;
+                (* The space restarted or recovered while this fiber
+                   slept: the reset failed every other call of the dead
+                   incarnation, and this one's id is the new
+                   incarnation's to reuse. *)
+                if sp.epoch <> epoch0 then
+                  fail (Caller_restarted { recovering = sp.cont < sp.epoch });
                 attempt (k + 1)
               end
-              else begin
-                if Obs.on () then
-                  Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id
-                    ~id:obs_id
-                    ~args:[ ("busy", Trace.I 1) ]
-                    "call";
-                raise
-                  (Remote_error
-                     (Printf.sprintf
-                        "call %s: shed by busy owner %d (%d attempt%s)"
-                        meth_name owner (k + 1)
-                        (if k = 0 then "" else "s")))
-              end
+              else
+                fail
+                  ~args:[ ("busy", Trace.I 1) ]
+                  (Shed { meth = meth_name; owner; attempts = k + 1 })
           | None ->
               if k < retries && budget_left () then begin
                 count_call_retry sp;
                 attempt (k + 1)
               end
-              else abandon ~attempts:(k + 1) ~server_side:false
+              else abandon ~attempts:(k + 1) ~at_owner:false
         end
       in
-      let rmsg_id, rneeds_ack, result = attempt 0 in
+      let rmsg_id, rneeds_ack, payload = attempt 0 in
       if Obs.on () then
         Trace.async_end (Obs.trace ()) ~cat:"rpc" ~space:sp.id ~id:obs_id
-          ~args:
-            [ ("ok", Trace.I (match result with Ok _ -> 1 | Error _ -> 0)) ]
+          ~args:[ ("ok", Trace.I 1) ]
           "call";
       let ack_reply () =
         if rneeds_ack then send_copy_ack sp ~dst:h.wr.Wirerep.space rmsg_id
       in
-      match result with
-      | Error e -> raise (Remote_error e)
-      | Ok payload ->
-          let v, acquired, pending =
-            match decode_with_acquire sp payload decode with
-            | decoded -> decoded
-            | exception Wire.Error { msg; _ } ->
-                ack_reply ();
-                raise
-                  (Remote_error
-                     (Printf.sprintf "call %s: undecodable reply: %s" meth_name
-                        msg))
-          in
-          (match await_registrations sp pending with
-          | () -> ()
-          | exception e ->
-              ack_reply ();
-              List.iter (unpin sp) acquired;
-              raise e);
+      let v, acquired, pending =
+        match decode_with_acquire sp payload decode with
+        | decoded -> decoded
+        | exception Wire.Error { msg; _ } ->
+            ack_reply ();
+            raise (Call_failed (Undecodable_reply { meth = meth_name; msg }))
+      in
+      (match await_registrations sp pending with
+      | () -> ()
+      | exception e ->
           ack_reply ();
-          (* Transfer: pins become caller-owned roots. *)
-          List.iter
-            (fun wr ->
-              root sp wr;
-              unpin sp wr)
-            acquired;
-          v)
+          List.iter (unpin sp) acquired;
+          raise e);
+      ack_reply ();
+      (* Transfer: pins become caller-owned roots. *)
+      List.iter
+        (fun wr ->
+          root sp wr;
+          unpin sp wr)
+        acquired;
+      v)

@@ -12,6 +12,11 @@ val invoke_raw :
   decode:(Wire.Reader.t -> 'r) ->
   'r
 
+(** Block until every registration a decode triggered has completed:
+    fails with [Dirty_timeout] past the configured [dirty_timeout], and
+    with [Registration_failed] when the owner refused one. *)
+val await_registrations : space -> bool Sched.Ivar.var list -> unit
+
 (** {1 Envelope handlers} *)
 
 val serve_call :
@@ -31,11 +36,8 @@ val handle_reply :
   call_id:int ->
   msg_id:Proto.msg_id ->
   needs_ack:bool ->
-  result:(string, string) result ->
+  result:(string, Proto.verdict) result ->
   unit
-
-(** Settle a pending call with a busy or expired rejection. *)
-val settle_call : space -> call_id:int -> call_outcome -> unit
 
 val handle_cancel :
   space -> src:int -> call_id:int -> msg_id:Proto.msg_id -> unit

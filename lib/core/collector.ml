@@ -574,8 +574,8 @@ let handle_reassert sp ~src ~items =
 
 (* Client side: [gone] surrogates point at objects whose records were
    lost with the owner's unsynced log tail — drop them like a failed
-   registration; later calls through retained handles raise
-   [Remote_error] and the holder re-imports. *)
+   registration; later calls through retained handles fail with
+   [Dangling_handle] and the holder re-imports. *)
 let handle_reassert_ack sp ~src ~ok ~gone =
   ignore ok;
   (match Hashtbl.find_opt sp.pending_reassert src with
@@ -720,7 +720,7 @@ let evict_client sp client =
    history forgotten (the restarted client counts from 1 again).  Client
    side, our surrogates for its objects point at a heap that no longer
    exists: pending registrations fail, usable surrogates are dropped
-   (calls through retained handles raise [Remote_error], prompting the
+   (calls through retained handles fail with [Dangling_handle], prompting the
    holder to re-import via the agent). *)
 
 (* Fail whatever waits on a surrogate whose owner's state is lost:

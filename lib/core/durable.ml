@@ -139,12 +139,11 @@ let spawn_periodic_demons sp =
    Detector state is soft and epoch-scoped: touch counters and suspicion
    ages may restart from zero because every in-flight trial that heard
    from the old incarnation aborts on the epoch bump. *)
-let reset_incarnation sp ~reason =
+let reset_incarnation sp ~recovering =
   Hashtbl.iter
     (fun _ iv ->
       if not (Sched.Ivar.is_filled iv) then
-        Sched.Ivar.fill iv
-          (O_reply ({ Proto.origin = sp.id; seq = 0 }, false, Error reason)))
+        Sched.Ivar.fill iv (Error (Caller_restarted { recovering })))
     sp.pending_calls;
   Wirerep.Tbl.iter
     (fun _ entry ->
@@ -200,7 +199,7 @@ let reset_incarnation sp ~reason =
 let restart rt i =
   let sp = space rt i in
   if not sp.crashed then invalid_arg "Runtime.restart: space is not crashed";
-  reset_incarnation sp ~reason:"space restarted";
+  reset_incarnation sp ~recovering:false;
   sp.recover_until <- 0.0;
   sp.epoch <- sp.epoch + 1;
   (* Amnesia: the new incarnation carries no earlier state, so the
@@ -350,7 +349,7 @@ let recover rt i =
     | None -> invalid_arg "Runtime.recover: space is not durable"
   in
   let t0 = Sys.time () in
-  reset_incarnation sp ~reason:"space recovering";
+  reset_incarnation sp ~recovering:true;
   (* Replay: the snapshot's records first, then the log suffix, in
      append order.  A log record that fails to decode is counted by the
      store as torn and skipped — it can only be the damaged tail.  Only

@@ -45,6 +45,44 @@ let pp_cycle_report ppf = function
       Fmt.pf ppf "quiet(touch=%d dirty=%d anc=%d)" touch (List.length dirty)
         (List.length ancestors)
 
+(* Why a call produced no result, in a [Reply]'s error arm: the target
+   is not in the owner's table, it has no such method, the admission
+   gate shed the call, the deadline budget ran out before the method
+   body, or the method raised (its exception's text). *)
+type verdict =
+  | V_no_object
+  | V_no_method
+  | V_shed
+  | V_expired
+  | V_raised of string
+
+let verdict_codec =
+  P.sum "verdict"
+    [
+      P.case 0 "no_object" P.unit
+        (fun () -> V_no_object)
+        (function V_no_object -> Some () | _ -> None);
+      P.case 1 "no_method" P.unit
+        (fun () -> V_no_method)
+        (function V_no_method -> Some () | _ -> None);
+      P.case 2 "shed" P.unit
+        (fun () -> V_shed)
+        (function V_shed -> Some () | _ -> None);
+      P.case 3 "expired" P.unit
+        (fun () -> V_expired)
+        (function V_expired -> Some () | _ -> None);
+      P.case 4 "raised" P.string
+        (fun text -> V_raised text)
+        (function V_raised text -> Some text | _ -> None);
+    ]
+
+let pp_verdict ppf = function
+  | V_no_object -> Fmt.string ppf "no such object"
+  | V_no_method -> Fmt.string ppf "no such method"
+  | V_shed -> Fmt.string ppf "shed"
+  | V_expired -> Fmt.string ppf "expired at owner"
+  | V_raised text -> Fmt.string ppf text
+
 type envelope =
   | Call of {
       call_id : int;
@@ -62,7 +100,7 @@ type envelope =
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;
-      result : (string, string) result;
+      result : (string, verdict) result;
     }
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
@@ -84,18 +122,13 @@ type envelope =
     }
   | Cycle_commit of { wrs : Wirerep.t list }
   (* Call-reliability plane (deadlines / at-most-once retries /
-     cancellation / overload shedding): *)
+     cancellation / overload shedding); its rejections are verdicts in
+     a [Reply]: *)
   | Cancel of { call_id : int; msg_id : msg_id }
       (** caller abandoned call [call_id] (timeout, deadline, fiber
           death); [msg_id] is the original call message, so the callee
           can drop its reply state and release the reply's transient
           pins immediately instead of waiting for the pin timeout *)
-  | Busy of { call_id : int }
-      (** owner shed the call at the admission gate — retryable after
-          backoff; nothing was decoded or executed *)
-  | Expired of { call_id : int }
-      (** the call's deadline budget ran out server-side before the
-          method body ran — not retryable; nothing was executed *)
 
 let codec =
   P.sum "envelope"
@@ -112,7 +145,7 @@ let codec =
               Some (call_id, msg_id, (needs_ack, target), (meth, args, deadline))
           | _ -> None);
       P.case 1 "reply"
-        (P.quad P.int msg_id_codec P.bool (P.result P.string P.string))
+        (P.quad P.int msg_id_codec P.bool (P.result P.string verdict_codec))
         (fun (call_id, msg_id, needs_ack, result) ->
           Reply { call_id; msg_id; needs_ack; result })
         (function
@@ -187,12 +220,6 @@ let codec =
         (fun (call_id, msg_id) -> Cancel { call_id; msg_id })
         (function
           | Cancel { call_id; msg_id } -> Some (call_id, msg_id) | _ -> None);
-      P.case 18 "busy" P.int
-        (fun call_id -> Busy { call_id })
-        (function Busy { call_id } -> Some call_id | _ -> None);
-      P.case 19 "expired" P.int
-        (fun call_id -> Expired { call_id })
-        (function Expired { call_id } -> Some call_id | _ -> None);
     ]
 
 (* Every envelope travels wrapped in a packet stamped with the sender's
@@ -235,16 +262,16 @@ let kind = function
   | Cycle_reply _ -> "cycle_reply"
   | Cycle_commit _ -> "cycle_commit"
   | Cancel _ -> "cancel"
-  | Busy _ -> "busy"
-  | Expired _ -> "expired"
 
 let pp ppf = function
   | Call { call_id; target; meth; deadline; _ } ->
       Fmt.pf ppf "call#%d %a.%s" call_id Wirerep.pp target meth;
       if deadline > 0. then Fmt.pf ppf " dl=%.3fs" deadline
   | Reply { call_id; result; _ } ->
-      Fmt.pf ppf "reply#%d %s" call_id
-        (match result with Ok _ -> "ok" | Error e -> "error: " ^ e)
+      Fmt.pf ppf "reply#%d " call_id;
+      (match result with
+      | Ok _ -> Fmt.string ppf "ok"
+      | Error v -> Fmt.pf ppf "error: %a" pp_verdict v)
   | Copy_ack { msg_id } -> Fmt.pf ppf "copy_ack %a" pp_msg_id msg_id
   | Dirty { wr; seq } -> Fmt.pf ppf "dirty %a seq=%d" Wirerep.pp wr seq
   | Dirty_ack { wr; ok } -> Fmt.pf ppf "dirty_ack %a ok=%b" Wirerep.pp wr ok
@@ -272,5 +299,3 @@ let pp ppf = function
   | Cycle_commit { wrs } -> Fmt.pf ppf "cycle_commit(%d)" (List.length wrs)
   | Cancel { call_id; msg_id } ->
       Fmt.pf ppf "cancel#%d %a" call_id pp_msg_id msg_id
-  | Busy { call_id } -> Fmt.pf ppf "busy#%d" call_id
-  | Expired { call_id } -> Fmt.pf ppf "expired#%d" call_id

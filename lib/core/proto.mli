@@ -39,6 +39,23 @@ val msg_id_codec : msg_id Netobj_pickle.Pickle.t
 
 val pp_msg_id : msg_id Fmt.t
 
+(** Why a call produced no result: the owner's verdict in a [Reply]'s
+    error arm.  [V_no_object]: the target is not in the owner's table;
+    [V_no_method]: the object has no such method; [V_shed]: the owner's
+    inflight admission gate ([max_inflight]) shed the call without
+    decoding or executing anything, and callers retry it with backoff;
+    [V_expired]: the call's deadline budget ran out at the owner before
+    the method body ran, nothing was executed and the caller does not
+    retry; [V_raised]: decoding the arguments, awaiting their
+    registrations or the method body raised, and this is the
+    exception's text (a failed nested call included). *)
+type verdict =
+  | V_no_object
+  | V_no_method
+  | V_shed
+  | V_expired
+  | V_raised of string
+
 type envelope =
   | Call of {
       call_id : int;
@@ -55,14 +72,15 @@ type envelope =
               absolute time, so it stays meaningful between processes
               with independent clocks; the callee clamps its own remote
               work (nested calls) to this budget and rejects the call
-              with {!Expired} if the budget runs out before the method
-              body runs *)
+              with {!V_expired} if the budget runs out before the
+              method body runs *)
     }
   | Reply of {
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;  (** as for calls, but for the result payload *)
-      result : (string, string) result;  (** pickled result or error text *)
+      result : (string, verdict) result;
+          (** pickled result, or the owner's verdict *)
     }
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
@@ -112,15 +130,6 @@ type envelope =
           releases the reply's transient pins immediately instead of
           waiting for the pin timeout.  Fire-and-forget and idempotent:
           a late or duplicated cancel finds nothing to do *)
-  | Busy of { call_id : int }
-      (** the owner shed the call at its inflight admission gate
-          ([max_inflight]) without decoding or executing anything.
-          Callers treat it as retryable-with-backoff *)
-  | Expired of { call_id : int }
-      (** the call's deadline budget ran out at the callee before the
-          method body ran (e.g. while awaiting the arguments' dirty
-          registrations); nothing was executed and the caller must not
-          retry *)
 
 val codec : envelope Netobj_pickle.Pickle.t
 

@@ -74,8 +74,6 @@ let handle_envelope sp ~src env =
         handle_cycle_reply sp ~probe_id ~epoch ~reports
     | Proto.Cycle_commit { wrs } -> handle_cycle_commit sp ~wrs
     | Proto.Cancel { call_id; msg_id } -> handle_cancel sp ~src ~call_id ~msg_id
-    | Proto.Busy { call_id } -> settle_call sp ~call_id O_busy
-    | Proto.Expired { call_id } -> settle_call sp ~call_id O_expired
 
 let reject_packet sp ~src ~got ~known reason =
   sp.s_epoch_rejected <- sp.s_epoch_rejected + 1;
@@ -171,21 +169,11 @@ let import_wr sp wr =
     pin sp wr;
     (match acquire_surrogate sp wr with
     | None -> ()
-    | Some iv ->
-        let ok =
-          match sp.rt.config.dirty_timeout with
-          | None -> Sched.Ivar.read iv
-          | Some dt -> (
-              match Sched.read_timeout (ssched sp) iv ~timeout:dt with
-              | Some ok -> ok
-              | None ->
-                  unpin sp wr;
-                  raise (Timeout "dirty call (import)"))
-        in
-        if not ok then begin
+    | Some iv -> (
+        try await_registrations sp [ iv ]
+        with e ->
           unpin sp wr;
-          raise (Remote_error "import failed")
-        end);
+          raise e));
     root sp wr;
     unpin sp wr;
     { wr }
@@ -200,9 +188,9 @@ let lookup sp ~at name =
         if Pickle.read Pickle.bool r then Some (Pickle.read handle_codec r)
         else None)
   in
-  (* The agent root must not outlive the call: a [Timeout] or
-     [Remote_error] escaping here would otherwise leave the agent
-     surrogate rooted forever, keeping a dirty entry at the owner.
+  (* The agent root must not outlive the call: a [Call_failed] escaping
+     here would otherwise leave the agent surrogate rooted forever,
+     keeping a dirty entry at the owner.
      [bug_lookup_leak] reintroduces exactly that historical bug (release
      only on the success path) as a known-bug target for the model
      checker's schedules-to-first-bug benchmark. *)
@@ -216,7 +204,7 @@ let lookup sp ~at name =
   in
   match result with
   | Some h -> h
-  | None -> raise (Remote_error (Printf.sprintf "lookup: no binding for %s" name))
+  | None -> raise (Call_failed (No_binding name))
 
 (* --- sharded agent ---------------------------------------------------------
 

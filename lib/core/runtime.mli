@@ -33,12 +33,66 @@ type space
     valid within the space that produced it. *)
 type handle
 
-(** Raised when a remote invocation fails: unknown object, method, a
-    marshalling error, or an exception escaping the implementation. *)
-exception Remote_error of string
+(** Why a call failed, one constructor per outcome (the paper's
+    [NetObj.Error] and its failure atoms):
+    - [Dangling_handle]: the caller no longer holds a surrogate for the
+      handle (it was collected, or dropped when its owner restarted or
+      lost the object in a recovery); re-import it with {!lookup};
+    - [Surrogate_cleaning]: the surrogate is being cleaned up;
+    - [Registration_failed]: registering a surrogate (the dirty call
+      made on import or while decoding a reference) failed: the owner
+      refused it, or the owner's or this space's incarnation was reset;
+    - [Caller_crashed]: the calling space is crashed;
+    - [Caller_restarted]: the calling space was restarted
+      ([recovering = false], {!restart}) or recovered ([true],
+      {!recover}) while the call was pending;
+    - [Shed]: the owner's inflight gate ([max_inflight]) shed every one
+      of [attempts] attempts;
+    - [No_such_object]: the owner has no such object;
+    - [No_such_method]: the object has no method of that name;
+    - [No_binding]: {!lookup} found no binding for the name;
+    - [Dirty_timeout]: a dirty call exceeded [dirty_timeout];
+    - [No_reply]: no reply came within the call's attempts, timeout and
+      deadline ([timeout] and [deadline] as configured for the call,
+      [deadline] relative to its start), or, with [at_owner], the owner
+      rejected the call because its deadline budget ran out before the
+      method body ran;
+    - [Undecodable_reply]: the reply did not decode with the method's
+      result codec ([msg] is the decoder's message); the references it
+      had decoded are unpinned and the reply acknowledged;
+    - [Raised]: decoding the arguments at the owner, awaiting their
+      registrations, or the method body raised; the text is the
+      exception's, so a failed nested call arrives as text. *)
+type failure =
+  | Dangling_handle
+  | Surrogate_cleaning
+  | Registration_failed
+  | Caller_crashed
+  | Caller_restarted of { recovering : bool }
+  | Shed of { meth : string; owner : int; attempts : int }
+  | No_such_object of Wirerep.t
+  | No_such_method of string
+  | No_binding of string
+  | Dirty_timeout
+  | No_reply of {
+      meth : string;
+      at_owner : bool;
+      attempts : int;
+      elapsed : float;
+      timeout : float option;
+      deadline : float option;
+    }
+  | Undecodable_reply of { meth : string; msg : string }
+  | Raised of string
 
-(** Raised when a call or dirty call exceeds its configured timeout. *)
-exception Timeout of string
+(** The one exception a failed call raises: every blocking operation
+    ({!invoke_raw}, {!Stub.call}, {!lookup}) reports its failure
+    through it. *)
+exception Call_failed of failure
+
+(** The failure as text, e.g. [call incr: no reply after 3 attempts,
+    0.150s elapsed (timeout 0.050s, deadline none)]. *)
+val pp_failure : failure Fmt.t
 
 (** Runtime configuration.  The type is abstract: build one with the
     {!config} constructor (defaults are the fault-free baseline —
@@ -70,7 +124,8 @@ type config
       travels in the call envelope, nested and third-party calls made
       while serving clamp to it, and an owner whose budget runs out
       before the method body runs rejects with an explicit expiry
-      instead of burning work (surfaced as {!Timeout} at the caller);
+      instead of burning work (surfaced as [No_reply] with [at_owner]
+      at the caller);
     - [max_inflight] bounds concurrently executing calls per space: an
       owner at the gate sheds new calls O(1) with an explicit busy
       reply, which callers treat as retryable-with-backoff.  Setting
@@ -90,7 +145,7 @@ type config
       for lost acks); it must comfortably exceed latency + [call_timeout]
       so a merely-late ack never races the release;
     - [bug_lookup_leak] reintroduces the historical {!lookup} bug (the
-      agent root released only on the success path, so a [Timeout]
+      agent root released only on the success path, so a failed call
       strands the agent surrogate and its dirty entry forever) as a
       known-bug target for the model checker's schedules-to-first-bug
       benchmark.  Never set it outside that benchmark;
@@ -368,7 +423,7 @@ val unpublish : space -> string -> unit
 
 (** [lookup sp ~at name] imports the named object from space [at]'s
     agent.  The returned handle is rooted; {!release} it when done.
-    Raises [Not_found] (as [Remote_error]) if the name is unknown. *)
+    Fails with [Call_failed (No_binding name)] if the name is unknown. *)
 val lookup : space -> at:int -> string -> handle
 
 (** {2 Sharded namespace}
@@ -400,7 +455,7 @@ val crash : t -> int -> unit
     peers reject mail from (or addressed to) the old incarnation,
     discover the restart from the stamp, evict the old incarnation from
     their dirty sets and drop their now-dead surrogates — retained
-    handles for them fail with {!Remote_error} until re-imported via
+    handles for them fail with [Dangling_handle] until re-imported via
     {!lookup}.  Raises [Invalid_argument] if the space is not crashed. *)
 val restart : t -> int -> unit
 

@@ -103,14 +103,65 @@ let src_log = Logs.Src.create "netobj.runtime" ~doc:"Network Objects runtime"
 
 module Log = (val Logs.src_log src_log)
 
-exception Remote_error of string
+(* Why a call failed: one constructor per outcome, with its payload.
+   See runtime.mli. *)
+type failure =
+  | Dangling_handle
+  | Surrogate_cleaning
+  | Registration_failed
+  | Caller_crashed
+  | Caller_restarted of { recovering : bool }
+  | Shed of { meth : string; owner : int; attempts : int }
+  | No_such_object of Wirerep.t
+  | No_such_method of string
+  | No_binding of string
+  | Dirty_timeout
+  | No_reply of {
+      meth : string;
+      at_owner : bool;
+      attempts : int;
+      elapsed : float;
+      timeout : float option;
+      deadline : float option;
+    }
+  | Undecodable_reply of { meth : string; msg : string }
+  | Raised of string
 
-exception Timeout of string
+exception Call_failed of failure
+
+let pp_failure ppf = function
+  | Dangling_handle -> Fmt.string ppf "dangling handle (surrogate collected)"
+  | Surrogate_cleaning -> Fmt.string ppf "surrogate is being cleaned up"
+  | Registration_failed -> Fmt.string ppf "surrogate registration failed"
+  | Caller_crashed -> Fmt.string ppf "calling space has crashed"
+  | Caller_restarted { recovering } ->
+      Fmt.string ppf
+        (if recovering then "space recovering" else "space restarted")
+  | Shed { meth; owner; attempts } ->
+      Fmt.pf ppf "call %s: shed by busy owner %d (%d attempt%s)" meth owner
+        attempts
+        (if attempts = 1 then "" else "s")
+  | No_such_object wr -> Fmt.pf ppf "no such object %a" Wirerep.pp wr
+  | No_such_method name -> Fmt.pf ppf "no method %s" name
+  | No_binding name -> Fmt.pf ppf "lookup: no binding for %s" name
+  | Dirty_timeout -> Fmt.string ppf "dirty call timed out"
+  | No_reply { meth; at_owner; attempts; elapsed; timeout; deadline } ->
+      let secs = function Some d -> Fmt.str "%.3fs" d | None -> "none" in
+      Fmt.pf ppf
+        "call %s: %s after %d attempt%s, %.3fs elapsed (timeout %s, \
+         deadline %s)"
+        meth
+        (if at_owner then "deadline expired at owner" else "no reply")
+        attempts
+        (if attempts = 1 then "" else "s")
+        elapsed (secs timeout) (secs deadline)
+  | Undecodable_reply { meth; msg } ->
+      Fmt.pf ppf "call %s: undecodable reply: %s" meth msg
+  | Raised text -> Fmt.string ppf text
 
 let () =
   Printexc.register_printer (function
-    | Remote_error m -> Some (Printf.sprintf "Remote_error(%s)" m)
-    | Timeout m -> Some (Printf.sprintf "Timeout(%s)" m)
+    | Call_failed f -> Some (Fmt.str "Call_failed(%a)" pp_failure f)
     | _ -> None)
 
 type handle = { wr : Wirerep.t }
@@ -296,13 +347,12 @@ type call_stats = {
   c_executed : int;  (* owner side: method bodies actually run *)
 }
 
-(* One remote call's settlement, as observed by the caller's parked
-   fiber: the reply itself, or one of the explicit rejections the
-   reliability plane introduces. *)
+(* One remote call's settlement, as the caller's parked fiber sees it:
+   the owner's reply (its message id, whether it wants a copy_ack, the
+   pickled result or the owner's verdict), or the failure a reset of
+   the caller's own incarnation settled it with. *)
 type call_outcome =
-  | O_reply of Proto.msg_id * bool * (string, string) result
-  | O_busy  (* shed at the owner's admission gate: retryable *)
-  | O_expired  (* rejected server-side: deadline budget exhausted *)
+  (Proto.msg_id * bool * (string, Proto.verdict) result, failure) result
 
 (* Owner-side at-most-once state for one client.  A settled call keeps
    its full reply envelope so a retransmission is answered by replaying

@@ -516,7 +516,7 @@ let scenario_lookup ~leak () =
             try
               let h = R.lookup sp1 ~at:0 name in
               R.release sp1 h
-            with R.Timeout _ | R.Remote_error _ -> ()))
+            with R.Call_failed _ -> ()))
       [ ("client-1", "x"); ("client-2", "y") ];
     Scenario.drain ~quiesce:true rt;
     Scenario.drain_problems rt
@@ -568,13 +568,14 @@ let scenario_recover () =
             (* hold the reference across the owner's crash + recovery *)
             Sched.sleep (R.sched rt) 0.2;
             (try ignore (Stub.call sp1 h Scenario.m_incr 1) with
-            | R.Remote_error msg ->
+            | R.Call_failed (No_reply _ | Dirty_timeout) -> ()
+            | R.Call_failed f ->
                 survival :=
-                  Printf.sprintf "held object lost across recovery: %s" msg
-                  :: !survival
-            | R.Timeout _ -> ());
+                  Fmt.str "held object lost across recovery: %a" R.pp_failure
+                    f
+                  :: !survival);
             R.release sp1 h
-        | exception (R.Timeout _ | R.Remote_error _) -> ());
+        | exception R.Call_failed _ -> ());
     Scenario.drain ~quiesce:true rt;
     !survival @ Scenario.drain_problems rt
   in
@@ -654,7 +655,7 @@ let scenario_cycle ~broken () =
                R.invoke_raw sp2 h_sink ~meth:"put"
                  ~encode:(fun w -> P.write R.handle_codec w h_a)
                  ~decode:(fun _ -> ())
-             with R.Remote_error _ | R.Timeout _ -> ());
+             with R.Call_failed _ -> ());
             R.release sp2 h_a;
             R.release sp2 h_sink));
     Scenario.drain ~quiesce:true rt;
@@ -703,9 +704,9 @@ let scenario_call_retry ~bug () =
         match R.lookup sp1 ~at:0 "counter" with
         | h ->
             (try ignore (Stub.call sp1 h Scenario.m_incr 1)
-             with R.Timeout _ | R.Remote_error _ -> ());
+             with R.Call_failed _ -> ());
             R.release sp1 h
-        | exception (R.Timeout _ | R.Remote_error _) -> ());
+        | exception R.Call_failed _ -> ());
     Scenario.drain ~quiesce:true rt;
     let dups =
       if !count <= 1 then []

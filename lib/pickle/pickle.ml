@@ -125,6 +125,17 @@ let option c =
     descr = Printf.sprintf "(option %s)" c.descr;
   }
 
+(* A container's element count.  Every supported element occupies at
+   least one byte, so a count beyond the bytes left is malformed: it
+   fails here, before any element is read or any slot allocated. *)
+let count r =
+  let n = Wire.Reader.uvarint r in
+  if n > Wire.Reader.remaining r then
+    Wire.Reader.fail r
+      (Printf.sprintf "count %d exceeds the %d bytes left" n
+         (Wire.Reader.remaining r));
+  n
+
 let list c =
   {
     write =
@@ -133,7 +144,7 @@ let list c =
         List.iter (c.write w) xs);
     read =
       (fun r ->
-        let n = Wire.Reader.uvarint r in
+        let n = count r in
         List.init n (fun _ -> c.read r));
     descr = Printf.sprintf "(list %s)" c.descr;
   }
@@ -146,11 +157,8 @@ let array c =
         Array.iter (c.write w) xs);
     read =
       (fun r ->
-        (* Read the elements before allocating the array, so a hostile
-           count costs only what the bytes actually decode to, never
-           [n] slots up front. *)
-        let n = Wire.Reader.uvarint r in
-        Array.of_list (List.init n (fun _ -> c.read r)));
+        let n = count r in
+        Array.init n (fun _ -> c.read r));
     descr = Printf.sprintf "(array %s)" c.descr;
   }
 

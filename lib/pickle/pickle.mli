@@ -63,6 +63,11 @@ val bytes : bytes t
 
 val option : 'a t -> 'a option t
 
+(** [list c] and [array c]: a count, then the elements.  A count
+    larger than the bytes left to decode raises {!Wire.Error} before any
+    element is read.  Elements must therefore occupy at least one byte:
+    a zero-width element codec (such as {!unit}) is unsupported, and a
+    non-empty list of it does not decode. *)
 val list : 'a t -> 'a list t
 
 val array : 'a t -> 'a array t

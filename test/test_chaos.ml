@@ -100,8 +100,7 @@ let test_epoch_restart_recovery () =
       (* owner has restarted by now (t=5): the old surrogate must fail *)
       (match Stub.call client s Scenario.m_incr 1 with
       | _ -> ()
-      | exception R.Timeout _ -> first_failed := Some `Timeout
-      | exception R.Remote_error _ -> first_failed := Some `Remote_error);
+      | exception R.Call_failed f -> first_failed := Some f);
       R.release client s;
       (* a fresh import reaches the new incarnation *)
       let h2 = Scenario.counter owner in
@@ -149,7 +148,7 @@ let retries_with ~backoff ~backoff_cap =
   R.spawn rt (fun () ->
       match R.lookup client ~at:0 "c" with
       | (_ : R.handle) -> Alcotest.fail "lookup through a partition"
-      | exception R.Timeout _ -> ());
+      | exception R.Call_failed Dirty_timeout -> ());
   ignore (R.run ~until:30.0 rt);
   (R.gc_stats client).R.retries
 
@@ -269,7 +268,7 @@ let test_kit_undrained () =
   R.spawn rt ~name:"client" (fun () ->
       match R.lookup (R.space rt 1) ~at:0 "c" with
       | h -> R.release (R.space rt 1) h
-      | exception R.Timeout _ -> ());
+      | exception R.Call_failed (No_reply _) -> ());
   Scenario.drain ~quiesce:true rt;
   Alcotest.(check bool) "the reply was lost" true !lost;
   Alcotest.(check (list string)) "the leaked agent surrogate"
@@ -283,7 +282,9 @@ let test_kit_undrained () =
    one of its storm callers sleeps in a busy-owner backoff.  The caller
    must not resume as the new incarnation: its dead call id would
    collide with the new incarnation's at the owner's reply cache, and a
-   later call would decode another call's reply. *)
+   later call would decode another call's reply: the storm callers
+   tolerate every failure, so the report's count of undecodable replies
+   is what shows it. *)
 let test_restart_during_busy_backoff () =
   let cfg =
     {
@@ -300,7 +301,9 @@ let test_restart_during_busy_backoff () =
   in
   let r = Chaos.run cfg in
   Alcotest.(check (list string)) "safety" [] r.Chaos.r_safety;
-  Alcotest.(check (list string)) "liveness" [] r.Chaos.r_liveness
+  Alcotest.(check (list string)) "liveness" [] r.Chaos.r_liveness;
+  Alcotest.(check (option int)) "undecodable replies" None
+    (List.assoc_opt "undecodable_replies" r.Chaos.r_faults)
 
 let () =
   Alcotest.run "chaos"

@@ -46,7 +46,7 @@ let cell_obj sp =
              Stub.implement m_fetch (fun _ () ->
                  match !stored with
                  | Some h -> h
-                 | None -> raise (R.Remote_error "cell empty"));
+                 | None -> failwith "cell empty");
            ])
   in
   Lazy.force cell
@@ -99,7 +99,7 @@ let test_lookup_invoke () =
       results := ("get", Stub.call client h Scenario.m_get ()) :: !results;
       (match R.lookup client ~at:0 "missing" with
       | _ -> Alcotest.fail "missing binding found?!"
-      | exception R.Remote_error _ -> ());
+      | exception R.Call_failed (No_binding _) -> ());
       R.release client h;
       finished := true);
   drive rt (fun () -> !finished);
@@ -186,7 +186,7 @@ let test_crash_restart () =
   R.spawn_at rt ~space:1 (fun () ->
       (match Stub.call client h Scenario.m_incr 1 with
       | _ -> ()
-      | exception (R.Remote_error _ | R.Timeout _) -> failed := true);
+      | exception R.Call_failed _ -> failed := true);
       finished := true);
   drive rt (fun () -> !finished);
   Alcotest.(check bool) "call to dead owner fails" true !failed;
@@ -202,7 +202,7 @@ let test_crash_restart () =
   R.spawn_at rt ~space:1 (fun () ->
       (match Stub.call client h Scenario.m_incr 1 with
       | _ -> ()
-      | exception (R.Remote_error _ | R.Timeout _) -> stale_failed := true);
+      | exception R.Call_failed _ -> stale_failed := true);
       R.release client h;
       let h' = R.lookup client ~at:0 "counter2" in
       fresh := Stub.call client h' Scenario.m_incr 1;

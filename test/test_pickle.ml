@@ -141,7 +141,7 @@ let test_malformed () =
   expect_wire_error (fun () -> P.decode shape_codec "\x09")
 
 (* An array pickle claiming 2^40 elements but holding one must fail on
-   the missing second element, not try to allocate 2^40 slots first. *)
+   the count, not try to allocate 2^40 slots first. *)
 let test_array_count_bounded () =
   let w = Wire.Writer.create () in
   Wire.Writer.uvarint w (1 lsl 40);
@@ -152,6 +152,25 @@ let test_array_count_bounded () =
   let big = Array.init 1000 (fun i -> i * 7919) in
   Alcotest.(check (array int)) "well-formed still round-trips" big
     (roundtrip (P.array P.int) big)
+
+(* A list count beyond the bytes left fails before any element is read:
+   a zero-width [unit] list claiming 2^20 elements (it would decode to a
+   million units, and 2^40 would exhaust the heap), and an [int] list
+   claiming more elements than it has bytes. *)
+let test_list_count_bounded () =
+  let claim n elts =
+    let w = Wire.Writer.create () in
+    Wire.Writer.uvarint w n;
+    List.iter (Wire.Writer.varint w) elts;
+    Bytes.to_string (Wire.Writer.to_bytes w)
+  in
+  expect_wire_error (fun () -> P.decode (P.list P.unit) (claim (1 lsl 20) []));
+  let reads = ref 0 in
+  let counted = P.map (fun x -> incr reads; x) Fun.id P.int in
+  expect_wire_error (fun () -> P.decode (P.list counted) (claim 5 [ 1; 2; 3 ]));
+  Alcotest.(check int) "no element read" 0 !reads;
+  Alcotest.(check (list int)) "well-formed still round-trips" [ 1; 2; 3 ]
+    (roundtrip (P.list P.int) [ 1; 2; 3 ])
 
 (* A nine-group uvarint whose last group reaches bit 62 would decode as
    a negative count; containers must reject it as malformed, not crash
@@ -332,6 +351,8 @@ let () =
           Alcotest.test_case "malformed" `Quick test_malformed;
           Alcotest.test_case "array count bounded" `Quick
             test_array_count_bounded;
+          Alcotest.test_case "list count bounded" `Quick
+            test_list_count_bounded;
           Alcotest.test_case "negative count" `Quick test_negative_count;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_structural;
           Alcotest.test_case "varint compact" `Quick test_varint_compact;

@@ -20,6 +20,9 @@ let wr = Wirerep.v ~space:3 ~index:17
 
 let mid : Proto.msg_id = { origin = 2; seq = 99 }
 
+let verdicts =
+  Proto.[ V_no_object; V_no_method; V_shed; V_expired; V_raised "boom" ]
+
 let test_envelopes () =
   check_env "call"
     (Proto.Call
@@ -29,8 +32,11 @@ let test_envelopes () =
        { call_id = 8; msg_id = mid; needs_ack = false; target = wr; meth = "incr"; args = ""; deadline = 0.25 });
   check_env "reply ok"
     (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok "result-bytes" });
-  check_env "reply error"
-    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error "boom" });
+  List.iter
+    (fun v ->
+      let env = Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error v } in
+      check_env (Fmt.str "%a" Proto.pp env) env)
+    verdicts;
   check_env "copy_ack" (Proto.Copy_ack { msg_id = mid });
   check_env "dirty" (Proto.Dirty { wr; seq = 12 });
   check_env "dirty_ack" (Proto.Dirty_ack { wr; ok = false });
@@ -38,9 +44,30 @@ let test_envelopes () =
   check_env "clean_ack" (Proto.Clean_ack { wr });
   check_env "ping" (Proto.Ping { nonce = 5 });
   check_env "ping_ack" (Proto.Ping_ack { nonce = 5 });
-  check_env "cancel" (Proto.Cancel { call_id = 7; msg_id = mid });
-  check_env "busy" (Proto.Busy { call_id = 7 });
-  check_env "expired" (Proto.Expired { call_id = 7 })
+  check_env "cancel" (Proto.Cancel { call_id = 7; msg_id = mid })
+
+(* The Ok arm is the hot path's reply: its bytes are pinned, so a change
+   to the error arm cannot move it. *)
+let test_reply_ok_bytes () =
+  Alcotest.(check string) "reply ok bytes" "\001\014\004\198\001\001\000\002ab"
+    (P.encode Proto.codec
+       (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok "ab" }))
+
+(* The verdict is the last thing a Reply's error arm holds: any tag past
+   the known ones must be a [Wire.Error], not a verdict. *)
+let test_unknown_verdict () =
+  let s =
+    P.encode Proto.codec
+      (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error Proto.V_no_object })
+  in
+  let n = String.length s in
+  for tag = List.length verdicts to 127 do
+    let b = Bytes.of_string s in
+    Bytes.set b (n - 1) (Char.chr tag);
+    match P.decode Proto.codec (Bytes.to_string b) with
+    | env -> Alcotest.failf "tag %d decoded as %a" tag Proto.pp env
+    | exception Wire.Error _ -> ()
+  done
 
 let test_kinds_distinct () =
   let envs =
@@ -55,8 +82,6 @@ let test_kinds_distinct () =
       Proto.Ping { nonce = 0 };
       Proto.Ping_ack { nonce = 0 };
       Proto.Cancel { call_id = 0; msg_id = mid };
-      Proto.Busy { call_id = 0 };
-      Proto.Expired { call_id = 0 };
     ]
   in
   let kinds = List.map Proto.kind envs in
@@ -90,8 +115,6 @@ let env_gen =
       map
         (fun (c, m) -> Proto.Cancel { call_id = c; msg_id = m })
         (tup2 nat mid_gen);
-      map (fun c -> Proto.Busy { call_id = c }) nat;
-      map (fun c -> Proto.Expired { call_id = c }) nat;
       map
         (fun (c, m, r) ->
           Proto.Reply
@@ -100,7 +123,8 @@ let env_gen =
            (oneof
               [
                 map (fun s -> Ok s) string_small;
-                map (fun s -> Error s) string_small;
+                map (fun s -> Error (Proto.V_raised s)) string_small;
+                map (fun v -> Error v) (oneofl verdicts);
               ]));
       map
         (fun items -> Proto.Clean_batch { items })
@@ -236,6 +260,8 @@ let () =
         [
           Alcotest.test_case "roundtrips" `Quick test_envelopes;
           Alcotest.test_case "kinds distinct" `Quick test_kinds_distinct;
+          Alcotest.test_case "reply ok bytes" `Quick test_reply_ok_bytes;
+          Alcotest.test_case "unknown verdict tag" `Quick test_unknown_verdict;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_hostile_packets;
         ] );

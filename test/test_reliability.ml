@@ -1,5 +1,5 @@
 (* Reliability-plane suite: the config sanity warnings, the enriched
-   Timeout payload, at-most-once retries (lost call and lost reply),
+   No_reply payload, at-most-once retries (lost call and lost reply),
    overload shedding at the admission gate, server-side deadline
    expiry, cancel-on-abandon releasing reply pins, and the regression
    that a timed-out lookup releases the agent root — under both the
@@ -62,7 +62,7 @@ let test_config_warnings () =
   let unset = R.config ~nspaces:2 ~call_timeout:3.0 () in
   Alcotest.(check (list string)) "no pin timeout" [] (R.config_warnings unset)
 
-(* --- enriched Timeout payload --------------------------------------------- *)
+(* --- the No_reply payload -------------------------------------------------- *)
 
 let test_timeout_payload () =
   let rt =
@@ -74,28 +74,33 @@ let test_timeout_payload () =
   R.publish owner "c" (Scenario.counter owner);
   let tr = R.transport rt in
   let sched = R.sched rt in
-  let msg =
+  let r =
     in_fiber rt (fun () ->
         let h = R.lookup client ~at:0 "c" in
         (* every attempt's Call is swallowed *)
         Transport.set_burst tr ~src:1 ~dst:0 ~loss:1.0
           ~until:(Sched.now sched +. 0.5)
           ();
-        let msg =
+        let r =
           match Stub.call client h Scenario.m_incr 1 with
           | _ -> Alcotest.fail "call succeeded with every attempt lost"
-          | exception R.Timeout msg -> msg
+          | exception
+              R.Call_failed
+                (No_reply { meth; attempts; timeout; deadline; at_owner; _ })
+            ->
+              (meth, attempts, timeout, deadline, at_owner)
         in
         Transport.set_burst tr ~src:1 ~dst:0 ~loss:0.0
           ~until:(Sched.now sched) ();
         R.release client h;
-        msg)
+        r)
   in
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) (Printf.sprintf "mentions %S" sub) true
-        (contains msg sub))
-    [ "incr"; "3 attempts"; "timeout 0.050s"; "deadline none" ]
+  let meth, attempts, timeout, deadline, at_owner = r in
+  Alcotest.(check string) "method" "incr" meth;
+  Alcotest.(check int) "attempts" 3 attempts;
+  Alcotest.(check (option (float 0.))) "timeout" (Some 0.05) timeout;
+  Alcotest.(check (option (float 0.))) "deadline" None deadline;
+  Alcotest.(check bool) "not at the owner" false at_owner
 
 (* --- at-most-once: lost call, lost reply ---------------------------------- *)
 
@@ -158,21 +163,19 @@ let test_shed_busy () =
                Sched.sleep sched 0.05;
                n);
          ]);
-  let ok = ref 0 and shed_msg = ref None in
+  let ok = ref 0 and shed = ref None in
   let h = in_fiber rt (fun () -> R.lookup client ~at:0 "s") in
   for i = 1 to 2 do
     R.spawn rt (fun () ->
         match Stub.call client h m_slow i with
         | _ -> incr ok
-        | exception R.Remote_error msg -> shed_msg := Some msg)
+        | exception R.Call_failed (Shed s) ->
+            shed := Some (s.owner, s.attempts))
   done;
   ignore (R.run rt);
   Alcotest.(check int) "one admitted" 1 !ok;
-  (match !shed_msg with
-  | Some msg ->
-      Alcotest.(check bool) "shed is explicit" true
-        (contains msg "shed by busy owner")
-  | None -> Alcotest.fail "second caller was not shed");
+  Alcotest.(check (option (pair int int)))
+    "shed by owner 0 on its one attempt" (Some (0, 1)) !shed;
   Alcotest.(check int) "owner counted the shed" 1 (R.call_stats owner).R.c_shed;
   in_fiber rt (fun () -> R.release client h);
   drain rt
@@ -207,9 +210,9 @@ let test_deadline_expired () =
         ();
       (match Stub.call client sink m_put x with
       | () -> Alcotest.fail "call beat an exhausted deadline"
-      | exception R.Timeout msg ->
-          Alcotest.(check bool) "payload names the deadline" true
-            (contains msg "deadline 0.150s"));
+      | exception R.Call_failed (No_reply r) ->
+          Alcotest.(check (option (float 1e-9))) "payload names the deadline"
+            (Some 0.15) r.deadline);
       R.release client x;
       R.release client sink);
   Alcotest.(check int) "method never ran" 0 !execs;
@@ -217,7 +220,7 @@ let test_deadline_expired () =
     (R.call_stats owner).R.c_expired;
   drain rt;
   (* No [pin_timeout] here: only the copy_ack the owner sent before
-     [Expired] can release the client's transient pin on [x]. *)
+     its expired verdict can release the client's transient pin on [x]. *)
   Alcotest.(check bool) "client's surrogate for x gone" false
     (R.resident client (R.wirerep xo));
   Alcotest.(check bool) "owner's surrogate for x gone" false
@@ -258,7 +261,7 @@ let test_cancel_releases_pins () =
         ();
       (match Stub.call client h m_mint () with
       | _ -> Alcotest.fail "call succeeded with every reply lost"
-      | exception R.Timeout _ -> ());
+      | exception R.Call_failed (No_reply _) -> ());
       Transport.set_burst tr ~src:0 ~dst:1 ~loss:0.0 ~until:(Sched.now sched) ();
       R.release client h;
       finished := true);
@@ -289,7 +292,7 @@ let test_cancel_releases_pins () =
 (* --- lookup timeout releases the agent root (sim and TCP) ------------------ *)
 
 (* PR-3's historical bug: [lookup] released the agent root only on the
-   success path, so a Timeout stranded the agent surrogate and its
+   success path, so a failed call stranded the agent surrogate and its
    dirty entry forever.  The script times a lookup out by losing every
    reply, then checks the client's table drains completely once the
    network heals. *)
@@ -310,7 +313,7 @@ let lookup_timeout_script rt slice =
       | h ->
           R.release client h;
           outcome := `Succeeded
-      | exception (R.Timeout _ | R.Remote_error _) -> outcome := `Timed_out);
+      | exception R.Call_failed _ -> outcome := `Timed_out);
       Transport.set_filter tr None);
   let rounds = ref 0 in
   while !outcome = `Pending && !rounds < 20 do

@@ -39,7 +39,7 @@ let cell_obj sp =
              Stub.implement m_fetch (fun _ () ->
                  match !stored with
                  | Some h -> h
-                 | None -> raise (R.Remote_error "cell empty"));
+                 | None -> failwith "cell empty");
            ])
   in
   Lazy.force cell
@@ -92,11 +92,11 @@ let test_unknown_method () =
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
       (match Stub.call client h (Stub.declare "nope" P.unit P.unit) () with
-      | () -> Alcotest.fail "expected Remote_error"
-      | exception R.Remote_error _ -> ());
+      | () -> Alcotest.fail "expected No_such_method"
+      | exception R.Call_failed (No_such_method "nope") -> ());
       R.release client h)
 
-(* A reply the caller cannot decode is a typed [Remote_error], and the
+(* A reply the caller cannot decode is a typed [Undecodable_reply], and the
    references decoded before the failure are not leaked: the reply is
    acknowledged and the caller's pins go, so a collect drains the
    owner's dirty set. *)
@@ -118,17 +118,19 @@ let test_undecodable_reply () =
   in
   R.publish owner "counter" counter;
   R.publish owner "minter" minter;
-  let expect_remote_error what f =
+  let expect_undecodable what meth f =
     match f () with
-    | _ -> Alcotest.failf "%s: expected Remote_error" what
-    | exception R.Remote_error _ -> ()
+    | _ -> Alcotest.failf "%s: expected Undecodable_reply" what
+    | exception R.Call_failed (Undecodable_reply { meth = m; _ }) when m = meth
+      ->
+        ()
   in
   in_fiber rt (fun () ->
       let h = R.lookup client ~at:0 "counter" in
-      expect_remote_error "incr as bool" (fun () ->
+      expect_undecodable "incr as bool" "incr" (fun () ->
           Stub.call client h (Stub.declare "incr" P.int P.bool) 5);
       let hm = R.lookup client ~at:0 "minter" in
-      expect_remote_error "mint as (handle, bool)" (fun () ->
+      expect_undecodable "mint as (handle, bool)" "mint" (fun () ->
           Stub.call client hm
             (Stub.declare "mint" P.unit (P.pair R.handle_codec P.bool))
             ());
@@ -151,8 +153,8 @@ let test_unknown_name () =
   let client = R.space rt 1 in
   in_fiber rt (fun () ->
       match R.lookup client ~at:0 "missing" with
-      | _ -> Alcotest.fail "expected Remote_error"
-      | exception R.Remote_error _ -> ())
+      | _ -> Alcotest.fail "expected No_binding"
+      | exception R.Call_failed (No_binding "missing") -> ())
 
 (* Dropping the last surrogate lets the owner reclaim the object. *)
 let test_gc_reclaims_dropped () =

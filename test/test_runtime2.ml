@@ -99,7 +99,7 @@ let test_unpublish () =
   in_fiber rt (fun () ->
       match R.lookup client ~at:0 "c" with
       | _ -> Alcotest.fail "expected failure"
-      | exception R.Remote_error _ -> ())
+      | exception R.Call_failed (No_binding "c") -> ())
 
 (* Rich payloads through a real call. *)
 let test_payload_variety () =
@@ -136,7 +136,7 @@ let test_call_timeout () =
   in_fiber rt (fun () ->
       match Stub.call client h Scenario.m_incr 1 with
       | _ -> Alcotest.fail "expected timeout"
-      | exception R.Timeout _ -> ());
+      | exception R.Call_failed (No_reply _) -> ());
   (* heal: calls work again *)
   Transport.set_partitioned (R.transport rt) 0 1 false;
   in_fiber rt (fun () ->
@@ -156,7 +156,7 @@ let test_dirty_timeout () =
   in_fiber rt (fun () ->
       match R.lookup client ~at:0 "c" with
       | _ -> Alcotest.fail "expected timeout"
-      | exception R.Timeout _ -> ())
+      | exception R.Call_failed Dirty_timeout -> ())
 
 (* Local calls do not touch the network at all. *)
 let test_local_no_network () =
@@ -258,7 +258,7 @@ let test_owner_crash () =
   in_fiber rt (fun () ->
       match Stub.call client h Scenario.m_incr 1 with
       | _ -> Alcotest.fail "expected timeout"
-      | exception R.Timeout _ -> ());
+      | exception R.Call_failed (No_reply _) -> ());
   (* The client can still drop and GC without deadlock; the clean call
      goes nowhere, which is fine. *)
   R.release client h;

@@ -34,7 +34,7 @@ let cell_obj sp =
              Stub.implement m_fetch (fun _ () ->
                  match !stored with
                  | Some h -> h
-                 | None -> raise (R.Remote_error "cell empty"));
+                 | None -> failwith "cell empty");
            ])
   in
   Lazy.force cell
@@ -66,7 +66,7 @@ let lookup_scenario =
         ev (Printf.sprintf "get=%d" (Stub.call client h Scenario.m_get ()));
         (match R.lookup client ~at:0 "missing" with
         | _ -> ev "missing: found?!"
-        | exception R.Remote_error _ -> ev "missing: remote error");
+        | exception R.Call_failed (No_binding _) -> ev "missing: no binding");
         R.release client h);
   }
 
@@ -136,8 +136,8 @@ let release_scenario =
 
 (* Crash the owner mid-conversation, restart it, and re-import: the
    stale surrogate must fail the same way on both backends and the new
-   incarnation must answer fresh.  (Timeout vs Remote_error on the
-   stale call is an epoch-vs-timer race, so it is normalised.) *)
+   incarnation must answer fresh.  (Which failure the stale call meets
+   is an epoch-vs-timer race, so it is normalised.) *)
 let recover_scenario =
   {
     s_name = "crash and recover";
@@ -155,7 +155,7 @@ let recover_scenario =
         ev "owner crashed";
         (match Stub.call client h Scenario.m_incr 1 with
         | _ -> ev "call to dead owner: succeeded?!"
-        | exception (R.Remote_error _ | R.Timeout _) ->
+        | exception R.Call_failed _ ->
             ev "call to dead owner: failed");
         R.restart rt 0;
         ev (Printf.sprintf "owner restarted epoch=%d" (R.epoch owner));
@@ -164,7 +164,7 @@ let recover_scenario =
            dead incarnation's surrogates. *)
         (match Stub.call client h Scenario.m_incr 1 with
         | _ -> ev "stale call: succeeded?!"
-        | exception (R.Remote_error _ | R.Timeout _) -> ev "stale call: failed");
+        | exception R.Call_failed _ -> ev "stale call: failed");
         Sched.sleep (R.sched rt) 1.0;
         R.release client h;
         let counter' = Scenario.counter owner in
