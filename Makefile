@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-baseline bench-compare perf-smoke verify chaos-sweep examples check clean doc
+.PHONY: all build test bench bench-baseline bench-compare bench-pairs perf-smoke verify chaos-sweep examples check clean doc
 
 all: build
 
@@ -8,7 +8,7 @@ build:
 test:
 	dune runtest
 
-# Every experiment table (E1-E25, E17 retired); see EXPERIMENTS.md.
+# Every experiment table (E1-E25, E16 and E17 retired); see EXPERIMENTS.md.
 bench:
 	dune exec bench/main.exe
 
@@ -23,6 +23,21 @@ bench-baseline:
 
 bench-compare:
 	python3 perfbench/spread.py --against=BENCH_netobj.json
+
+# A change against its parent: PAIRS alternating runs of WORKLOAD in the
+# checkout at PARENT and in this one, the same seed within a pair
+# (FIRST_SEED onwards).  Prints each end-to-end metric's medians and
+# quartiles, the pairs the change won and a verdict (gain, worse,
+# unresolved, same); exits 1 on an incorrect run or a "worse".
+#   make bench-pairs PARENT=../parent WORKLOAD=bulk-tcp PAIRS=10
+WORKLOAD ?= bulk-tcp
+PAIRS ?= 10
+FIRST_SEED ?= 1
+
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "bench-pairs: set PARENT=<parent checkout>"; exit 2; }
+	python3 bench/pairs.py --parent "$(PARENT)" --workload $(WORKLOAD) \
+	  --pairs $(PAIRS) --first-seed $(FIRST_SEED)
 
 # The seeded chaos, model-checking, recovery, transport, cycle, scale,
 # reliability and domain-parallel (a forced 4-domain pool) scenarios run

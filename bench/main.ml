@@ -1,6 +1,6 @@
 (* Benchmark and experiment harness.
 
-   Each experiment E1–E25 (E17 retired) regenerates one table/figure of
+   Each experiment E1–E25 (E16 and E17 retired) regenerates one table/figure of
    the reproduction (see DESIGN.md for the experiment index and
    EXPERIMENTS.md for recorded outcomes):
 
@@ -19,7 +19,6 @@
      E13 ablation    the Note 4 clean-cancellation optimisation
      E14 cycleleak   distributed cycles: the leak and the hybrid fix
      E15 scale       per-client GC cost vs system size
-     E16 pool        writer pool + slice decode on the marshalling path
      E18 chaos       seeded chaos runs: survival, drain time, retry traffic
      E19 mc          systematic schedule exploration: states, pruning,
                      schedules-to-first-bug on the lookup-leak scenario
@@ -921,55 +920,6 @@ let e15_scale () =
   row "(GC cost per client is flat in system size: the collector is@.";
   row " direct and per-reference — the survey's scalability claim)@."
 
-(* ------------------------------------------------------------------ E16 *)
-
-module Wire = Netobj_pickle.Wire
-
-let e16_pool () =
-  section "E16: writer pool and slice decode (marshalling hot path)";
-  let ints = List.init 100 Fun.id in
-  let list_codec = P.list P.int in
-  let pair_codec = P.pair P.int (P.list P.string) in
-  let pair_v = (42, [ "a"; "bb"; "ccc" ]) in
-  (* Large argument record: the case where a fresh buffer must regrow
-     from its initial size on every encode, while a pooled writer stays
-     grown across calls. *)
-  let big_codec = P.list P.string in
-  let big_v = List.init 16 (fun i -> String.make 512 (Char.chr (65 + i))) in
-  (* The non-pooled baseline this PR replaced: a fresh buffer per encode,
-     snapshotted at the end. *)
-  let fresh_encode c v () =
-    let w = Wire.Writer.create () in
-    P.write c w v;
-    ignore (Wire.Writer.to_bytes w)
-  in
-  let pooled_encode c v () = ignore (P.encode c v) in
-  (* A message at an interior offset of a larger delivered frame. *)
-  let body = P.encode list_codec ints in
-  let framed = String.concat "" [ "\012frame-header"; body; "trailer" ] in
-  let off = 13 and len = String.length body in
-  let copy_decode () = ignore (P.decode list_codec (String.sub framed off len)) in
-  let slice_decode () = ignore (P.decode_slice list_codec framed ~off ~len) in
-  bechamel_run ~quota:0.3
-    [
-      ("encode int list 100 (fresh buffer)", fresh_encode list_codec ints);
-      ("encode int list 100 (pooled)", pooled_encode list_codec ints);
-      ("encode mixed pair (fresh buffer)", fresh_encode pair_codec pair_v);
-      ("encode mixed pair (pooled)", pooled_encode pair_codec pair_v);
-      ("encode 8KiB strings (fresh buffer)", fresh_encode big_codec big_v);
-      ("encode 8KiB strings (pooled)", pooled_encode big_codec big_v);
-      ("decode framed int list 100 (copy)", copy_decode);
-      ("decode framed int list 100 (slice)", slice_decode);
-    ];
-  Wire.Writer.reset_pool_stats ();
-  for _ = 1 to 10_000 do
-    ignore (P.encode pair_codec pair_v)
-  done;
-  let hits, misses = Wire.Writer.pool_stats () in
-  row "pool over 10k encodes: %d hits / %d misses (%.4f hit ratio)@." hits
-    misses
-    (float_of_int hits /. float_of_int (hits + misses))
-
 (* ------------------------------------------------------------------ E18 *)
 
 module Chaos = Netobj_chaos.Chaos
@@ -1717,7 +1667,6 @@ let experiments =
     ("ablation", e13_ablation);
     ("cycleleak", e14_cycles);
     ("scale", e15_scale);
-    ("pool", e16_pool);
     ("chaos", e18_chaos);
     ("mc", e19_mc);
     ("recover", e20_recover);

@@ -16,14 +16,15 @@ let count_call_retry sp =
 
 (* Encode a payload under a fresh message id; embedded handles become
    transient pins attached to that id.  Returns whether any reference was
-   embedded (an ack-free message needs no transient entry at all). *)
+   embedded (an ack-free message needs no transient entry at all), and
+   the payload as a slice of its own encoded string. *)
 let encode_with_pins sp f =
   let msg_id = fresh_msg_id sp in
   let pinned = ref [] in
   let payload =
     Wire.Writer.with_pooled (fun w ->
         with_ctx (Enc { esp = sp; e_pinned = pinned }) (fun () -> f w);
-        Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+        Wire.slice (Bytes.unsafe_to_string (Wire.Writer.to_bytes w)))
   in
   let has_refs = !pinned <> [] in
   if has_refs then begin
@@ -52,13 +53,13 @@ let encode_with_pins sp f =
   end;
   (msg_id, has_refs, payload)
 
-(* Decode a payload; returns the value, the acquired references (already
-   pinned once each) and the registrations to await.  A decode that
-   fails part-way unpins the references it had already acquired. *)
+(* Decode a payload in place; returns the value, the acquired references
+   (already pinned once each) and the registrations to await.  A decode
+   that fails part-way unpins the references it had already acquired. *)
 let decode_with_acquire sp payload f =
   let acquired = ref [] in
   let pending = ref [] in
-  let r = Wire.Reader.of_string payload in
+  let r = Wire.Reader.of_slice payload in
   match
     with_ctx (Dec { dsp = sp; d_acquired = acquired; d_pending = pending })
       (fun () -> f r)

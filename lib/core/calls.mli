@@ -27,7 +27,7 @@ val serve_call :
   needs_ack:bool ->
   target:Wirerep.t ->
   meth_name:string ->
-  args:string ->
+  args:Wire.slice ->
   deadline:float ->
   unit
 
@@ -36,7 +36,7 @@ val handle_reply :
   call_id:int ->
   msg_id:Proto.msg_id ->
   needs_ack:bool ->
-  result:(string, Proto.verdict) result ->
+  result:(Wire.slice, Proto.verdict) result ->
   unit
 
 val handle_cancel :

@@ -1,4 +1,5 @@
 module P = Netobj_pickle.Pickle
+module Wire = Netobj_pickle.Wire
 
 type msg_id = { origin : int; seq : int }
 
@@ -90,7 +91,7 @@ type envelope =
       needs_ack : bool;
       target : Wirerep.t;
       meth : string;
-      args : string;
+      args : Wire.slice;
       deadline : float;
           (** remaining budget in seconds at send time; [0.] = none.
               Relative rather than absolute so it stays meaningful
@@ -100,7 +101,7 @@ type envelope =
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;
-      result : (string, verdict) result;
+      result : (Wire.slice, verdict) result;
     }
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
@@ -136,7 +137,7 @@ let codec =
       P.case 0 "call"
         (P.quad P.int msg_id_codec
            (P.pair P.bool Wirerep.codec)
-           (P.triple P.string P.string P.float))
+           (P.triple P.string P.slice P.float))
         (fun (call_id, msg_id, (needs_ack, target), (meth, args, deadline)) ->
           Call { call_id; msg_id; needs_ack; target; meth; args; deadline })
         (function
@@ -145,7 +146,7 @@ let codec =
               Some (call_id, msg_id, (needs_ack, target), (meth, args, deadline))
           | _ -> None);
       P.case 1 "reply"
-        (P.quad P.int msg_id_codec P.bool (P.result P.string verdict_codec))
+        (P.quad P.int msg_id_codec P.bool (P.result P.slice verdict_codec))
         (fun (call_id, msg_id, needs_ack, result) ->
           Reply { call_id; msg_id; needs_ack; result })
         (function

@@ -65,7 +65,11 @@ type envelope =
               receiver then sends no copy_ack at all (ack elision) *)
       target : Wirerep.t;
       meth : string;
-      args : string;  (** pickled under the caller's marshal context *)
+      args : Netobj_pickle.Wire.slice;
+          (** pickled under the caller's marshal context.  A received
+              call's args are a slice of the message body it arrived
+              in, decoded in place; a sent one's are the whole encoded
+              string, reused as is by every retransmission *)
       deadline : float;
           (** remaining deadline budget in seconds at send time; [0.]
               means none.  Carried as a relative duration, not an
@@ -79,8 +83,11 @@ type envelope =
       call_id : int;
       msg_id : msg_id;
       needs_ack : bool;  (** as for calls, but for the result payload *)
-      result : (string, verdict) result;
-          (** pickled result, or the owner's verdict *)
+      result : (Netobj_pickle.Wire.slice, verdict) result;
+          (** pickled result — like a call's args, a slice of the
+              received body, or the whole encoded string when sent (the
+              reply cache replays it unchanged) — or the owner's
+              verdict *)
     }
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }

@@ -352,7 +352,7 @@ type call_stats = {
    pickled result or the owner's verdict), or the failure a reset of
    the caller's own incarnation settled it with. *)
 type call_outcome =
-  (Proto.msg_id * bool * (string, Proto.verdict) result, failure) result
+  (Proto.msg_id * bool * (Wire.slice, Proto.verdict) result, failure) result
 
 (* Owner-side at-most-once state for one client.  A settled call keeps
    its full reply envelope so a retransmission is answered by replaying

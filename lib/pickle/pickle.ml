@@ -101,6 +101,18 @@ let float =
 let string =
   { write = Wire.Writer.string; read = Wire.Reader.string; descr = "string" }
 
+(* Wire-identical to [string] (same descriptor too); reads a view of
+   the input instead of a copy. *)
+let slice =
+  {
+    write =
+      (fun w (sl : Wire.slice) ->
+        Wire.Writer.uvarint w sl.len;
+        Wire.Writer.slice w sl);
+    read = (fun r -> Wire.Reader.slice r (Wire.Reader.uvarint r));
+    descr = "string";
+  }
+
 let bytes =
   {
     write = (fun w b -> Wire.Writer.string w (Bytes.to_string b));

@@ -57,6 +57,11 @@ val float : float t
 
 val string : string t
 
+(** Encodes exactly as {!string} (same bytes, same descriptor), but
+    decodes to a view of the input rather than a copy: the slice shares
+    the decoded string, so it stays valid as long as that input does. *)
+val slice : Wire.slice t
+
 val bytes : bytes t
 
 (** {1 Containers} *)

@@ -32,16 +32,53 @@ let () =
         Some (Printf.sprintf "Netobj_pickle.Wire.Error(%d): %s" pos msg)
     | _ -> None)
 
+type slice = { base : string; off : int; len : int }
+
+let slice ?(off = 0) ?len base =
+  let n = String.length base in
+  let len = match len with Some l -> l | None -> n - off in
+  if off < 0 || len < 0 || off > n - len then
+    invalid_arg "Wire.slice: out of bounds";
+  { base; off; len }
+
 module Writer = struct
-  type t = Buffer.t
+  (* Bytes written by value accumulate in [buf].  A [raw]/[string] of at
+     least [by_ref_min] bytes is not copied in: it is recorded, newest
+     first in [refs], with the offset in [buf] it follows, and copied
+     once, by [to_bytes], into the exact-size result.  So a large
+     argument costs one copy per encode and never grows [buf], which
+     keeps the writer small enough to go back to its pool. *)
+  type piece = { at : int; piece : slice }
 
-  let create ?(initial_size = 256) () = Buffer.create initial_size
+  type t = { buf : Buffer.t; mutable refs : piece list; mutable ref_bytes : int }
 
-  let length = Buffer.length
+  (* Below this, copying into [buf] is cheaper than a reference record;
+     above it, a string is large enough that the copy into a growing
+     buffer (and that buffer's growth) dominates the encode. *)
+  let by_ref_min = 1024
 
-  let to_bytes = Buffer.to_bytes
+  let create ?(initial_size = 256) () =
+    { buf = Buffer.create initial_size; refs = []; ref_bytes = 0 }
 
-  let blit = Buffer.blit
+  let length w = Buffer.length w.buf + w.ref_bytes
+
+  let to_bytes w =
+    match w.refs with
+    | [] -> Buffer.to_bytes w.buf
+    | refs ->
+        let dst = Bytes.create (length w) in
+        (* [pos]: bytes of [buf] copied so far; [off]: bytes of [dst]
+           filled so far. *)
+        let rec fill pos off = function
+          | [] -> Buffer.blit w.buf pos dst off (Buffer.length w.buf - pos)
+          | { at; piece = { base; off = s_off; len } } :: rest ->
+              let n = at - pos in
+              Buffer.blit w.buf pos dst off n;
+              Bytes.blit_string base s_off dst (off + n) len;
+              fill at (off + n + len) rest
+        in
+        fill 0 0 (List.rev refs);
+        dst
 
   (* Per-domain pool of writers.  Checkout reuses a previously returned
      buffer (its capacity already grown by earlier encodes), so steady-state
@@ -53,7 +90,7 @@ module Writer = struct
      report the stats of the domain they run on (the sim engine's single
      domain sees everything). *)
   type pool_state = {
-    stack : Buffer.t Stack.t;
+    stack : t Stack.t;
     mutable hits : int;
     mutable misses : int;
   }
@@ -64,8 +101,9 @@ module Writer = struct
 
   let pool_capacity = 64
 
-  (* Buffers whose backing store grew past this are not retained: one huge
-     encode should not pin megabytes for the rest of the run. *)
+  (* Writers whose buffer grew past this are not retained: one huge
+     encode should not pin megabytes for the rest of the run.  Bytes
+     kept by reference never grow the buffer. *)
   let max_retained_size = 1 lsl 16
 
   let checkout () =
@@ -76,20 +114,31 @@ module Writer = struct
         b
     | None ->
         p.misses <- p.misses + 1;
-        Buffer.create 256
+        create ()
 
-  let return b =
+  let return w =
+    w.refs <- [];
+    w.ref_bytes <- 0;
     let p = Domain.DLS.get pool_key in
     if Stack.length p.stack < pool_capacity
-       && Buffer.length b <= max_retained_size
+       && Buffer.length w.buf <= max_retained_size
     then begin
-      Buffer.clear b;
-      Stack.push b p.stack
+      Buffer.clear w.buf;
+      Stack.push w p.stack
     end
 
+  (* Not [Fun.protect], which allocates two closures per encode;
+     [return] cannot raise, so there is no [finally] to guard. *)
   let with_pooled f =
-    let b = checkout () in
-    Fun.protect ~finally:(fun () -> return b) (fun () -> f b)
+    let w = checkout () in
+    match f w with
+    | v ->
+        return w;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        return w;
+        Printexc.raise_with_backtrace e bt
 
   let pool_stats () =
     let p = Domain.DLS.get pool_key in
@@ -100,7 +149,7 @@ module Writer = struct
     p.hits <- 0;
     p.misses <- 0
 
-  let byte w n = Buffer.add_char w (Char.chr (n land 0xff))
+  let byte w n = Buffer.add_char w.buf (Char.chr (n land 0xff))
 
   (* Scratch is per-domain: a module-level [Bytes.t] would be a
      write-write race when two domains encode concurrently.  Ten bytes
@@ -113,7 +162,7 @@ module Writer = struct
     if n < 0x80 then byte w n
     else begin
       let scratch = Domain.DLS.get scratch_key in
-      Buffer.add_subbytes w scratch 0 (put_uvarint scratch 0 n)
+      Buffer.add_subbytes w.buf scratch 0 (put_uvarint scratch 0 n)
     end
 
   (* Unsigned LEB128 over the full 64-bit range. *)
@@ -137,23 +186,32 @@ module Writer = struct
   let int32 w n =
     let scratch = Domain.DLS.get scratch_key in
     Bytes.set_int32_le scratch 0 n;
-    Buffer.add_subbytes w scratch 0 4
+    Buffer.add_subbytes w.buf scratch 0 4
 
   let int64 w n =
     let scratch = Domain.DLS.get scratch_key in
     Bytes.set_int64_le scratch 0 n;
-    Buffer.add_subbytes w scratch 0 8
+    Buffer.add_subbytes w.buf scratch 0 8
 
   let u32_be w n =
     if n < 0 || n > 0xffffffff then
       invalid_arg "Wire.Writer.u32_be: out of range";
     let scratch = Domain.DLS.get scratch_key in
     Bytes.set_int32_be scratch 0 (Int32.of_int n);
-    Buffer.add_subbytes w scratch 0 4
+    Buffer.add_subbytes w.buf scratch 0 4
 
   let float w f = int64 w (Int64.bits_of_float f)
 
-  let raw w s = Buffer.add_string w s
+  let slice w ({ base; off; len } as piece) =
+    if len < by_ref_min then Buffer.add_substring w.buf base off len
+    else begin
+      w.refs <- { at = Buffer.length w.buf; piece } :: w.refs;
+      w.ref_bytes <- w.ref_bytes + len
+    end
+
+  let raw w s =
+    if String.length s < by_ref_min then Buffer.add_string w.buf s
+    else slice w { base = s; off = 0; len = String.length s }
 
   let string w s =
     uvarint w (String.length s);
@@ -172,6 +230,8 @@ module Reader = struct
     if off < 0 || len < 0 || off > n - len then
       invalid_arg "Wire.Reader.of_string: slice out of bounds";
     { data; base = off; limit = len; pos = 0 }
+
+  let of_slice { base; off; len } = { data = base; base = off; limit = len; pos = 0 }
 
   (* The bytes are never mutated through the reader, so viewing them as an
      immutable string is safe as long as the caller does not mutate [data]
@@ -227,6 +287,13 @@ module Reader = struct
     let s = String.sub r.data (r.base + r.pos) n in
     r.pos <- r.pos + n;
     s
+
+  let slice r n =
+    if n < 0 then fail r "negative length";
+    if remaining r < n then fail r "unexpected end of input";
+    let sl = { base = r.data; off = r.base + r.pos; len = n } in
+    r.pos <- r.pos + n;
+    sl
 
   let skip r n =
     if n < 0 then fail r "negative length";

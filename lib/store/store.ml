@@ -44,7 +44,7 @@ let frame payload =
       Wire.Writer.uvarint w (String.length payload);
       Wire.Writer.raw w payload;
       Wire.Writer.uvarint w (fnv1a32 payload);
-      Bytes.to_string (Wire.Writer.to_bytes w))
+      Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
 
 let decode_log bytes =
   let r = Wire.Reader.of_string bytes in

@@ -9,8 +9,6 @@ let max_frame = 64 * 1024 * 1024
 
 let overhead = 5
 
-module Wire = Netobj_pickle.Wire
-
 (* The length field for a [body_len]-byte body. *)
 let checked_len body_len =
   let len = body_len + 1 in
@@ -18,24 +16,26 @@ let checked_len body_len =
     raise (Corrupt (Printf.sprintf "frame too large: %d bytes" len));
   len
 
+let size ~body_len = 4 + checked_len body_len
+
 let write_header b off ~body_len =
   let len = checked_len body_len in
   Bytes.set_int32_be b off (Int32.of_int len);
   Bytes.set_uint8 b (off + 4) 0
 
 let encode body =
-  let len = checked_len (String.length body) in
-  Wire.Writer.with_pooled (fun w ->
-      Wire.Writer.u32_be w len;
-      Wire.Writer.byte w 0;
-      Wire.Writer.raw w body;
-      Bytes.unsafe_to_string (Wire.Writer.to_bytes w))
+  let n = String.length body in
+  let b = Bytes.create (size ~body_len:n) in
+  write_header b 0 ~body_len:n;
+  Bytes.blit_string body 0 b overhead n;
+  Bytes.unsafe_to_string b
 
 (* The decoder accumulates raw bytes in a growable buffer and consumes
    complete frames off the front.  [pos] is the read cursor; the
    consumed prefix is compacted away lazily (when it exceeds half the
-   buffer) so a long-lived connection doesn't grow without bound while
-   staying O(bytes) overall. *)
+   buffer, or at once when nothing is pending) so a long-lived
+   connection doesn't grow without bound while staying O(bytes)
+   overall. *)
 type decoder = { mutable buf : Bytes.t; mutable len : int; mutable pos : int }
 
 let decoder () = { buf = Bytes.create 4096; len = 0; pos = 0 }
@@ -47,12 +47,14 @@ let compact d =
     d.pos <- 0
   end
 
-let feed d ?(off = 0) ?len s =
-  let len = match len with Some l -> l | None -> String.length s - off in
-  if off < 0 || len < 0 || off + len > String.length s then
-    invalid_arg "Frame.feed: slice out of bounds";
-  compact d;
-  let need = d.len + len in
+(* Make room for [n] more bytes after [len]. *)
+let reserve d n =
+  if d.pos = d.len then begin
+    d.pos <- 0;
+    d.len <- 0
+  end
+  else compact d;
+  let need = d.len + n in
   if need > Bytes.length d.buf then begin
     let cap = ref (Bytes.length d.buf) in
     while !cap < need do
@@ -61,9 +63,26 @@ let feed d ?(off = 0) ?len s =
     let nb = Bytes.create !cap in
     Bytes.blit d.buf 0 nb 0 d.len;
     d.buf <- nb
-  end;
+  end
+
+let feed d ?(off = 0) ?len s =
+  let len = match len with Some l -> l | None -> String.length s - off in
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Frame.feed: slice out of bounds";
+  reserve d len;
   Bytes.blit_string s off d.buf d.len len;
   d.len <- d.len + len
+
+(* The smallest free space a [fill] offers its reader. *)
+let min_fill = 4096
+
+let room d = Bytes.length d.buf - d.len
+
+let fill d read src =
+  reserve d min_fill;
+  let n = read src d.buf d.len (room d) in
+  d.len <- d.len + n;
+  n
 
 let pending d = d.len - d.pos
 
@@ -74,13 +93,12 @@ let reset d =
 let next d =
   if pending d < 4 then None
   else begin
-    let r = Wire.Reader.of_bytes ~off:d.pos ~len:(pending d) d.buf in
-    let len = Wire.Reader.u32_be r in
+    let len = Int32.to_int (Bytes.get_int32_be d.buf d.pos) land 0xffffffff in
     if len < 1 || len > max_frame then
       raise (Corrupt (Printf.sprintf "bad frame length %d" len));
     if pending d < 4 + len then None
     else begin
-      let flag = Wire.Reader.byte r in
+      let flag = Bytes.get_uint8 d.buf (d.pos + 4) in
       if flag <> 0 then
         raise (Corrupt (Printf.sprintf "unknown flag byte 0x%02x" flag));
       let body = Bytes.sub_string d.buf (d.pos + 5) (len - 1) in

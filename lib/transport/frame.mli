@@ -35,6 +35,11 @@ val max_frame : int
 (** [encode body] is the frame's full wire image. *)
 val encode : string -> string
 
+(** [size ~body_len] is the wire size of a frame whose body is
+    [body_len] bytes: {!overhead} plus the body.
+    @raise Corrupt if the frame would exceed {!val-max_frame}. *)
+val size : body_len:int -> int
+
 (** [write_header b off ~body_len] writes the {!overhead}-byte header of
     a frame whose body is [body_len] bytes at [off] in [b], so a sender
     can build header and body in one buffer.
@@ -57,6 +62,19 @@ val decoder : unit -> decoder
     whole string).  Raises nothing: corruption is only detected when a
     complete header is inspected, by {!next}. *)
 val feed : decoder -> ?off:int -> ?len:int -> string -> unit
+
+(** [fill d read src] lets [read src buf off len] store up to [len]
+    received bytes straight into the decoder's buffer at [off] (a socket
+    read such as [fill d Unix.read fd], not a copy of one) and returns
+    the count [read] returned.  The room offered is all the buffer's
+    free space, grown to at least 4 KiB; when {!room} is 0 afterwards,
+    the read took all of it and more may be waiting.  If [read] raises,
+    nothing is consumed.  Like {!feed}, raises nothing itself. *)
+val fill : decoder -> ('a -> bytes -> int -> int -> int) -> 'a -> int
+
+(** Free bytes after the buffered ones: the room the last {!fill}
+    left unread ({!next} does not change it). *)
+val room : decoder -> int
 
 (** Pop the next complete frame's body, or [None] if the buffered bytes
     end in (at most) a torn tail.

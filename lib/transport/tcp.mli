@@ -18,9 +18,12 @@
     nothing after it.  Batching happens below the frame, in the
     gathered write.
 
-    Each pump writes a peer's queued frames with one [write]: they are
-    gathered into one reused 64 KiB buffer, and a frame too big to fit
-    goes out from its own string.  A peer whose earlier bytes are all on
+    A send queues the message unframed.  Each pump writes a peer's
+    queue with one [write]: the frames are built in place, header and
+    body, in the peer's one reused write buffer, as many as fit in
+    64 KiB; a larger frame goes alone through the same buffer, which
+    grows to fit it.  Reads land straight in the frame decoder's
+    buffer.  A peer whose earlier bytes are all on
     the wire (drained) writes before the [select], so on loopback the
     same [select] sees them readable and one pump carries a message from
     sender to receiver; a pump that wrote polls instead of waiting.  A

@@ -50,12 +50,34 @@ let test_pool_drops_oversized () =
     if misses = 0 then drain ()
   in
   drain ();
+  (* A large raw is kept by reference and never grows the buffer, so
+     grow it past the pool's 64 KiB limit with small writes instead. *)
   let big = Wire.Writer.checkout () in
-  Wire.Writer.raw big (String.make 100_000 'x');
+  for _ = 1 to 200 do
+    Wire.Writer.raw big (String.make 500 'x')
+  done;
   Wire.Writer.return big;
   let next = Wire.Writer.checkout () in
   Alcotest.(check bool) "oversized buffer not retained" true (not (next == big));
   List.iter Wire.Writer.return (next :: !drained)
+
+(* A large string written by reference is held by the writer until
+   [return], and by nothing after it. *)
+let[@inline never] write_big w weak =
+  let s = String.init 100_000 (fun i -> Char.chr (i land 0xff)) in
+  Weak.set weak 0 (Some s);
+  Wire.Writer.raw w s
+
+let test_return_drops_references () =
+  let weak = Weak.create 1 in
+  let w = Wire.Writer.checkout () in
+  write_big w weak;
+  Gc.full_major ();
+  Alcotest.(check bool) "held while the writer is out" true (Weak.check weak 0);
+  Alcotest.(check int) "length counts it" 100_000 (Wire.Writer.length w);
+  Wire.Writer.return w;
+  Gc.full_major ();
+  Alcotest.(check bool) "collectable after return" false (Weak.check weak 0)
 
 (* --- slice readers -------------------------------------------------------- *)
 
@@ -139,6 +161,8 @@ let () =
             test_with_pooled_returns_on_raise;
           Alcotest.test_case "oversized buffers dropped" `Quick
             test_pool_drops_oversized;
+          Alcotest.test_case "return drops references" `Quick
+            test_return_drops_references;
         ] );
       ( "slices",
         [

@@ -250,7 +250,9 @@ let test_random_edges () =
   done
 
 (* Raw Wire sequences: write a random op list, read it back in order;
-   every value must survive and the reader must land exactly at the end. *)
+   every value must survive and the reader must land exactly at the end.
+   Strings, raws and slices of 1 KiB or more are kept by reference in
+   the writer, so they are drawn around that size too. *)
 type wire_op =
   | Wbyte of int
   | Wuvarint of int
@@ -260,9 +262,20 @@ type wire_op =
   | Wfloat of float
   | Wstring of string
   | Wraw of string
+  | Wslice of Wire.slice
+
+(* Around the writer's by-reference threshold (1 KiB), both sides. *)
+let gen_big_string rng =
+  let n =
+    match Rng.int rng 4 with
+    | 0 -> 1023
+    | 1 -> 1024
+    | _ -> 1000 + Rng.int rng 9000
+  in
+  String.init n (fun _ -> Char.chr (Rng.int rng 256))
 
 let gen_wire_op rng =
-  match Rng.int rng 8 with
+  match Rng.int rng 11 with
   | 0 -> Wbyte (Rng.int rng 256)
   | 1 ->
       Wuvarint
@@ -275,7 +288,13 @@ let gen_wire_op rng =
       (* random bit patterns: exercises subnormals, infinities, nans *)
       Wfloat (Int64.float_of_bits (Rng.next_int64 rng))
   | 6 -> Wstring (gen_string rng)
-  | _ -> Wraw (gen_string rng)
+  | 7 -> Wraw (gen_string rng)
+  | 8 -> Wstring (gen_big_string rng)
+  | 9 -> Wraw (gen_big_string rng)
+  | _ ->
+      let s = gen_big_string rng in
+      let off = Rng.int rng 64 in
+      Wslice (Wire.slice ~off ~len:(Rng.int rng (String.length s - off)) s)
 
 let write_wire_op w = function
   | Wbyte b -> Wire.Writer.byte w b
@@ -286,6 +305,31 @@ let write_wire_op w = function
   | Wfloat f -> Wire.Writer.float w f
   | Wstring s -> Wire.Writer.string w s
   | Wraw s -> Wire.Writer.raw w s
+  | Wslice sl -> Wire.Writer.slice w sl
+
+(* The same ops encoded independently into a plain [Buffer]: the wire
+   format written out by hand, with no reference or pooling logic. *)
+let rec buffer_uvarint64 b n =
+  if Int64.unsigned_compare n 0x80L < 0 then Buffer.add_uint8 b (Int64.to_int n)
+  else begin
+    Buffer.add_uint8 b (0x80 lor (Int64.to_int n land 0x7f));
+    buffer_uvarint64 b (Int64.shift_right_logical n 7)
+  end
+
+let buffer_wire_op b = function
+  | Wbyte n -> Buffer.add_uint8 b n
+  | Wuvarint n -> buffer_uvarint64 b (Int64.of_int n)
+  | Wvarint n ->
+      let n = Int64.of_int n in
+      buffer_uvarint64 b Int64.(logxor (shift_left n 1) (shift_right n 63))
+  | Wint32 n -> Buffer.add_int32_le b n
+  | Wint64 n -> Buffer.add_int64_le b n
+  | Wfloat f -> Buffer.add_int64_le b (Int64.bits_of_float f)
+  | Wstring s ->
+      buffer_uvarint64 b (Int64.of_int (String.length s));
+      Buffer.add_string b s
+  | Wraw s -> Buffer.add_string b s
+  | Wslice { base; off; len } -> Buffer.add_substring b base off len
 
 let check_wire_op r = function
   | Wbyte b -> if Wire.Reader.byte r <> b then Alcotest.fail "byte"
@@ -300,14 +344,30 @@ let check_wire_op r = function
   | Wstring s -> if Wire.Reader.string r <> s then Alcotest.fail "string"
   | Wraw s ->
       if Wire.Reader.raw r (String.length s) <> s then Alcotest.fail "raw"
+  | Wslice { base; off; len } ->
+      if Wire.Reader.raw r len <> String.sub base off len then
+        Alcotest.fail "slice"
 
+(* Every sequence goes through the one pooled writer, checked out and
+   returned per sequence, and must produce the plain-[Buffer] bytes: a
+   reference left over from an earlier sequence would show here. *)
 let test_wire_op_sequences () =
   let rng = Rng.create 0x5eedL in
   for _ = 1 to 200 do
     let ops = List.init (1 + Rng.int rng 24) (fun _ -> gen_wire_op rng) in
-    let w = Wire.Writer.create () in
-    List.iter (write_wire_op w) ops;
-    let r = Wire.Reader.of_bytes (Wire.Writer.to_bytes w) in
+    let bytes =
+      Wire.Writer.with_pooled (fun w ->
+          List.iter (write_wire_op w) ops;
+          let b = Wire.Writer.to_bytes w in
+          if Wire.Writer.length w <> Bytes.length b then
+            Alcotest.fail "length disagrees with to_bytes";
+          b)
+    in
+    let plain = Buffer.create 256 in
+    List.iter (buffer_wire_op plain) ops;
+    if Bytes.to_string bytes <> Buffer.contents plain then
+      Alcotest.fail "pooled writer bytes differ from a plain Buffer's";
+    let r = Wire.Reader.of_bytes bytes in
     List.iter (check_wire_op r) ops;
     if not (Wire.Reader.at_end r) then Alcotest.fail "reader not at end"
   done

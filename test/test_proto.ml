@@ -26,12 +26,12 @@ let verdicts =
 let test_envelopes () =
   check_env "call"
     (Proto.Call
-       { call_id = 7; msg_id = mid; needs_ack = true; target = wr; meth = "incr"; args = "\x00\xffpayload"; deadline = 0. });
+       { call_id = 7; msg_id = mid; needs_ack = true; target = wr; meth = "incr"; args = Wire.slice "\x00\xffpayload"; deadline = 0. });
   check_env "call with deadline"
     (Proto.Call
-       { call_id = 8; msg_id = mid; needs_ack = false; target = wr; meth = "incr"; args = ""; deadline = 0.25 });
+       { call_id = 8; msg_id = mid; needs_ack = false; target = wr; meth = "incr"; args = Wire.slice ""; deadline = 0.25 });
   check_env "reply ok"
-    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok "result-bytes" });
+    (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok (Wire.slice "result-bytes") });
   List.iter
     (fun v ->
       let env = Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error v } in
@@ -51,7 +51,28 @@ let test_envelopes () =
 let test_reply_ok_bytes () =
   Alcotest.(check string) "reply ok bytes" "\001\014\004\198\001\001\000\002ab"
     (P.encode Proto.codec
-       (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok "ab" }))
+       (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = true; result = Ok (Wire.slice "ab") }))
+
+(* Args are a slice: an interior slice of a larger string, past the
+   writer's 1 KiB by-reference threshold, encodes exactly as a call
+   carrying the copied bytes, and decodes back to a slice of the
+   encoded packet holding those bytes. *)
+let test_args_slice_bytes () =
+  let big = String.init 5000 (fun i -> Char.chr (i land 0xff)) in
+  let call args =
+    Proto.Call
+      { call_id = 7; msg_id = mid; needs_ack = false; target = wr; meth = "m"; args; deadline = 0. }
+  in
+  let sliced = P.encode Proto.codec (call (Wire.slice ~off:100 ~len:3000 big)) in
+  Alcotest.(check string) "same bytes"
+    (P.encode Proto.codec (call (Wire.slice (String.sub big 100 3000))))
+    sliced;
+  match P.decode Proto.codec sliced with
+  | Proto.Call { args = { base; off; len }; _ } ->
+      Alcotest.(check bool) "a view of the packet" true (base == sliced);
+      Alcotest.(check string) "its bytes" (String.sub big 100 3000)
+        (String.sub base off len)
+  | env -> Alcotest.failf "decoded as %a" Proto.pp env
 
 (* The verdict is the last thing a Reply's error arm holds: any tag past
    the known ones must be a [Wire.Error], not a verdict. *)
@@ -72,8 +93,8 @@ let test_unknown_verdict () =
 let test_kinds_distinct () =
   let envs =
     [
-      Proto.Call { call_id = 0; msg_id = mid; needs_ack = false; target = wr; meth = "m"; args = ""; deadline = 0. };
-      Proto.Reply { call_id = 0; msg_id = mid; needs_ack = false; result = Ok "" };
+      Proto.Call { call_id = 0; msg_id = mid; needs_ack = false; target = wr; meth = "m"; args = Wire.slice ""; deadline = 0. };
+      Proto.Reply { call_id = 0; msg_id = mid; needs_ack = false; result = Ok (Wire.slice "") };
       Proto.Copy_ack { msg_id = mid };
       Proto.Dirty { wr; seq = 0 };
       Proto.Dirty_ack { wr; ok = true };
@@ -108,7 +129,7 @@ let env_gen =
               needs_ack = c mod 2 = 0;
               target = w;
               meth = n;
-              args = a;
+              args = Wire.slice a;
               deadline = (if c mod 3 = 0 then 0. else float_of_int (c mod 7) /. 4.);
             })
         (tup4 nat mid_gen wr_gen (tup2 string_small string_small));
@@ -122,7 +143,7 @@ let env_gen =
         (tup3 nat mid_gen
            (oneof
               [
-                map (fun s -> Ok s) string_small;
+                map (fun s -> Ok (Wire.slice s)) string_small;
                 map (fun s -> Error (Proto.V_raised s)) string_small;
                 map (fun v -> Error v) (oneofl verdicts);
               ]));
@@ -261,6 +282,7 @@ let () =
           Alcotest.test_case "roundtrips" `Quick test_envelopes;
           Alcotest.test_case "kinds distinct" `Quick test_kinds_distinct;
           Alcotest.test_case "reply ok bytes" `Quick test_reply_ok_bytes;
+          Alcotest.test_case "args slice bytes" `Quick test_args_slice_bytes;
           Alcotest.test_case "unknown verdict tag" `Quick test_unknown_verdict;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_hostile_packets;
