@@ -160,14 +160,13 @@ let default_mix =
    lease ((lease_misses + 1) * ping_period + lease_grace = 4s) could
    legitimately evict it, so the schedule generator keeps each pair's
    fault windows shorter than that and separated by a cooldown. *)
-let runtime_config ?(backoff = 2.0) ?(backoff_cap = 2.0)
-    ?(backoff_jitter = 0.2) ?(durable = false) ?cycle_period ?call_retries
-    ?max_inflight ~seed ~spaces () =
+let runtime_config ?(backoff = 2.0) ?(backoff_cap = 2.0) ?(durable = false)
+    ?cycle_period ?call_retries ?max_inflight ~seed ~spaces () =
   R.config ~seed
     ~edge:(Net.bag_edge ~lo:0.01 ~hi:0.05 ())
     ~gc_period:0.4 ~ping_period:0.5 ~lease_misses:3 ~lease_grace:2.0
     ~call_timeout:3.0 ~dirty_timeout:3.0 ~clean_retry:0.3 ~dirty_retry:0.3
-    ~backoff ~backoff_cap ~backoff_jitter ~pin_timeout:12.0 ~durable
+    ~backoff ~backoff_cap ~backoff_jitter:0.2 ~pin_timeout:12.0 ~durable
     ~fsync_delay:0.02 ~snapshot_period:5.0 ~recover_grace:2.0 ?cycle_period
     ?call_retries ?max_inflight ~nspaces:spaces ()
 
@@ -331,7 +330,6 @@ type cfg = {
   drain_limit : float;
   backoff : float;
   backoff_cap : float;
-  backoff_jitter : float;
 }
 
 let default =
@@ -346,7 +344,6 @@ let default =
     drain_limit = 60.0;
     backoff = 2.0;
     backoff_cap = 2.0;
-    backoff_jitter = 0.2;
   }
 
 (* --- report ----------------------------------------------------------------- *)
@@ -1097,8 +1094,7 @@ let run ?schedule cfg =
           s
   in
   let rcfg =
-    runtime_config ~backoff:cfg.backoff ~backoff_cap:cfg.backoff_cap
-      ~backoff_jitter:cfg.backoff_jitter ~durable
+    runtime_config ~backoff:cfg.backoff ~backoff_cap:cfg.backoff_cap ~durable
       ?cycle_period:(if cfg.cycles > 0 then Some 0.7 else None)
       ?call_retries:(if storms_armed then Some 2 else None)
       ?max_inflight:(if storms_armed then Some 8 else None)

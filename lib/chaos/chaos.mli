@@ -134,8 +134,7 @@ type cfg = {
   mix : mix;
   drain_limit : float;  (** post-heal convergence budget *)
   backoff : float;  (** retry backoff multiplier (≥ 1) *)
-  backoff_cap : float;
-  backoff_jitter : float;
+  backoff_cap : float;  (** seconds; every delay gets a fixed 20 % jitter *)
 }
 
 (** Three spaces, 20 virtual seconds, the default mix, exponential

@@ -118,19 +118,6 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
     ~deadline =
   let ron = reliability_on sp in
   let ack_now () = if needs_ack then send_copy_ack sp ~dst:src msg_id in
-  (* A shed or expired call is refused before anything runs: the reply
-     carries no references, takes no message id from the sequence and
-     is not cached. *)
-  let refuse verdict =
-    send_env sp ~dst:src
-      (Proto.Reply
-         {
-           call_id;
-           msg_id = { Proto.origin = sp.id; seq = 0 };
-           needs_ack = false;
-           result = Error verdict;
-         })
-  in
   (* At-most-once: a retransmission of a settled call replays the cached
      reply verbatim (and re-acks the copy — the original ack may have
      been lost along with the reply); one of a still-executing call is
@@ -160,10 +147,19 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
   | None -> (
       match sp.rt.config.max_inflight with
       | Some cap when sp.inflight_count >= cap ->
-          (* O(1) shed: nothing decoded, nothing pinned, no state. *)
+          (* O(1) shed: nothing decoded, nothing pinned, no state.  The
+             refusal carries no references, takes no message id from
+             the sequence and is not cached. *)
           sp.s_call_shed <- sp.s_call_shed + 1;
           if Obs.on () then Metrics.incr m_call_shed;
-          refuse Proto.V_shed
+          send_env sp ~dst:src
+            (Proto.Reply
+               {
+                 call_id;
+                 msg_id = { Proto.origin = sp.id; seq = 0 };
+                 needs_ack = false;
+                 result = Error Proto.V_shed;
+               })
       | Some _ | None ->
           let sched = ssched sp in
           let ic = { if_cancelled = false } in
@@ -236,12 +232,13 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
                         match until with
                         | Some u when Sched.now sched > u ->
                             (* The budget ran out while the arguments'
-                               registrations were in flight: reject
-                               without burning the method body. *)
+                               registrations were in flight: skip the
+                               method body.  No reply: the caller's
+                               deadline, one transit earlier than this
+                               one, has passed and it no longer waits. *)
                             List.iter (unpin sp) acquired;
                             sp.s_call_expired <- sp.s_call_expired + 1;
-                            if Obs.on () then Metrics.incr m_deadline_expired;
-                            refuse Proto.V_expired
+                            if Obs.on () then Metrics.incr m_deadline_expired
                         | Some _ | None -> (
                             sp.s_call_executed <- sp.s_call_executed + 1;
                             (* Phase 2: run the implementation (it may
@@ -420,7 +417,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
                deadline = budget;
              })
       in
-      let abandon ~attempts ~at_owner =
+      let abandon ~attempts =
         Hashtbl.remove sp.pending_calls call_id;
         (* Tell the owner to settle the abandoned call: drop its cached
            reply or suppress the in-flight one, releasing the reply's
@@ -434,7 +431,6 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
           (No_reply
              {
                meth = meth_name;
-               at_owner;
                attempts;
                elapsed = Sched.now sched -. t0;
                timeout = cfg.call_timeout;
@@ -445,7 +441,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
         match until with Some u -> Sched.now sched < u | None -> true
       in
       let rec attempt k =
-        if not (budget_left ()) then abandon ~attempts:k ~at_owner:false
+        if not (budget_left ()) then abandon ~attempts:k
         else begin
           (* Fresh ivar per attempt; a straggling reply for a removed
              ivar is dropped by [handle_reply].  Retransmissions reuse
@@ -489,10 +485,6 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
           | Some (Ok (_, _, Error Proto.V_no_method)) ->
               fail (No_such_method meth_name)
           | Some (Ok (_, _, Error (Proto.V_raised text))) -> fail (Raised text)
-          | Some (Ok (_, _, Error Proto.V_expired)) ->
-              (* Server-side rejection: the budget is gone, retrying
-                 cannot help. *)
-              abandon ~attempts:(k + 1) ~at_owner:true
           | Some (Ok (_, _, Error Proto.V_shed)) ->
               Hashtbl.remove sp.pending_calls call_id;
               if k < retries && budget_left () then begin
@@ -524,7 +516,7 @@ let invoke_raw sp h ~meth:meth_name ~encode ~decode =
                 count_call_retry sp;
                 attempt (k + 1)
               end
-              else abandon ~attempts:(k + 1) ~at_owner:false
+              else abandon ~attempts:(k + 1)
         end
       in
       let rmsg_id, rneeds_ack, payload = attempt 0 in

@@ -73,11 +73,10 @@ let obs_begin_clean sp wr =
       ~args:(obs_wr_args wr) "clean"
   end
 
-let send_clean sp wr ~strong =
+let send_clean sp wr =
   sp.s_clean <- sp.s_clean + 1;
   obs_begin_clean sp wr;
-  send_env sp ~dst:wr.Wirerep.space
-    (Proto.Clean { wr; seq = next_seqno sp wr; strong })
+  send_env sp ~dst:wr.Wirerep.space (Proto.Clean { wr; seq = next_seqno sp wr })
 
 (* Ensure a table entry exists for a reference just read from a message,
    returning the registration event to await (if any).  Mirrors the
@@ -301,7 +300,6 @@ let schedule_clean_retry sp cl wr =
                        {
                          wr;
                          seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
-                         strong = false;
                        });
                   true
               | Cleaning _ | Creating _ | Usable _ -> false)
@@ -375,7 +373,7 @@ let cleaning_demon sp () =
     (if not sp.crashed then
        match begin_clean sp wr with
        | Some cl ->
-           send_clean sp wr ~strong:false;
+           send_clean sp wr;
            schedule_clean_retry sp cl wr
        | None -> ());
     loop ()
@@ -414,8 +412,7 @@ let apply_clean sp ~src ~wr ~seq =
         wal sp (Wal.Dirty { wr; client = src; seq; add = false })
       end
 
-let handle_clean sp ~src ~wr ~seq ~strong =
-  ignore strong;
+let handle_clean sp ~src ~wr ~seq =
   apply_clean sp ~src ~wr ~seq;
   send_env sp ~dst:src (Proto.Clean_ack { wr })
 

@@ -44,8 +44,7 @@ val handle_dirty : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
 
 val apply_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
 
-val handle_clean :
-  space -> src:int -> wr:Wirerep.t -> seq:int -> strong:bool -> unit
+val handle_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
 
 val handle_dirty_ack : space -> wr:Wirerep.t -> ok:bool -> unit
 

@@ -48,13 +48,12 @@ let pp_cycle_report ppf = function
 
 (* Why a call produced no result, in a [Reply]'s error arm: the target
    is not in the owner's table, it has no such method, the admission
-   gate shed the call, the deadline budget ran out before the method
-   body, or the method raised (its exception's text). *)
+   gate shed the call, or the method raised (its exception's text).
+   Tag 3 is unused; the tags after it keep their bytes. *)
 type verdict =
   | V_no_object
   | V_no_method
   | V_shed
-  | V_expired
   | V_raised of string
 
 let verdict_codec =
@@ -69,9 +68,6 @@ let verdict_codec =
       P.case 2 "shed" P.unit
         (fun () -> V_shed)
         (function V_shed -> Some () | _ -> None);
-      P.case 3 "expired" P.unit
-        (fun () -> V_expired)
-        (function V_expired -> Some () | _ -> None);
       P.case 4 "raised" P.string
         (fun text -> V_raised text)
         (function V_raised text -> Some text | _ -> None);
@@ -81,7 +77,6 @@ let pp_verdict ppf = function
   | V_no_object -> Fmt.string ppf "no such object"
   | V_no_method -> Fmt.string ppf "no such method"
   | V_shed -> Fmt.string ppf "shed"
-  | V_expired -> Fmt.string ppf "expired at owner"
   | V_raised text -> Fmt.string ppf text
 
 type envelope =
@@ -106,7 +101,7 @@ type envelope =
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
   | Dirty_ack of { wr : Wirerep.t; ok : bool }
-  | Clean of { wr : Wirerep.t; seq : int; strong : bool }
+  | Clean of { wr : Wirerep.t; seq : int }
   | Clean_ack of { wr : Wirerep.t }
   | Clean_batch of { items : (Wirerep.t * int) list }
   | Clean_batch_ack of { wrs : Wirerep.t list }
@@ -165,10 +160,9 @@ let codec =
         (fun (wr, ok) -> Dirty_ack { wr; ok })
         (function Dirty_ack { wr; ok } -> Some (wr, ok) | _ -> None);
       P.case 5 "clean"
-        (P.triple Wirerep.codec P.int P.bool)
-        (fun (wr, seq, strong) -> Clean { wr; seq; strong })
-        (function
-          | Clean { wr; seq; strong } -> Some (wr, seq, strong) | _ -> None);
+        (P.pair Wirerep.codec P.int)
+        (fun (wr, seq) -> Clean { wr; seq })
+        (function Clean { wr; seq } -> Some (wr, seq) | _ -> None);
       P.case 6 "clean_ack" Wirerep.codec
         (fun wr -> Clean_ack { wr })
         (function Clean_ack { wr } -> Some wr | _ -> None);
@@ -276,8 +270,7 @@ let pp ppf = function
   | Copy_ack { msg_id } -> Fmt.pf ppf "copy_ack %a" pp_msg_id msg_id
   | Dirty { wr; seq } -> Fmt.pf ppf "dirty %a seq=%d" Wirerep.pp wr seq
   | Dirty_ack { wr; ok } -> Fmt.pf ppf "dirty_ack %a ok=%b" Wirerep.pp wr ok
-  | Clean { wr; seq; strong } ->
-      Fmt.pf ppf "clean %a seq=%d strong=%b" Wirerep.pp wr seq strong
+  | Clean { wr; seq } -> Fmt.pf ppf "clean %a seq=%d" Wirerep.pp wr seq
   | Clean_ack { wr } -> Fmt.pf ppf "clean_ack %a" Wirerep.pp wr
   | Clean_batch { items } -> Fmt.pf ppf "clean_batch(%d)" (List.length items)
   | Clean_batch_ack { wrs } ->

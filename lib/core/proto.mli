@@ -9,9 +9,10 @@
     [Dirty]/[Clean] calls carry the client's per-object sequence number
     (TR 116 §2: "an incoming operation will be performed only if its
     sequence number exceeds this value"), making retries and reordered
-    duplicates idempotent; [strong] cleans additionally cancel a dirty
-    call presumed lost (TR §2.3).  [Ping]/[Ping_ack] implement the
-    owner-driven liveness probe of TR §2.4. *)
+    duplicates idempotent: a clean's higher number also cancels a dirty
+    call presumed lost, the work of TR §2.3's strong clean.
+    [Ping]/[Ping_ack] implement the owner-driven liveness probe of
+    TR §2.4. *)
 
 (** Message identifier for transient-dirty accounting: minting space and
     a per-space sequence number. *)
@@ -44,16 +45,13 @@ val pp_msg_id : msg_id Fmt.t
     [V_no_method]: the object has no such method; [V_shed]: the owner's
     inflight admission gate ([max_inflight]) shed the call without
     decoding or executing anything, and callers retry it with backoff;
-    [V_expired]: the call's deadline budget ran out at the owner before
-    the method body ran, nothing was executed and the caller does not
-    retry; [V_raised]: decoding the arguments, awaiting their
-    registrations or the method body raised, and this is the
-    exception's text (a failed nested call included). *)
+    [V_raised]: decoding the arguments, awaiting their registrations or
+    the method body raised, and this is the exception's text (a failed
+    nested call included). *)
 type verdict =
   | V_no_object
   | V_no_method
   | V_shed
-  | V_expired
   | V_raised of string
 
 type envelope =
@@ -75,9 +73,10 @@ type envelope =
               means none.  Carried as a relative duration, not an
               absolute time, so it stays meaningful between processes
               with independent clocks; the callee clamps its own remote
-              work (nested calls) to this budget and rejects the call
-              with {!V_expired} if the budget runs out before the
-              method body runs *)
+              work (nested calls) to this budget and, if the budget
+              runs out before the method body runs, skips the body and
+              sends no reply: the caller's own deadline, one transit
+              earlier, has already passed *)
     }
   | Reply of {
       call_id : int;
@@ -92,7 +91,7 @@ type envelope =
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { wr : Wirerep.t; seq : int }
   | Dirty_ack of { wr : Wirerep.t; ok : bool }
-  | Clean of { wr : Wirerep.t; seq : int; strong : bool }
+  | Clean of { wr : Wirerep.t; seq : int }
   | Clean_ack of { wr : Wirerep.t }
   | Clean_batch of { items : (Wirerep.t * int) list }
       (** several clean calls to the same owner in one message — the

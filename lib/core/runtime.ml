@@ -51,7 +51,7 @@ let handle_envelope sp ~src env =
     | Proto.Copy_ack { msg_id } -> release_pins_for sp msg_id
     | Proto.Dirty { wr; seq } -> handle_dirty sp ~src ~wr ~seq
     | Proto.Dirty_ack { wr; ok } -> handle_dirty_ack sp ~wr ~ok
-    | Proto.Clean { wr; seq; strong } -> handle_clean sp ~src ~wr ~seq ~strong
+    | Proto.Clean { wr; seq } -> handle_clean sp ~src ~wr ~seq
     | Proto.Clean_ack { wr } -> handle_clean_ack sp ~wr
     | Proto.Clean_batch { items } ->
         List.iter (fun (wr, seq) -> apply_clean sp ~src ~wr ~seq) items;

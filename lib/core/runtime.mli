@@ -54,9 +54,7 @@ type handle
     - [Dirty_timeout]: a dirty call exceeded [dirty_timeout];
     - [No_reply]: no reply came within the call's attempts, timeout and
       deadline ([timeout] and [deadline] as configured for the call,
-      [deadline] relative to its start), or, with [at_owner], the owner
-      rejected the call because its deadline budget ran out before the
-      method body ran;
+      [deadline] relative to its start);
     - [Undecodable_reply]: the reply did not decode with the method's
       result codec ([msg] is the decoder's message); the references it
       had decoded are unpinned and the reply acknowledged;
@@ -76,7 +74,6 @@ type failure =
   | Dirty_timeout
   | No_reply of {
       meth : string;
-      at_owner : bool;
       attempts : int;
       elapsed : float;
       timeout : float option;
@@ -123,9 +120,9 @@ type config
     - [deadline] bounds every call end-to-end: the remaining budget
       travels in the call envelope, nested and third-party calls made
       while serving clamp to it, and an owner whose budget runs out
-      before the method body runs rejects with an explicit expiry
-      instead of burning work (surfaced as [No_reply] with [at_owner]
-      at the caller);
+      before the method body runs skips it and sends no reply (the
+      caller, whose deadline came one transit earlier, has already
+      failed with [No_reply]);
     - [max_inflight] bounds concurrently executing calls per space: an
       owner at the gate sheds new calls O(1) with an explicit busy
       reply, which callers treat as retryable-with-backoff.  Setting

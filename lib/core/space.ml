@@ -118,7 +118,6 @@ type failure =
   | Dirty_timeout
   | No_reply of {
       meth : string;
-      at_owner : bool;
       attempts : int;
       elapsed : float;
       timeout : float option;
@@ -145,14 +144,12 @@ let pp_failure ppf = function
   | No_such_method name -> Fmt.pf ppf "no method %s" name
   | No_binding name -> Fmt.pf ppf "lookup: no binding for %s" name
   | Dirty_timeout -> Fmt.string ppf "dirty call timed out"
-  | No_reply { meth; at_owner; attempts; elapsed; timeout; deadline } ->
+  | No_reply { meth; attempts; elapsed; timeout; deadline } ->
       let secs = function Some d -> Fmt.str "%.3fs" d | None -> "none" in
       Fmt.pf ppf
-        "call %s: %s after %d attempt%s, %.3fs elapsed (timeout %s, \
+        "call %s: no reply after %d attempt%s, %.3fs elapsed (timeout %s, \
          deadline %s)"
-        meth
-        (if at_owner then "deadline expired at owner" else "no reply")
-        attempts
+        meth attempts
         (if attempts = 1 then "" else "s")
         elapsed (secs timeout) (secs deadline)
   | Undecodable_reply { meth; msg } ->

@@ -86,10 +86,6 @@ let fill d read src =
 
 let pending d = d.len - d.pos
 
-let reset d =
-  d.len <- 0;
-  d.pos <- 0
-
 let next d =
   if pending d < 4 then None
   else begin

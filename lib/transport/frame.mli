@@ -83,9 +83,3 @@ val next : decoder -> string option
 
 (** Buffered bytes not yet consumed by {!next} — the torn tail. *)
 val pending : decoder -> int
-
-(** Discard everything buffered, torn tail included.  Required whenever
-    the underlying byte stream is abandoned (connection loss): the next
-    connection restarts the stream from a frame boundary, so bytes from
-    the dead stream must not prefix it. *)
-val reset : decoder -> unit

@@ -33,36 +33,43 @@ let gather_cap = 64 * 1024
    stay pinned per peer. *)
 let max_retained_out = 1024 * 1024
 
-type inbound = { in_fd : Unix.file_descr; in_dec : Frame.decoder }
-
 (* A message queued towards a peer, not yet framed: [fill_out] writes
    its frame straight into the peer's write buffer.  The body is
    [uvarint src · uvarint dst · string kind · string payload]; the
    peer's address is [dst].  [q_size] is the whole frame's size. *)
 type queued = { q_src : int; q_kind : string; q_payload : string; q_size : int }
 
-(* One outgoing connection per remote address.  The write buffer [p_out]
-   is reused from one write to the next; its first [p_out_len] bytes are
-   the frames currently on the wire, built in place from the queue:
-   those that fit in [gather_cap], or one larger frame alone.  It grows
-   lazily to the largest frame, and is dropped after an outsized one
-   (see [max_retained_out]).  Every frame carries one message.
-   [p_ends] lists the end offset of each frame in it not yet wholly
-   written, and [p_wstart] is where the first of those begins.  On
-   connection loss the write offset rewinds to [p_wstart], so a torn
-   frame is retransmitted whole on the next connection and a wholly
-   written one never is — the receiver binds its decoder to the
-   connection ([in_dec]), so the torn tail died with the socket and
-   retransmission cannot duplicate.
-   [p_dec] reads the peer's replies on this dialled connection and
-   outlives it, so it must be reset whenever the connection drops: a
-   reply frame torn by the old socket must not prefix the fresh
-   connection's stream. *)
+(* One socket we read, accepted or dialled: it carries messages both
+   ways, whichever end dialled.  Its decoder is its own, so a frame torn
+   by the socket's death dies with it and the next connection's stream
+   starts clean.  Only an accepted connection teaches return routes
+   ([learn]).  [c_open] goes false when [drop_conn] closes it. *)
+type conn = {
+  c_fd : Unix.file_descr;
+  c_dec : Frame.decoder;
+  c_accepted : bool;
+  mutable c_open : bool;
+}
+
+(* One remote address: its current connection and its outgoing
+   frames.  [p_conn] is the connection we write to it: one we dialled
+   ([p_connecting] until the connect completes), or, for a source with
+   no endpoint, the accepted one its frames last arrived on.
+   The write buffer [p_out] is reused from one write to the next; its
+   first [p_out_len] bytes are the frames currently on the wire, built
+   in place from the queue: those that fit in [gather_cap], or one
+   larger frame alone.  It grows lazily to the largest frame, and is
+   dropped after an outsized one (see [max_retained_out]).  Every frame
+   carries one message.  [p_ends] lists the end offset of each frame in
+   it not yet wholly written, and [p_wstart] is where the first of those
+   begins.  On connection loss the write offset rewinds to [p_wstart],
+   so a torn frame is retransmitted whole on the next connection and a
+   wholly written one never is — the receiver's decoder died with the
+   old connection, so retransmission cannot duplicate. *)
 type peer = {
   p_addr : int;
-  mutable p_fd : Unix.file_descr option;
+  mutable p_conn : conn option;
   mutable p_connecting : bool;
-  p_dec : Frame.decoder;
   p_queue : queued Queue.t;
   mutable p_queued_bytes : int;
   mutable p_out : Bytes.t;
@@ -79,7 +86,7 @@ type t = {
   sched : Sched.t;
   endpoints : (int, endpoint) Hashtbl.t;
   listeners : (int, Unix.file_descr) Hashtbl.t;
-  mutable inbound : inbound list;
+  mutable conns : conn list;  (* every established connection *)
   peers : (int, peer) Hashtbl.t;
   handlers : (int, Transport.handler) Hashtbl.t;
   by_kind : (string, (int * int) ref) Hashtbl.t;
@@ -111,7 +118,7 @@ let create ~sched ~serving ~endpoints () =
       sched;
       endpoints = eps;
       listeners = Hashtbl.create 4;
-      inbound = [];
+      conns = [];
       peers = Hashtbl.create 16;
       handlers = Hashtbl.create 16;
       by_kind = Hashtbl.create 16;
@@ -174,9 +181,8 @@ let peer_for t addr =
       let p =
         {
           p_addr = addr;
-          p_fd = None;
+          p_conn = None;
           p_connecting = false;
-          p_dec = Frame.decoder ();
           p_queue = Queue.create ();
           p_queued_bytes = 0;
           p_out = Bytes.empty;
@@ -195,22 +201,38 @@ let peer_for t addr =
 (* Resend from the first frame not wholly written. *)
 let rewind p = p.p_woff <- p.p_wstart
 
-(* A failed connect or broken connection: drop the socket, rewind the
-   in-flight buffer, and back off before the next attempt (doubling up to
-   the cap).  Every post-failure attempt counts as a reconnect.  A
-   learned connection (see [learn]) is also registered in [inbound], so
-   it must leave that list when it dies or select would see a closed
-   fd. *)
-let conn_lost t p =
-  (match p.p_fd with
-  | Some fd ->
-      close_quietly fd;
-      t.inbound <- List.filter (fun c -> c.in_fd != fd) t.inbound
-  | None -> ());
-  p.p_fd <- None;
+(* [fd] as a connection: nonblocking, Nagle's delay off, and a fresh
+   decoder. *)
+let new_conn fd ~accepted =
+  Unix.set_nonblock fd;
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+  { c_fd = fd; c_dec = Frame.decoder (); c_accepted = accepted; c_open = true }
+
+let is_current p c = match p.p_conn with Some c' -> c' == c | None -> false
+
+(* The one place a connection is closed.  Idempotent, so a connection
+   dropped twice in one pump (superseded by [learn], then read dead) is
+   closed once: its fd number may already be another socket's.  Every
+   peer writing to it loses it too. *)
+let rec drop_conn t c =
+  if c.c_open then begin
+    c.c_open <- false;
+    close_quietly c.c_fd;
+    t.conns <- List.filter (fun c' -> c' != c) t.conns;
+    Hashtbl.iter (fun _ p -> if is_current p c then conn_lost t p) t.peers
+  end
+
+(* A failed connect or broken connection: drop the connection, rewind
+   the in-flight buffer, and back off before the next attempt (doubling
+   up to the cap).  Every post-failure attempt counts as a reconnect. *)
+and conn_lost t p =
+  Option.iter
+    (fun c ->
+      p.p_conn <- None;
+      drop_conn t c)
+    p.p_conn;
   p.p_connecting <- false;
   rewind p;
-  Frame.reset p.p_dec;
   p.p_failed_once <- true;
   p.p_next_attempt <- Unix.gettimeofday () +. p.p_backoff;
   p.p_backoff <- Float.min max_backoff (p.p_backoff *. 2.0)
@@ -218,27 +240,22 @@ let conn_lost t p =
 let has_endpoint t addr =
   Hashtbl.mem t.listeners addr || Hashtbl.mem t.endpoints addr
 
-(* Learn a return route from an incoming connection: when a frame from
+(* Learn a return route from an accepted connection: when a frame from
    [src] arrives and we have no configured way to reach [src], the
    connection it arrived on becomes [src]'s peer connection, so replies
    ride the caller's own socket.  This is what lets a pure client (no
    listener, ephemeral everything) converse with a server that never
    heard of it.  A newer connection from the same source supersedes the
    old one — the client only reconnects when the previous socket died. *)
-let learn t ~src fd =
+let learn t ~src c =
   if not (has_endpoint t src) then begin
     let p = peer_for t src in
-    (match p.p_fd with
-    | Some old when old != fd ->
-        close_quietly old;
-        t.inbound <- List.filter (fun c -> c.in_fd != old) t.inbound;
-        rewind p;
-        Frame.reset p.p_dec
-    | Some _ -> ()
-    | None -> ());
-    p.p_fd <- Some fd;
-    p.p_connecting <- false;
-    p.p_backoff <- initial_backoff
+    if not (is_current p c) then begin
+      (* Rewinds; the backoff it sets is never read, as [p] is not
+         dialled. *)
+      conn_lost t p;
+      p.p_conn <- Some c
+    end
   end
 
 let start_connect t p =
@@ -248,18 +265,13 @@ let start_connect t p =
     if Obs.on () then Metrics.incr m_reconnects
   end;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.set_nonblock fd;
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  match Unix.connect fd (Unix.ADDR_INET (resolve ep.host, ep.port)) with
-  | () ->
-      p.p_fd <- Some fd;
-      p.p_connecting <- false
+  let c = new_conn fd ~accepted:false in
+  p.p_conn <- Some c;
+  match Unix.connect c.c_fd (Unix.ADDR_INET (resolve ep.host, ep.port)) with
+  | () -> t.conns <- c :: t.conns
   | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) ->
-      p.p_fd <- Some fd;
       p.p_connecting <- true
-  | exception Unix.Unix_error (_, _, _) ->
-      close_quietly fd;
-      conn_lost t p
+  | exception Unix.Unix_error (_, _, _) -> conn_lost t p
 
 (* {2 Accounting} — one unit per message, as in [Net].  Per kind, bytes
    are the payload's; in [stats.bytes] they are the frame body's (the
@@ -337,7 +349,7 @@ let delivery_name t ~src ~dst kind =
    malformed body acts on nothing: it raises [Frame.Corrupt] and the
    connection dies like any unparseable stream.  Returns the messages
    dispatched (0 or 1). *)
-let dispatch_body t ?learn_fd body =
+let dispatch_body t c body =
   let r = Wire.Reader.of_string body in
   let src, dst, kind, off, len =
     try
@@ -353,7 +365,7 @@ let dispatch_body t ?learn_fd body =
     with Wire.Error { pos; msg } ->
       raise (Frame.Corrupt (Printf.sprintf "bad frame body at %d: %s" pos msg))
   in
-  (match learn_fd with Some fd -> learn t ~src fd | None -> ());
+  if c.c_accepted then learn t ~src c;
   match Hashtbl.find_opt t.handlers dst with
   | None ->
       drop t;
@@ -365,12 +377,12 @@ let dispatch_body t ?learn_fd body =
           h ~src ~kind ~payload:body ~off ~len);
       1
 
-let drain_decoder t ?learn_fd dec =
+let drain_decoder t c =
   let n = ref 0 in
   let rec loop () =
-    match Frame.next dec with
+    match Frame.next c.c_dec with
     | Some body ->
-        n := !n + dispatch_body t ?learn_fd body;
+        n := !n + dispatch_body t c body;
         loop ()
     | None -> ()
   in
@@ -383,18 +395,18 @@ let max_read = 65536
 
 let read_at_most fd b off len = Unix.read fd b off (Int.min len max_read)
 
-(* Read what [fd] has straight into [dec]'s buffer.  A read that got
-   less than it asked for (under [max_read], with room left over) ends
-   the pass: [select] is level-triggered, so whatever arrives after it
-   is seen on the next pump, and the read that would only have returned
-   [EAGAIN] is saved.  Returns [(dispatched, alive)]. *)
-let read_into t ?learn_fd fd dec =
+(* Read what [c]'s socket has straight into its decoder's buffer.  A
+   read that got less than it asked for (under [max_read], with room
+   left over) ends the pass: [select] is level-triggered, so whatever
+   arrives after it is seen on the next pump, and the read that would
+   only have returned [EAGAIN] is saved.  Returns [(dispatched, alive)]. *)
+let read_into t c =
   let rec loop dispatched =
-    match Frame.fill dec read_at_most fd with
+    match Frame.fill c.c_dec read_at_most c.c_fd with
     | 0 -> (dispatched, false)
     | n -> (
-        let short = n < max_read && Frame.room dec > 0 in
-        match drain_decoder t ?learn_fd dec with
+        let short = n < max_read && Frame.room c.c_dec > 0 in
+        match drain_decoder t c with
         | k -> if short then (dispatched + k, true) else loop (dispatched + k)
         | exception Frame.Corrupt _ ->
             (* A stream we cannot parse is a dead stream. *)
@@ -489,11 +501,7 @@ let accept_all t lfd =
   let continue = ref true in
   while !continue do
     match Unix.accept lfd with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true
-         with Unix.Unix_error _ -> ());
-        t.inbound <- { in_fd = fd; in_dec = Frame.decoder () } :: t.inbound
+    | fd, _ -> t.conns <- new_conn fd ~accepted:true :: t.conns
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         continue := false
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -506,7 +514,7 @@ let accept_all t lfd =
    loopback that same [select] already sees the bytes readable and one
    pump carries a message from sender to receiver.  A backed-up peer
    (bytes still in flight from an earlier pump) writes only once
-   [select] reports it writable, after its read pass, so an EOF that
+   [select] reports it writable, after the read pass, so an EOF that
    arrived meanwhile is seen before more bytes go into the dying
    connection.  A pump that wrote polls rather than waits: it would
    have returned at once on the writable socket anyway. *)
@@ -516,34 +524,28 @@ let pump t ~timeout =
     let now = Unix.gettimeofday () in
     let wrote = ref false in
     let soonest = ref Float.infinity in
-    let established = ref [] and connecting = ref [] in
-    let rds = ref [] and wrs = ref [] in
+    let connecting = ref [] and backed_up = ref [] in
     Hashtbl.iter
       (fun _ p ->
-        (* Peers with no configured endpoint were learned from incoming
+        (* Peers with no configured endpoint were learned from accepted
            connections: we cannot dial them, only wait for them to dial
            us again. *)
         let dialable = has_endpoint t p.p_addr in
         if
-          p.p_fd = None && dialable && peer_has_output p
+          p.p_conn = None && dialable && peer_has_output p
           && now >= p.p_next_attempt
         then start_connect t p;
-        (match p.p_fd with
-        | Some fd
+        (match p.p_conn with
+        | Some c
           when (not p.p_connecting)
                && p.p_woff = p.p_out_len
                && not (Queue.is_empty p.p_queue) ->
             wrote := true;
-            write_pending t p fd
+            write_pending t p c.c_fd
         | _ -> ());
-        match p.p_fd with
-        | Some fd when p.p_connecting ->
-            connecting := (fd, p) :: !connecting;
-            wrs := fd :: !wrs
-        | Some fd ->
-            established := (fd, p) :: !established;
-            rds := fd :: !rds;
-            if peer_has_output p then wrs := fd :: !wrs
+        match p.p_conn with
+        | Some c when p.p_connecting -> connecting := (c, p) :: !connecting
+        | Some c -> if peer_has_output p then backed_up := (c, p) :: !backed_up
         | None ->
             (* The soonest reconnect deadline bounds the wait, so backoff
                expiry doesn't stall behind a long select. *)
@@ -551,10 +553,16 @@ let pump t ~timeout =
               soonest :=
                 Float.min !soonest (Float.max 0.0 (p.p_next_attempt -. now)))
       t.peers;
-    (* Listed after the walk: a write that failed there closed its fd
-       and took it off [t.inbound]. *)
-    List.iter (fun c -> rds := c.in_fd :: !rds) t.inbound;
-    Hashtbl.iter (fun _ fd -> rds := fd :: !rds) t.listeners;
+    (* Listed after the walk: a write that failed there dropped its
+       connection, perhaps under a peer walked before it. *)
+    let conns = t.conns in
+    let rds = List.map (fun c -> c.c_fd) conns in
+    let rds = Hashtbl.fold (fun _ fd rds -> fd :: rds) t.listeners rds in
+    let wrs =
+      List.filter_map
+        (fun (c, _) -> if c.c_open then Some c.c_fd else None)
+        (!connecting @ !backed_up)
+    in
     (* A negative caller timeout means "block" and must not enter the
        [Float.min]: it would undercut every deadline and the pending
        reconnects would never fire. *)
@@ -564,81 +572,48 @@ let pump t ~timeout =
       else if timeout < 0.0 then !soonest
       else Float.min timeout !soonest
     in
-    match Unix.select !rds !wrs [] timeout with
+    match Unix.select rds wrs [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
     | readable, writable, _ ->
         let dispatched = ref 0 in
         (* Completed (or failed) connection attempts first, so their
            queued frames go out in this pump. *)
         List.iter
-          (fun (fd, p) ->
-            if List.memq fd writable then
-              match Unix.getsockopt_error fd with
+          (fun (c, p) ->
+            if List.memq c.c_fd writable then
+              match Unix.getsockopt_error c.c_fd with
               | None ->
                   p.p_connecting <- false;
                   p.p_backoff <- initial_backoff;
-                  if peer_has_output p then write_pending t p fd
+                  t.conns <- c :: t.conns;
+                  if peer_has_output p then write_pending t p c.c_fd
               | Some _ -> conn_lost t p)
           !connecting;
         Hashtbl.iter
           (fun _ lfd -> if List.memq lfd readable then accept_all t lfd)
           t.listeners;
-        (* Inbound reads: iterate a snapshot ([learn] may drop superseded
-           entries from [t.inbound] as we go), collect the dead, then
-           prune whatever list state the reads left behind. *)
-        let dead = ref [] in
+        (* One read pass over the connections selected on.  One dropped
+           earlier in the pass (superseded by [learn]) is skipped: its fd
+           is closed. *)
         List.iter
           (fun c ->
-            if List.memq c.in_fd readable then begin
-              let n, alive = read_into t ~learn_fd:c.in_fd c.in_fd c.in_dec in
+            if c.c_open && List.memq c.c_fd readable then begin
+              let n, alive = read_into t c in
               dispatched := !dispatched + n;
-              if not alive then dead := c.in_fd :: !dead
+              if not alive then drop_conn t c
             end)
-          t.inbound;
+          conns;
         List.iter
-          (fun fd ->
-            Hashtbl.iter
-              (fun _ p ->
-                match p.p_fd with
-                | Some fd' when fd' == fd ->
-                    p.p_fd <- None;
-                    p.p_connecting <- false;
-                    rewind p;
-                    Frame.reset p.p_dec
-                | _ -> ())
-              t.peers;
-            close_quietly fd)
-          !dead;
-        t.inbound <-
-          List.filter (fun c -> not (List.memq c.in_fd !dead)) t.inbound;
-        let is_inbound fd = List.exists (fun c -> c.in_fd == fd) t.inbound in
-        List.iter
-          (fun (fd, p) ->
-            match p.p_fd with
-            | Some fd' when fd' == fd ->
-                (* Readability on a dialled-out connection carries the
-                   peer's replies, or its EOF/reset.  Learned connections
-                   were already drained by the inbound pass above — their
-                   bytes belong to that decoder, never [p_dec]. *)
-                (if List.memq fd readable && not (is_inbound fd) then begin
-                   let n, alive = read_into t fd p.p_dec in
-                   dispatched := !dispatched + n;
-                   if not alive then conn_lost t p
-                 end);
-                (match p.p_fd with
-                | Some fd''
-                  when fd'' == fd && List.memq fd writable && peer_has_output p
-                  ->
-                    write_pending t p fd
-                | _ -> ())
-            | _ -> ())
-          !established;
+          (fun (c, p) ->
+            if is_current p c && List.memq c.c_fd writable && peer_has_output p
+            then write_pending t p c.c_fd)
+          !backed_up;
         !dispatched
   end
 
 let connect t addr =
   let p = peer_for t addr in
-  if p.p_fd = None && has_endpoint t addr then start_connect t p
+  if p.p_conn = None && has_endpoint t addr then start_connect t p
 
 let close t =
   if not t.closed then begin
@@ -648,14 +623,13 @@ let close t =
        them dropped. *)
     Hashtbl.iter (fun _ fd -> close_quietly fd) t.listeners;
     Hashtbl.reset t.listeners;
-    List.iter (fun c -> close_quietly c.in_fd) t.inbound;
-    t.inbound <- [];
     Hashtbl.iter
       (fun _ p ->
         Queue.iter (fun _ -> drop t) p.p_ends;
         Queue.iter (fun _ -> drop t) p.p_queue;
-        match p.p_fd with Some fd -> close_quietly fd | None -> ())
+        Option.iter (drop_conn t) p.p_conn)
       t.peers;
+    List.iter (drop_conn t) t.conns;
     Hashtbl.reset t.peers
   end
 

@@ -7,8 +7,11 @@
     backoff.  All sockets are nonblocking.  {!Transport.pump} writes
     the drained peers, runs one [select] round (up to the given
     wall-clock timeout), accepts and reads, then writes the peers that
-    became writable.  Reads reassemble frames across arbitrary packet
-    boundaries and dispatch each message in a fresh scheduler fiber.
+    became writable.  One read pass covers every established socket,
+    accepted or dialled; each has its own frame decoder, which
+    reassembles frames across arbitrary packet boundaries and dies with
+    its socket.  Each message is dispatched in a fresh scheduler
+    fiber.
     A body that does not parse whole is acted on not at all: it closes
     its connection like a corrupt frame header does.
 

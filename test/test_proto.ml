@@ -21,7 +21,7 @@ let wr = Wirerep.v ~space:3 ~index:17
 let mid : Proto.msg_id = { origin = 2; seq = 99 }
 
 let verdicts =
-  Proto.[ V_no_object; V_no_method; V_shed; V_expired; V_raised "boom" ]
+  Proto.[ V_no_object; V_no_method; V_shed; V_raised "boom" ]
 
 let test_envelopes () =
   check_env "call"
@@ -40,7 +40,7 @@ let test_envelopes () =
   check_env "copy_ack" (Proto.Copy_ack { msg_id = mid });
   check_env "dirty" (Proto.Dirty { wr; seq = 12 });
   check_env "dirty_ack" (Proto.Dirty_ack { wr; ok = false });
-  check_env "clean" (Proto.Clean { wr; seq = 13; strong = true });
+  check_env "clean" (Proto.Clean { wr; seq = 13 });
   check_env "clean_ack" (Proto.Clean_ack { wr });
   check_env "ping" (Proto.Ping { nonce = 5 });
   check_env "ping_ack" (Proto.Ping_ack { nonce = 5 });
@@ -74,20 +74,23 @@ let test_args_slice_bytes () =
         (String.sub base off len)
   | env -> Alcotest.failf "decoded as %a" Proto.pp env
 
-(* The verdict is the last thing a Reply's error arm holds: any tag past
-   the known ones must be a [Wire.Error], not a verdict. *)
+(* The verdict is the last thing a Reply's error arm holds: the retired
+   tag 3 and any tag past the known ones must be a [Wire.Error], not a
+   verdict. *)
 let test_unknown_verdict () =
   let s =
     P.encode Proto.codec
       (Proto.Reply { call_id = 7; msg_id = mid; needs_ack = false; result = Error Proto.V_no_object })
   in
   let n = String.length s in
-  for tag = List.length verdicts to 127 do
-    let b = Bytes.of_string s in
-    Bytes.set b (n - 1) (Char.chr tag);
-    match P.decode Proto.codec (Bytes.to_string b) with
-    | env -> Alcotest.failf "tag %d decoded as %a" tag Proto.pp env
-    | exception Wire.Error _ -> ()
+  for tag = 3 to 127 do
+    if tag <> 4 then begin
+      let b = Bytes.of_string s in
+      Bytes.set b (n - 1) (Char.chr tag);
+      match P.decode Proto.codec (Bytes.to_string b) with
+      | env -> Alcotest.failf "tag %d decoded as %a" tag Proto.pp env
+      | exception Wire.Error _ -> ()
+    end
   done
 
 let test_kinds_distinct () =
@@ -98,7 +101,7 @@ let test_kinds_distinct () =
       Proto.Copy_ack { msg_id = mid };
       Proto.Dirty { wr; seq = 0 };
       Proto.Dirty_ack { wr; ok = true };
-      Proto.Clean { wr; seq = 0; strong = false };
+      Proto.Clean { wr; seq = 0 };
       Proto.Clean_ack { wr };
       Proto.Ping { nonce = 0 };
       Proto.Ping_ack { nonce = 0 };
@@ -154,9 +157,7 @@ let env_gen =
       map (fun m -> Proto.Copy_ack { msg_id = m }) mid_gen;
       map2 (fun w s -> Proto.Dirty { wr = w; seq = s }) wr_gen nat;
       map2 (fun w b -> Proto.Dirty_ack { wr = w; ok = b }) wr_gen bool;
-      map3
-        (fun w s st -> Proto.Clean { wr = w; seq = s; strong = st })
-        wr_gen nat bool;
+      map2 (fun w s -> Proto.Clean { wr = w; seq = s }) wr_gen nat;
       map (fun w -> Proto.Clean_ack { wr = w }) wr_gen;
       map (fun n -> Proto.Ping { nonce = n }) nat;
       map (fun n -> Proto.Ping_ack { nonce = n }) nat;

@@ -86,21 +86,20 @@ let test_timeout_payload () =
           | _ -> Alcotest.fail "call succeeded with every attempt lost"
           | exception
               R.Call_failed
-                (No_reply { meth; attempts; timeout; deadline; at_owner; _ })
+                (No_reply { meth; attempts; timeout; deadline; _ })
             ->
-              (meth, attempts, timeout, deadline, at_owner)
+              (meth, attempts, timeout, deadline)
         in
         Transport.set_burst tr ~src:1 ~dst:0 ~loss:0.0
           ~until:(Sched.now sched) ();
         R.release client h;
         r)
   in
-  let meth, attempts, timeout, deadline, at_owner = r in
+  let meth, attempts, timeout, deadline = r in
   Alcotest.(check string) "method" "incr" meth;
   Alcotest.(check int) "attempts" 3 attempts;
   Alcotest.(check (option (float 0.))) "timeout" (Some 0.05) timeout;
-  Alcotest.(check (option (float 0.))) "deadline" None deadline;
-  Alcotest.(check bool) "not at the owner" false at_owner
+  Alcotest.(check (option (float 0.))) "deadline" None deadline
 
 (* --- at-most-once: lost call, lost reply ---------------------------------- *)
 

@@ -820,6 +820,66 @@ let test_tcp_malformed_body () =
           Alcotest.(check (list string)) "fresh connection delivers" [ "ok" ]
             !got))
 
+(* A source with no endpoint is answered on the connection its frames
+   last arrived on ([Tcp.create]'s learned return route).  A raw client
+   sends as source 7 from one socket and gets its reply there; it then
+   sends from a second socket: the route moves to it, so the next reply
+   arrives there, and the first socket, superseded, is closed. *)
+let test_tcp_learned_route_superseded () =
+  with_tcp' ~serving:[ 0 ] ~endpoints:[ (0, ep 0) ] (fun sched tcp tr ->
+      Transport.set_handler tr 0 (fun ~src ~kind:_ ~payload ~off ~len ->
+          Transport.send tr ~src:0 ~dst:src ~kind:"pong"
+            (String.sub payload off len));
+      let port = Tcp.bound_port tcp 0 in
+      let ask fd text =
+        let frame =
+          Frame.encode
+            (Wire.Writer.with_pooled (fun w ->
+                 Wire.Writer.uvarint w 7;
+                 Wire.Writer.uvarint w 0;
+                 Wire.Writer.string w "ping";
+                 Wire.Writer.string w text;
+                 Bytes.unsafe_to_string (Wire.Writer.to_bytes w)))
+        in
+        ignore (Unix.write_substring fd frame 0 (String.length frame))
+      in
+      (* Pump until [fd] has a whole frame or reads EOF; [None] on EOF. *)
+      let await fd =
+        let dec = Frame.decoder () and buf = Bytes.create 4096 in
+        let t0 = Unix.gettimeofday () in
+        let rec loop () =
+          match decoded_payloads dec with
+          | payload :: _ -> Some payload
+          | [] -> (
+              if Unix.gettimeofday () -. t0 > 10.0 then
+                Alcotest.fail "no reply and no EOF";
+              ignore (Transport.pump tr ~timeout:0.02);
+              ignore (Sched.run sched);
+              match Unix.select [ fd ] [] [] 0.0 with
+              | [], _, _ -> loop ()
+              | _ -> (
+                  match Unix.read fd buf 0 (Bytes.length buf) with
+                  | 0 -> None
+                  | n ->
+                      Frame.feed dec (Bytes.sub_string buf 0 n);
+                      loop ()
+                  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> None))
+        in
+        loop ()
+      in
+      let first = raw_connect port in
+      Fun.protect ~finally:(fun () -> Unix.close first) @@ fun () ->
+      ask first "one";
+      Alcotest.(check (option string)) "reply on the first socket"
+        (Some "one") (await first);
+      let second = raw_connect port in
+      Fun.protect ~finally:(fun () -> Unix.close second) @@ fun () ->
+      ask second "two";
+      Alcotest.(check (option string)) "reply on the second socket"
+        (Some "two") (await second);
+      Alcotest.(check (option string)) "first socket superseded" None
+        (await first))
+
 (* --- faulty decorator ----------------------------------------------------- *)
 
 let faulty_pair ?(seed = 42L) () =
@@ -1066,6 +1126,8 @@ let () =
             test_tcp_pump_after_write_polls;
           Alcotest.test_case "malformed body acts on nothing" `Quick
             test_tcp_malformed_body;
+          Alcotest.test_case "a learned route superseded" `Quick
+            test_tcp_learned_route_superseded;
           Alcotest.test_case "delivery fiber names" `Quick
             test_tcp_delivery_names;
         ] );
