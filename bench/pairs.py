@@ -20,6 +20,10 @@ pairs the change won (ties count for neither side) and a verdict:
               the bound, so "unchanged" cannot be told from noise
   same        neither, within the bound
 
+Under the table, every metric whose verdict is not "same" gets one more
+line: each pair's change/parent ratio in pair order, so a metric whose
+runs fall into two modes reads as two clusters rather than one median.
+
 Every run must report correct=true with no failed op; otherwise, or on
 any "worse" verdict, the exit status is 1.
 """
@@ -77,6 +81,7 @@ def main():
     print("%s: %d pairs of %d s runs, parent %s" % (a.workload, a.pairs, seconds, parent))
     print("  %-16s %-32s %-32s %6s %6s  %s" % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
                                              "ratio", "wins", "verdict"))
+    ratios = []
     for m in metrics:
         name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
         pv = [r[name] for r in runs["parent"]]
@@ -99,6 +104,10 @@ def main():
         print("  %-16s %-32s %-32s %6.3f %3d/%-2d  %s" % (
             name, "%.4g [%.4g, %.4g]" % (pmed, pq1, pq3), "%.4g [%.4g, %.4g]" % (cmed, cq1, cq3),
             cmed / pmed if pmed else float("nan"), wins, a.pairs, verdict))
+        if verdict != "same":
+            ratios.append((name, [c / q if q else float("nan") for c, q in zip(cv, pv)]))
+    for name, rs in ratios:
+        print("  %-16s per pair: %s" % (name, " ".join("%.3f" % r for r in rs)))
     sys.exit(0 if ok else 1)
 
 

@@ -54,19 +54,20 @@ let encode_with_pins sp f =
   (msg_id, has_refs, payload)
 
 (* Decode a payload in place; returns the value, the acquired references
-   (already pinned once each) and the registrations to await.  A decode
-   that fails part-way unpins the references it had already acquired. *)
+   (already pinned once each) and the registrations to await.  The
+   surrogates the decode created register when it ends, failed or not,
+   one dirty call per owner.  A decode that fails part-way unpins the
+   references it had already acquired. *)
 let decode_with_acquire sp payload f =
-  let acquired = ref [] in
-  let pending = ref [] in
+  let d = { dsp = sp; d_acquired = []; d_pending = []; d_fresh = [] } in
   let r = Wire.Reader.of_slice payload in
-  match
-    with_ctx (Dec { dsp = sp; d_acquired = acquired; d_pending = pending })
-      (fun () -> f r)
-  with
-  | v -> (v, !acquired, !pending)
+  match with_ctx (Dec d) (fun () -> f r) with
+  | v ->
+      register sp d.d_fresh;
+      (v, d.d_acquired, d.d_pending)
   | exception e ->
-      List.iter (unpin sp) !acquired;
+      register sp d.d_fresh;
+      List.iter (unpin sp) d.d_acquired;
       raise e
 
 (* Block until every registration triggered by a decode has completed.

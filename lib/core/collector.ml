@@ -27,7 +27,9 @@ let retry_arm sp ?name ~base ~on_arm resend =
 
 (* --- surrogate registration (the dirty protocol, client side) ----------- *)
 
-let send_dirty sp wr =
+(* One reference's dirty call: count it, open its span and mint its
+   sequence number. *)
+let dirty_item sp wr =
   sp.s_dirty <- sp.s_dirty + 1;
   if Obs.on () then begin
     Metrics.incr m_dirty;
@@ -35,13 +37,12 @@ let send_dirty sp wr =
       ~id:(obs_wr_id ~client:sp.id wr)
       ~args:(obs_wr_args wr) "dirty"
   end;
-  send_env sp ~dst:wr.Wirerep.space (Proto.Dirty { wr; seq = next_seqno sp wr })
+  (wr, next_seqno sp wr)
 
-(* Send the dirty call and, when dirty retries are configured, keep
-   resending (same sequence number: the owner acks idempotently) until
-   the registration ivar fills. *)
-let send_dirty_retrying sp wr iv =
-  send_dirty sp wr;
+(* When dirty retries are configured, keep resending one reference's
+   dirty call (a one-item batch, same sequence number: the owner acks
+   idempotently) until its registration ivar fills. *)
+let arm_dirty_retry sp wr iv =
   match sp.rt.config.dirty_retry with
   | None -> ()
   | Some base ->
@@ -55,15 +56,41 @@ let send_dirty_retrying sp wr iv =
               match !st with
               | Creating iv' when iv' == iv ->
                   count_retry sp "dirty_retry" wr;
+                  let seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0 in
                   send_env sp ~dst:wr.Wirerep.space
-                    (Proto.Dirty
-                       {
-                         wr;
-                         seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
-                       });
+                    (Proto.Dirty { items = [ (wr, seq) ] });
                   true
               | Creating _ | Usable _ | Cleaning _ -> false)
           | Some (Concrete _) | None -> false)
+
+(* One dirty call to [owner] for these registrations, in order. *)
+let send_dirty sp owner regs =
+  send_env sp ~dst:owner
+    (Proto.Dirty { items = List.map (fun (wr, _) -> dirty_item sp wr) regs });
+  List.iter (fun (wr, iv) -> arm_dirty_retry sp wr iv) regs
+
+(* Send the dirty calls for freshly created surrogates, given newest
+   first as a decode collects them: one [Dirty] per owner, owners in
+   first-seen order so simulated runs stay deterministic. *)
+let register sp fresh =
+  match fresh with
+  | [] -> ()
+  | [ (wr, _) ] -> send_dirty sp wr.Wirerep.space fresh
+  | _ ->
+      let groups =
+        List.fold_left
+          (fun groups ((wr, _) as reg) ->
+            let owner = wr.Wirerep.space in
+            match List.assoc_opt owner groups with
+            | Some regs ->
+                regs := reg :: !regs;
+                groups
+            | None -> (owner, ref [ reg ]) :: groups)
+          [] (List.rev fresh)
+      in
+      List.iter
+        (fun (owner, regs) -> send_dirty sp owner (List.rev !regs))
+        (List.rev groups)
 
 let obs_begin_clean sp wr =
   if Obs.on () then begin
@@ -80,9 +107,10 @@ let send_clean sp wr =
 
 (* Ensure a table entry exists for a reference just read from a message,
    returning the registration event to await (if any).  Mirrors the
-   receive_copy rule: ⊥ -> nil (dirty call), OK cancels a scheduled
-   clean, ccit -> ccitnil. *)
-let acquire_surrogate sp wr =
+   receive_copy rule: ⊥ -> nil (a dirty call, left to [register]: a new
+   entry joins [d_fresh]), OK cancels a scheduled clean, ccit ->
+   ccitnil. *)
+let acquire_surrogate sp d wr =
   match Wirerep.Tbl.find_opt sp.table wr with
   | Some (Concrete _) -> None
   | Some (Surrogate st) -> (
@@ -101,7 +129,7 @@ let acquire_surrogate sp wr =
   | None ->
       let iv = Sched.Ivar.create () in
       Wirerep.Tbl.add sp.table wr (Surrogate (ref (Creating iv)));
-      send_dirty_retrying sp wr iv;
+      d.d_fresh <- (wr, iv) :: d.d_fresh;
       Some iv
 
 (* --- the handle codec ---------------------------------------------------- *)
@@ -119,13 +147,13 @@ let handle_codec =
   let read r =
     let wr = Pickle.read Wirerep.codec r in
     (match !(Domain.DLS.get ctx_stack_key) with
-    | Dec { dsp; d_acquired; d_pending } :: _ ->
+    | Dec d :: _ -> (
         (* Pin immediately so an interleaved local GC cannot sweep the
            entry while registration completes. *)
-        pin dsp wr;
-        d_acquired := wr :: !d_acquired;
-        (match acquire_surrogate dsp wr with
-        | Some iv -> d_pending := iv :: !d_pending
+        pin d.dsp wr;
+        d.d_acquired <- wr :: d.d_acquired;
+        match acquire_surrogate d.dsp d wr with
+        | Some iv -> d.d_pending <- iv :: d.d_pending
         | None -> ())
     | Enc _ :: _ | [] ->
         failwith "handle_codec: no enclosing marshal (decode) context");
@@ -380,10 +408,10 @@ let cleaning_demon sp () =
   in
   loop ()
 
-let handle_dirty sp ~src ~wr ~seq =
+(* One receive_dirty step; says whether the object is still here. *)
+let apply_dirty sp ~src ~wr ~seq =
   match find_concrete sp wr with
-  | None ->
-      send_env sp ~dst:src (Proto.Dirty_ack { wr; ok = false })
+  | None -> false
   | Some c ->
       let last = Itbl.find c.c_last_seq src ~default:0 in
       if seq > last then begin
@@ -397,7 +425,13 @@ let handle_dirty sp ~src ~wr ~seq =
          strictly stale duplicate ([seq < last]) proves nothing — it may
          predate a clean. *)
       if seq >= last then Hashtbl.remove sp.unconfirmed (wr, src);
-      send_env sp ~dst:src (Proto.Dirty_ack { wr; ok = true })
+      true
+
+(* A batch is applied item by item without interleaving and answered by
+   one ack, which a durable owner holds behind one commit barrier. *)
+let handle_dirty sp ~src ~items =
+  let ack (wr, seq) = (wr, apply_dirty sp ~src ~wr ~seq) in
+  send_env sp ~dst:src (Proto.Dirty_ack { items = List.map ack items })
 
 let apply_clean sp ~src ~wr ~seq =
   Hashtbl.remove sp.unconfirmed (wr, src);
@@ -416,7 +450,7 @@ let handle_clean sp ~src ~wr ~seq =
   apply_clean sp ~src ~wr ~seq;
   send_env sp ~dst:src (Proto.Clean_ack { wr })
 
-let handle_dirty_ack sp ~wr ~ok =
+let dirty_acked sp (wr, ok) =
   match Wirerep.Tbl.find_opt sp.table wr with
   | Some (Surrogate st) -> (
       match !st with
@@ -437,6 +471,8 @@ let handle_dirty_ack sp ~wr ~ok =
           Sched.Ivar.fill iv ok
       | Usable _ | Cleaning _ -> () (* stale (e.g. duplicated) ack *))
   | Some (Concrete _) | None -> ()
+
+let handle_dirty_ack sp ~items = List.iter (dirty_acked sp) items
 
 let obs_end_clean sp wr ~resurrected =
   if Obs.on () then
@@ -461,7 +497,7 @@ let handle_clean_ack sp ~wr =
           (* ccitnil -> nil: a fresh copy arrived during cleanup; start a
              new registration cycle. *)
           st := Creating iv;
-          send_dirty_retrying sp wr iv
+          register sp [ (wr, iv) ]
       | Creating _ | Usable _ -> () (* stale ack *))
   | Some (Concrete _) | None -> ()
 

@@ -8,8 +8,14 @@ open Space
 (** {1 Marshalling} *)
 
 (** Ensure a table entry for a reference just read from a message;
-    returns the registration to await, if any. *)
-val acquire_surrogate : space -> Wirerep.t -> bool Sched.Ivar.var option
+    returns the registration to await, if any.  A surrogate it creates
+    joins the decode's [d_fresh]; {!register} sends its dirty call. *)
+val acquire_surrogate : space -> dec -> Wirerep.t -> bool Sched.Ivar.var option
+
+(** Send the dirty calls for surrogates created by {!acquire_surrogate}
+    (newest first): one [Dirty] per owner, owners in first-seen order,
+    each item with its own sequence number, span and retry. *)
+val register : space -> (Wirerep.t * bool Sched.Ivar.var) list -> unit
 
 val handle_codec : handle Pickle.t
 
@@ -40,13 +46,13 @@ val ping_tick : space -> unit
 
 (** {1 Envelope handlers} *)
 
-val handle_dirty : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
+val handle_dirty : space -> src:int -> items:(Wirerep.t * int) list -> unit
 
 val apply_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
 
 val handle_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
 
-val handle_dirty_ack : space -> wr:Wirerep.t -> ok:bool -> unit
+val handle_dirty_ack : space -> items:(Wirerep.t * bool) list -> unit
 
 val handle_clean_ack : space -> wr:Wirerep.t -> unit
 

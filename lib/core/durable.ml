@@ -21,8 +21,6 @@ let crash rt i =
    replayed front to back, so recovery rebuilds every table in the same
    insertion order whether it reads the image or the log. *)
 
-let image_codec = Pickle.list Wal.record_codec
-
 let image sp =
   let concretes = ref [] and surrogates = ref [] in
   Wirerep.Tbl.iter
@@ -87,7 +85,7 @@ let image sp =
 let take_snapshot sp =
   match sp.store with
   | None -> ()
-  | Some st -> Store.snapshot st (Pickle.encode image_codec (image sp))
+  | Some st -> Store.snapshot st (Pickle.encode Wal.image_codec (image sp))
 
 (* Demons carry the epoch they were spawned for and exit as soon as the
    space's epoch moves on: [restart] spawns a fresh set, and without the
@@ -351,22 +349,17 @@ let recover rt i =
   let t0 = Sys.time () in
   reset_incarnation sp ~recovering:true;
   (* Replay: the snapshot's records first, then the log suffix, in
-     append order.  A log record that fails to decode is counted by the
-     store as torn and skipped — it can only be the damaged tail.  Only
-     log records count as replayed. *)
-  let snap, records, _torn = Store.recover st in
+     append order.  A frame cut short or failing its checksum is counted
+     by the store as torn; a whole frame whose record fails to decode is
+     skipped and counted here.  Only log records count as replayed. *)
+  let snap, payloads, _torn = Store.recover st in
   (match snap with
-  | Some s -> List.iter (replay_record sp) (Pickle.decode image_codec s)
+  | Some s -> List.iter (replay_record sp) (Pickle.decode Wal.image_codec s)
   | None -> ());
-  let replayed = ref 0 in
-  List.iter
-    (fun payload ->
-      match Pickle.decode Wal.record_codec payload with
-      | r ->
-          replay_record sp r;
-          incr replayed
-      | exception _ -> ())
-    records;
+  let records, skipped = Wal.decode_records payloads in
+  Store.note_skipped skipped;
+  List.iter (replay_record sp) records;
+  let replayed = List.length records in
   (* Same logical incarnation — the continuity floor stays — under a
      fresh epoch for packet freshness. *)
   sp.epoch <- sp.epoch + 1;
@@ -463,12 +456,12 @@ let recover rt i =
       ~args:
         [
           ("epoch", Trace.I sp.epoch);
-          ("replayed", Trace.I !replayed);
+          ("replayed", Trace.I replayed);
           ("entries", Trace.I (List.length pairs));
         ]
       "recover"
   end;
   Log.info (fun m ->
-      m "space %d recovered (epoch %d, %d records replayed, %d dirty \
-         entries in grace)"
-        sp.id sp.epoch !replayed (List.length pairs))
+      m "space %d recovered (epoch %d, %d records replayed, %d skipped, \
+         %d dirty entries in grace)"
+        sp.id sp.epoch replayed skipped (List.length pairs))

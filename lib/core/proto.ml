@@ -99,8 +99,8 @@ type envelope =
       result : (Wire.slice, verdict) result;
     }
   | Copy_ack of { msg_id : msg_id }
-  | Dirty of { wr : Wirerep.t; seq : int }
-  | Dirty_ack of { wr : Wirerep.t; ok : bool }
+  | Dirty of { items : (Wirerep.t * int) list }
+  | Dirty_ack of { items : (Wirerep.t * bool) list }
   | Clean of { wr : Wirerep.t; seq : int }
   | Clean_ack of { wr : Wirerep.t }
   | Clean_batch of { items : (Wirerep.t * int) list }
@@ -152,13 +152,13 @@ let codec =
         (fun msg_id -> Copy_ack { msg_id })
         (function Copy_ack { msg_id } -> Some msg_id | _ -> None);
       P.case 3 "dirty"
-        (P.pair Wirerep.codec P.int)
-        (fun (wr, seq) -> Dirty { wr; seq })
-        (function Dirty { wr; seq } -> Some (wr, seq) | _ -> None);
+        (P.list (P.pair Wirerep.codec P.int))
+        (fun items -> Dirty { items })
+        (function Dirty { items } -> Some items | _ -> None);
       P.case 4 "dirty_ack"
-        (P.pair Wirerep.codec P.bool)
-        (fun (wr, ok) -> Dirty_ack { wr; ok })
-        (function Dirty_ack { wr; ok } -> Some (wr, ok) | _ -> None);
+        (P.list (P.pair Wirerep.codec P.bool))
+        (fun items -> Dirty_ack { items })
+        (function Dirty_ack { items } -> Some items | _ -> None);
       P.case 5 "clean"
         (P.pair Wirerep.codec P.int)
         (fun (wr, seq) -> Clean { wr; seq })
@@ -268,8 +268,8 @@ let pp ppf = function
       | Ok _ -> Fmt.string ppf "ok"
       | Error v -> Fmt.pf ppf "error: %a" pp_verdict v)
   | Copy_ack { msg_id } -> Fmt.pf ppf "copy_ack %a" pp_msg_id msg_id
-  | Dirty { wr; seq } -> Fmt.pf ppf "dirty %a seq=%d" Wirerep.pp wr seq
-  | Dirty_ack { wr; ok } -> Fmt.pf ppf "dirty_ack %a ok=%b" Wirerep.pp wr ok
+  | Dirty { items } -> Fmt.pf ppf "dirty(%d)" (List.length items)
+  | Dirty_ack { items } -> Fmt.pf ppf "dirty_ack(%d)" (List.length items)
   | Clean { wr; seq } -> Fmt.pf ppf "clean %a seq=%d" Wirerep.pp wr seq
   | Clean_ack { wr } -> Fmt.pf ppf "clean_ack %a" Wirerep.pp wr
   | Clean_batch { items } -> Fmt.pf ppf "clean_batch(%d)" (List.length items)

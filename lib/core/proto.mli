@@ -89,8 +89,18 @@ type envelope =
               verdict *)
     }
   | Copy_ack of { msg_id : msg_id }
-  | Dirty of { wr : Wirerep.t; seq : int }
-  | Dirty_ack of { wr : Wirerep.t; ok : bool }
+  | Dirty of { items : (Wirerep.t * int) list }
+      (** dirty calls to one owner, each [(wireRep, seq)] with its own
+          sequence number: every surrogate one decode created for that
+          owner, or a single reference (an import, a resurrection, a
+          retry).  In the specification's terms a batch of [n] items is
+          [n] [do_dirty_call] steps sent together; the asynchronous
+          model already allows them in any order *)
+  | Dirty_ack of { items : (Wirerep.t * bool) list }
+      (** the owner's answer to one [Dirty]: each item's [(wireRep,
+          ok)], [ok = false] when the object is gone.  The owner
+          applies the items as [n] [receive_dirty] steps without
+          interleaving, and the ack leaves after one commit barrier *)
   | Clean of { wr : Wirerep.t; seq : int }
   | Clean_ack of { wr : Wirerep.t }
   | Clean_batch of { items : (Wirerep.t * int) list }

@@ -49,8 +49,8 @@ let handle_envelope sp ~src env =
     | Proto.Reply { call_id; msg_id; needs_ack; result } ->
         handle_reply sp ~call_id ~msg_id ~needs_ack ~result
     | Proto.Copy_ack { msg_id } -> release_pins_for sp msg_id
-    | Proto.Dirty { wr; seq } -> handle_dirty sp ~src ~wr ~seq
-    | Proto.Dirty_ack { wr; ok } -> handle_dirty_ack sp ~wr ~ok
+    | Proto.Dirty { items } -> handle_dirty sp ~src ~items
+    | Proto.Dirty_ack { items } -> handle_dirty_ack sp ~items
     | Proto.Clean { wr; seq } -> handle_clean sp ~src ~wr ~seq
     | Proto.Clean_ack { wr } -> handle_clean_ack sp ~wr
     | Proto.Clean_batch { items } ->
@@ -167,9 +167,11 @@ let import_wr sp wr =
   end
   else begin
     pin sp wr;
-    (match acquire_surrogate sp wr with
+    let d = { dsp = sp; d_acquired = []; d_pending = []; d_fresh = [] } in
+    (match acquire_surrogate sp d wr with
     | None -> ()
     | Some iv -> (
+        register sp d.d_fresh;
         try await_registrations sp [ iv ]
         with e ->
           unpin sp wr;

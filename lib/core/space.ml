@@ -529,13 +529,17 @@ let sretry_rng sp = sp.rt.retry_rngs.(sp.shard.Engine.s_id)
    one domain never interleave inside an extent; other domains have
    their own stack). *)
 
-type ctx =
-  | Enc of { esp : space; e_pinned : Wirerep.t list ref }
-  | Dec of {
-      dsp : space;
-      d_acquired : Wirerep.t list ref;
-      d_pending : bool Sched.Ivar.var list ref;
-    }
+(* A decode's state, newest first: every reference read (each pinned
+   once), the registrations to await, and the surrogates it created,
+   whose dirty calls go out together when the decode ends. *)
+type dec = {
+  dsp : space;
+  mutable d_acquired : Wirerep.t list;
+  mutable d_pending : bool Sched.Ivar.var list;
+  mutable d_fresh : (Wirerep.t * bool Sched.Ivar.var) list;
+}
+
+type ctx = Enc of { esp : space; e_pinned : Wirerep.t list ref } | Dec of dec
 
 let ctx_stack_key : ctx list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])

@@ -109,6 +109,26 @@ let record_codec =
           | _ -> None);
     ]
 
+(* A snapshot is the list of records that rebuilds the image. *)
+let image_codec = P.list record_codec
+
+(* Decode log payloads in append order.  A payload whose decode fails
+   with [Wire.Error] is skipped and counted; any other exception is a
+   bug in a codec and propagates. *)
+let decode_records payloads =
+  let skipped = ref 0 in
+  let records =
+    List.filter_map
+      (fun payload ->
+        match P.decode record_codec payload with
+        | r -> Some r
+        | exception Netobj_pickle.Wire.Error _ ->
+            incr skipped;
+            None)
+      payloads
+  in
+  (records, !skipped)
+
 let pp_record ppf = function
   | Epoch { epoch; cont } -> Fmt.pf ppf "epoch %d cont=%d" epoch cont
   | Export { wr; tag } -> Fmt.pf ppf "export %a tag=%s" Wirerep.pp wr tag

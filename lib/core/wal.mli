@@ -44,4 +44,13 @@ type record =
 
 val record_codec : record Netobj_pickle.Pickle.t
 
+(** A snapshot image: the records that rebuild a whole space. *)
+val image_codec : record list Netobj_pickle.Pickle.t
+
+(** [decode_records payloads] decodes log payloads in order and returns
+    the records with the number of payloads skipped because their
+    decode raised {!Netobj_pickle.Wire.Error}.  Any other exception
+    propagates. *)
+val decode_records : string list -> record list * int
+
 val pp_record : record Fmt.t

@@ -11,6 +11,7 @@ let m_log_bytes = Metrics.counter Metrics.global "store.log_bytes"
 let m_snapshots = Metrics.counter Metrics.global "store.snapshots"
 let m_replayed = Metrics.counter Metrics.global "store.records_replayed"
 let m_torn = Metrics.counter Metrics.global "store.torn_records"
+let m_skipped = Metrics.counter Metrics.global "store.records_skipped"
 let m_fsyncs = Metrics.counter Metrics.global "store.fsyncs"
 
 type fault = Torn_tail | Lost_suffix | Slow_fsync of float
@@ -153,6 +154,8 @@ let recover t =
     Metrics.add m_torn torn
   end;
   (t.snap, records, torn)
+
+let note_skipped n = if Obs.on () && n > 0 then Metrics.add m_skipped n
 
 let wipe t =
   t.gen <- t.gen + 1;

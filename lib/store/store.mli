@@ -69,6 +69,11 @@ val snapshot : t -> string -> unit
     checksum; they are dropped, not raised. *)
 val recover : t -> string option * string list * int
 
+(** Count [n] whole records that {!recover} returned but the reader
+    could not decode (the metric [store.records_skipped], beside
+    [store.records_replayed] and [store.torn_records]). *)
+val note_skipped : int -> unit
+
 (** Format the disk: amnesia restart. *)
 val wipe : t -> unit
 

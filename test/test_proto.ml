@@ -18,6 +18,8 @@ let check_env msg env =
 
 let wr = Wirerep.v ~space:3 ~index:17
 
+let wr2 = Wirerep.v ~space:3 ~index:18
+
 let mid : Proto.msg_id = { origin = 2; seq = 99 }
 
 let verdicts =
@@ -38,8 +40,11 @@ let test_envelopes () =
       check_env (Fmt.str "%a" Proto.pp env) env)
     verdicts;
   check_env "copy_ack" (Proto.Copy_ack { msg_id = mid });
-  check_env "dirty" (Proto.Dirty { wr; seq = 12 });
-  check_env "dirty_ack" (Proto.Dirty_ack { wr; ok = false });
+  check_env "dirty" (Proto.Dirty { items = [ (wr, 12) ] });
+  check_env "dirty batch" (Proto.Dirty { items = [ (wr, 12); (wr2, 1) ] });
+  check_env "dirty_ack" (Proto.Dirty_ack { items = [ (wr, false) ] });
+  check_env "dirty_ack batch"
+    (Proto.Dirty_ack { items = [ (wr, false); (wr2, true) ] });
   check_env "clean" (Proto.Clean { wr; seq = 13 });
   check_env "clean_ack" (Proto.Clean_ack { wr });
   check_env "ping" (Proto.Ping { nonce = 5 });
@@ -99,8 +104,8 @@ let test_kinds_distinct () =
       Proto.Call { call_id = 0; msg_id = mid; needs_ack = false; target = wr; meth = "m"; args = Wire.slice ""; deadline = 0. };
       Proto.Reply { call_id = 0; msg_id = mid; needs_ack = false; result = Ok (Wire.slice "") };
       Proto.Copy_ack { msg_id = mid };
-      Proto.Dirty { wr; seq = 0 };
-      Proto.Dirty_ack { wr; ok = true };
+      Proto.Dirty { items = [ (wr, 0) ] };
+      Proto.Dirty_ack { items = [ (wr, true) ] };
       Proto.Clean { wr; seq = 0 };
       Proto.Clean_ack { wr };
       Proto.Ping { nonce = 0 };
@@ -155,8 +160,12 @@ let env_gen =
         (small_list (tup2 wr_gen nat));
       map (fun wrs -> Proto.Clean_batch_ack { wrs }) (small_list wr_gen);
       map (fun m -> Proto.Copy_ack { msg_id = m }) mid_gen;
-      map2 (fun w s -> Proto.Dirty { wr = w; seq = s }) wr_gen nat;
-      map2 (fun w b -> Proto.Dirty_ack { wr = w; ok = b }) wr_gen bool;
+      map
+        (fun items -> Proto.Dirty { items })
+        (list_size (int_bound 20) (tup2 wr_gen nat));
+      map
+        (fun items -> Proto.Dirty_ack { items })
+        (list_size (int_bound 20) (tup2 wr_gen bool));
       map2 (fun w s -> Proto.Clean { wr = w; seq = s }) wr_gen nat;
       map (fun w -> Proto.Clean_ack { wr = w }) wr_gen;
       map (fun n -> Proto.Ping { nonce = n }) nat;

@@ -8,6 +8,7 @@ module Stub = Netobj_core.Stub
 module Wirerep = Netobj_core.Wirerep
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
+module Transport = Netobj_transport.Transport
 
 (* --- shared interfaces --------------------------------------------------- *)
 
@@ -416,6 +417,133 @@ let test_many_clients () =
   ignore (R.run rt);
   Alcotest.(check (list int)) "dirty set drained" [] (R.dirty_set owner counter)
 
+
+(* --- one dirty call per owner per message ------------------------------------
+
+   A broker on space 0 hands the client (space 2) five of its own
+   objects and three it holds from space 1 in one reply.  The client's
+   decode creates eight surrogates and registers them in one dirty call
+   per owner. *)
+
+let m_refs = Stub.declare "refs" P.unit (P.list R.handle_codec)
+
+let m_two =
+  Stub.declare "two" P.unit (P.triple R.handle_codec R.handle_codec P.int)
+
+let batch_world ?dirty_retry () =
+  let rt = R.create (R.config ~seed:7L ~nspaces:3 ?dirty_retry ()) in
+  let a = R.space rt 0 and b = R.space rt 1 and client = R.space rt 2 in
+  let own = List.init 5 (fun _ -> Scenario.counter a) in
+  List.iteri
+    (fun i h -> R.publish b (Printf.sprintf "b%d" i) h)
+    (List.init 3 (fun _ -> Scenario.counter b));
+  let from_b = ref [] in
+  R.publish a "broker"
+    (R.allocate a
+       ~meths:
+         [
+           Stub.implement m_refs (fun _ () -> own @ !from_b);
+           Stub.implement m_two (fun _ () -> (List.hd own, List.hd !from_b, 7));
+         ]);
+  let broker = ref None in
+  in_fiber rt (fun () ->
+      from_b :=
+        List.init 3 (fun i -> R.lookup a ~at:1 (Printf.sprintf "b%d" i));
+      broker := Some (R.lookup client ~at:0 "broker"));
+  (rt, client, Option.get !broker, from_b)
+
+let sent_of rt kind =
+  match List.assoc_opt kind (Transport.stats_by_kind (R.transport rt)) with
+  | Some (n, _) -> n
+  | None -> 0
+
+let state_of sp h =
+  let wr = R.wirerep h in
+  let prefix = Printf.sprintf "wr=%d.%d state=" wr.Wirerep.space wr.index in
+  let n = String.length prefix in
+  match
+    List.find_opt
+      (fun l -> String.length l > n && String.sub l 0 n = prefix)
+      (R.surrogate_summary sp)
+  with
+  | Some l ->
+      let rest = String.sub l n (String.length l - n) in
+      String.sub rest 0 (String.index rest ' ')
+  | None -> "absent"
+
+let check_usable client hs =
+  List.iteri
+    (fun i h ->
+      Alcotest.(check string)
+        (Printf.sprintf "handle %d usable" i)
+        "Usable{sched=false}" (state_of client h))
+    hs
+
+let test_dirty_batch_per_owner () =
+  let rt, client, broker, _ = batch_world () in
+  let dirty0 = sent_of rt "dirty" and acks0 = sent_of rt "dirty_ack" in
+  let calls0 = (R.gc_stats client).dirty_calls in
+  let hs = in_fiber rt (fun () -> Stub.call client broker m_refs ()) in
+  Alcotest.(check int) "eight handles" 8 (List.length hs);
+  Alcotest.(check (list int)) "owners" [ 0; 0; 0; 0; 0; 1; 1; 1 ]
+    (List.map (fun h -> (R.wirerep h).Wirerep.space) hs);
+  Alcotest.(check int) "one dirty per owner" 2 (sent_of rt "dirty" - dirty0);
+  Alcotest.(check int) "one dirty_ack per owner" 2
+    (sent_of rt "dirty_ack" - acks0);
+  Alcotest.(check int) "a dirty call per reference" 8
+    ((R.gc_stats client).dirty_calls - calls0);
+  check_usable client hs
+
+(* The first batch (owner 0's five items) is lost: each of its items
+   registers through its own one-item retry. *)
+let test_dirty_batch_lost () =
+  let rt, client, broker, _ = batch_world ~dirty_retry:0.1 () in
+  let dirty0 = sent_of rt "dirty" in
+  let retries0 = (R.gc_stats client).retries in
+  let dropped = ref 0 in
+  Transport.set_filter (R.transport rt)
+    (Some
+       (fun ~src:_ ~dst:_ ~kind ->
+         if kind = "dirty" && !dropped = 0 then begin
+           incr dropped;
+           false
+         end
+         else true));
+  let hs = in_fiber rt (fun () -> Stub.call client broker m_refs ()) in
+  Alcotest.(check int) "the first batch was dropped" 1 !dropped;
+  Alcotest.(check int) "one retry per lost item" 5
+    ((R.gc_stats client).retries - retries0);
+  Alcotest.(check int) "the other batch and five one-item retries" 6
+    (sent_of rt "dirty" - dirty0);
+  check_usable client hs;
+  Alcotest.(check bool) "nothing left Creating" false
+    (List.exists
+       (fun l -> List.mem "state=Creating" (String.split_on_char ' ' l))
+       (R.surrogate_summary client))
+
+(* A reply whose decode fails after its second reference (one from each
+   owner): both references' dirty calls still go out, and the world
+   drains consistently. *)
+let test_dirty_batch_failed_decode () =
+  let rt, client, broker, from_b = batch_world () in
+  let calls0 = (R.gc_stats client).dirty_calls in
+  let dirty0 = sent_of rt "dirty" in
+  let two_as_bool =
+    Stub.declare "two" P.unit (P.triple R.handle_codec R.handle_codec P.bool)
+  in
+  in_fiber rt (fun () ->
+      match Stub.call client broker two_as_bool () with
+      | _ -> Alcotest.fail "expected Undecodable_reply"
+      | exception R.Call_failed (Undecodable_reply _) -> ());
+  Alcotest.(check int) "both references registered" 2
+    ((R.gc_stats client).dirty_calls - calls0);
+  Alcotest.(check int) "one dirty per owner" 2 (sent_of rt "dirty" - dirty0);
+  R.release client broker;
+  List.iter (R.release (R.space rt 0)) !from_b;
+  Scenario.drain rt;
+  Alcotest.(check (list string)) "drained" [] (Scenario.drain_problems rt);
+  Alcotest.(check (list string)) "safe" [] (Scenario.safety_problems rt)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -440,6 +568,13 @@ let () =
           Alcotest.test_case "result handles rooted" `Quick
             test_result_handles_rooted;
           Alcotest.test_case "stats" `Quick test_stats;
+        ] );
+      ( "dirty batch",
+        [
+          Alcotest.test_case "one per owner" `Quick test_dirty_batch_per_owner;
+          Alcotest.test_case "lost batch retried" `Quick test_dirty_batch_lost;
+          Alcotest.test_case "failed decode" `Quick
+            test_dirty_batch_failed_decode;
         ] );
       ( "lease",
         [

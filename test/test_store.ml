@@ -1,12 +1,14 @@
 (* Durable-store properties: WAL record and image (record list) codec
-   roundtrips, and the tolerant log decoder (a truncated or corrupt tail
-   decodes to a clean prefix plus a torn count, never an exception). *)
+   roundtrips, hostile bytes decoding to a typed error, and the tolerant
+   log decoder (a truncated or corrupt tail decodes to a clean prefix
+   plus a torn count, never an exception). *)
 
 module Store = Netobj_store.Store
 module Wal = Netobj_core.Wal
 module Wirerep = Netobj_core.Wirerep
 module Sched = Netobj_sched.Sched
 module P = Netobj_pickle.Pickle
+module Wire = Netobj_pickle.Wire
 
 (* --- generators ----------------------------------------------------------- *)
 
@@ -57,12 +59,62 @@ let prop_record_roundtrip =
 (* A snapshot is a record list: every case, watermarks included, must
    survive the list codec. *)
 let prop_image_roundtrip =
-  let image = P.list Wal.record_codec in
+  let image = Wal.image_codec in
   QCheck.Test.make ~name:"wal image roundtrip" ~count:300
     (QCheck.make QCheck.Gen.(small_list record_gen))
     (fun rs ->
       let b = P.encode image rs in
       String.equal b (P.encode image (P.decode image b)))
+
+(* --- a hostile disk ----------------------------------------------------------
+
+   Whatever bytes a log frame or a snapshot holds, decoding them must
+   either succeed or raise [Wire.Error]: recovery skips (and counts) a
+   record only on that exception.  Inputs are arbitrary strings and
+   valid encodings with one byte overwritten. *)
+
+let decodes_or_wire_error codec s =
+  match P.decode codec s with
+  | _ -> true
+  | exception Wire.Error _ -> true
+
+let hostile_gen encode gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string;
+        map3
+          (fun v i c ->
+            let b = Bytes.of_string (encode v) in
+            if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c;
+            Bytes.to_string b)
+          gen nat char;
+      ])
+
+let prop_hostile_record =
+  QCheck.Test.make ~name:"hostile wal record" ~count:2000
+    (QCheck.make ~print:String.escaped
+       (hostile_gen (P.encode Wal.record_codec) record_gen))
+    (decodes_or_wire_error Wal.record_codec)
+
+let prop_hostile_image =
+  QCheck.Test.make ~name:"hostile snapshot image" ~count:1000
+    (QCheck.make ~print:String.escaped
+       (hostile_gen (P.encode Wal.image_codec) QCheck.Gen.(small_list record_gen)))
+    (decodes_or_wire_error Wal.image_codec)
+
+(* A whole frame whose record does not decode is skipped and counted;
+   the records around it are kept in order. *)
+let test_skipped_record () =
+  let a = Wal.Unbind "a" and b = Wal.Evict 3 in
+  let enc = P.encode Wal.record_codec in
+  let records, skipped =
+    Wal.decode_records [ enc a; "\xff\xff"; enc b; "" ]
+  in
+  Alcotest.(check int) "skipped" 2 skipped;
+  Alcotest.(check (list string)) "kept in order"
+    [ enc a; enc b ]
+    (List.map enc records)
 
 (* --- tolerant log decoding ------------------------------------------------- *)
 
@@ -169,6 +221,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_record_roundtrip;
           QCheck_alcotest.to_alcotest prop_image_roundtrip;
+          QCheck_alcotest.to_alcotest prop_hostile_record;
+          QCheck_alcotest.to_alcotest prop_hostile_image;
+          Alcotest.test_case "undecodable record skipped" `Quick
+            test_skipped_record;
         ] );
       ( "decode",
         [
