@@ -81,8 +81,11 @@ chaos-sweep: build
 	    runs=$$((runs + 1)); \
 	    if ! out=$$($$sim chaos --seed $$s $$p 2>&1); then \
 	      failed=$$((failed + 1)); \
-	      echo "$$out" | grep '^FAIL' | sed "s|^|seed=$$s [$$p] |" \
-	        || echo "seed=$$s [$$p] failed with no FAIL line"; \
+	      if echo "$$out" | grep -q '^FAIL'; then \
+	        echo "$$out" | grep '^FAIL' | sed "s|^|seed=$$s [$$p] |"; \
+	      else \
+	        echo "seed=$$s [$$p] failed with no FAIL line"; \
+	      fi; \
 	    fi; \
 	  done; \
 	done; \

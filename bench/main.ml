@@ -524,7 +524,8 @@ let e8_fault () =
       ignore (Stub.call sp h Scenario.m_incr 1);
       R.release sp h);
   ignore (R.run rt);
-  (* Two surrogates (agent + counter) will be cleaned; lose both cleans. *)
+  (* Two surrogates (agent + counter) are cleaned in one message; lose it
+     and the first one-item retry. *)
   let lost = ref 0 in
   Transport.set_filter (R.transport rt)
     (Some
@@ -783,38 +784,33 @@ let e12_churn () =
       row "%-12d %10d %10d %12.2f@." rounds st.R.dirty_calls st.R.clean_calls
         (float_of_int st.R.clean_calls /. float_of_int rounds))
     [ 10; 50; 200 ];
-  (* Batching: k surrogates die in one GC cycle; one message per owner
-     instead of k+1. *)
-  row "@.batched cleaning demon (%d dead surrogates in one GC cycle):@." 20;
-  List.iter
-    (fun batch ->
-      let cfg =
-        R.config ~seed:17L
-          ?clean_batch:(if batch then Some 0.05 else None)
-          ~nspaces:2 ()
-      in
-      let rt = R.create cfg in
-      let owner = R.space rt 0 and client = R.space rt 1 in
-      let objs = List.init 20 (fun i -> (i, Scenario.counter owner)) in
-      List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
-      R.spawn rt (fun () ->
-          List.iter
-            (fun (i, _) ->
-              let h = R.lookup client ~at:0 (Printf.sprintf "o%d" i) in
-              ignore (Stub.call client h Scenario.m_incr 1);
-              R.release client h)
-            objs);
-      ignore (R.run rt);
-      Transport.reset_stats (R.transport rt);
-      R.collect client;
-      ignore (R.run rt);
-      let kinds = Transport.stats_by_kind (R.transport rt) in
-      let n k = fst (Option.value ~default:(0, 0) (List.assoc_opt k kinds)) in
-      row "  %-10s clean msgs=%d, clean_batch msgs=%d, total GC msgs=%d@."
-        (if batch then "batched" else "unbatched")
-        (n "clean") (n "clean_batch")
-        (n "clean" + n "clean_batch" + n "clean_ack" + n "clean_batch_ack"))
-    [ false; true ]
+  (* Batching: k surrogates die in one GC cycle; the cleaning demon
+     sends one clean and gets one clean_ack per owner. *)
+  let rt = R.create (R.config ~seed:17L ~nspaces:2 ()) in
+  let owner = R.space rt 0 and client = R.space rt 1 in
+  let objs = List.init 20 (fun i -> (i, Scenario.counter owner)) in
+  List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
+  R.spawn rt (fun () ->
+      List.iter
+        (fun (i, _) ->
+          let h = R.lookup client ~at:0 (Printf.sprintf "o%d" i) in
+          ignore (Stub.call client h Scenario.m_incr 1);
+          R.release client h)
+        objs);
+  ignore (R.run rt);
+  Transport.reset_stats (R.transport rt);
+  let cleans0 = (R.gc_stats client).R.clean_calls in
+  R.collect client;
+  ignore (R.run rt);
+  let kinds = Transport.stats_by_kind (R.transport rt) in
+  let n k = fst (Option.value ~default:(0, 0) (List.assoc_opt k kinds)) in
+  row
+    "@.batched cleaning demon: %d dead surrogates in one GC cycle, %d clean \
+     calls, clean msgs=%d, total GC msgs=%d@."
+    (List.length objs)
+    ((R.gc_stats client).R.clean_calls - cleans0)
+    (n "clean")
+    (n "clean" + n "clean_ack")
 
 (* ------------------------------------------------------------------ E13 *)
 
@@ -1387,7 +1383,7 @@ let e24_scale_churn () =
            churn phase instead. *)
         let cfg =
           R.config ~seed:24L ~nspaces:(clients + 1) ~ping_period:1.0
-            ~lease_misses:3 ~clean_batch:0.05 ()
+            ~lease_misses:3 ()
         in
         let rt = R.create cfg in
         let owner = R.space rt 0 in

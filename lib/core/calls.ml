@@ -164,6 +164,7 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
       | Some _ | None ->
           let sched = ssched sp in
           let ic = { if_cancelled = false } in
+          let client_epoch = Hashtbl.find_opt sp.peer_epoch src in
           if ron then begin
             Hashtbl.replace sp.inflight (src, call_id) ic;
             sp.inflight_count <- sp.inflight_count + 1
@@ -198,6 +199,13 @@ let serve_call sp ~src ~call_id ~msg_id ~needs_ack ~target ~meth_name ~args
               if rneeds_ack then release_pins_for sp rmsg_id;
               sp.s_call_cancelled <- sp.s_call_cancelled + 1;
               if Obs.on () then Metrics.incr m_call_cancelled
+            end
+            else if Hashtbl.find_opt sp.peer_epoch src <> client_epoch then begin
+              (* The caller's incarnation ended under the call, failing
+                 its pending calls.  A restarted caller counts call ids
+                 from 0 again: this reply, sent or cached, would answer
+                 the new incarnation's call with the same id. *)
+              if rneeds_ack then release_pins_for sp rmsg_id
             end
             else begin
               if ron then cache_reply sp ~client:src ~call_id env;

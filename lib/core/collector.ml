@@ -69,41 +69,42 @@ let send_dirty sp owner regs =
     (Proto.Dirty { items = List.map (fun (wr, _) -> dirty_item sp wr) regs });
   List.iter (fun (wr, iv) -> arm_dirty_retry sp wr iv) regs
 
-(* Send the dirty calls for freshly created surrogates, given newest
-   first as a decode collects them: one [Dirty] per owner, owners in
-   first-seen order so simulated runs stay deterministic. *)
-let register sp fresh =
-  match fresh with
-  | [] -> ()
-  | [ (wr, _) ] -> send_dirty sp wr.Wirerep.space fresh
-  | _ ->
-      let groups =
-        List.fold_left
-          (fun groups ((wr, _) as reg) ->
-            let owner = wr.Wirerep.space in
-            match List.assoc_opt owner groups with
-            | Some regs ->
-                regs := reg :: !regs;
-                groups
-            | None -> (owner, ref [ reg ]) :: groups)
-          [] (List.rev fresh)
-      in
-      List.iter
-        (fun (owner, regs) -> send_dirty sp owner (List.rev !regs))
-        (List.rev groups)
+(* Group [(wr, _)] items by the owner of [wr]: owners in first-seen
+   order, each owner's items in list order, so simulated runs stay
+   deterministic.  Dirty and clean calls both travel one message per
+   owner in this order. *)
+let by_owner items =
+  let groups =
+    List.fold_left
+      (fun groups ((wr, _) as item) ->
+        let owner = wr.Wirerep.space in
+        match List.assoc_opt owner groups with
+        | Some its ->
+            its := item :: !its;
+            groups
+        | None -> (owner, ref [ item ]) :: groups)
+      [] items
+  in
+  List.rev_map (fun (owner, its) -> (owner, List.rev !its)) groups
 
-let obs_begin_clean sp wr =
+(* Send the dirty calls for freshly created surrogates, given newest
+   first as a decode collects them: one [Dirty] per owner. *)
+let register sp fresh =
+  List.iter
+    (fun (owner, regs) -> send_dirty sp owner regs)
+    (by_owner (List.rev fresh))
+
+(* One reference's clean call: count it, open its span and mint its
+   sequence number. *)
+let clean_item sp wr =
+  sp.s_clean <- sp.s_clean + 1;
   if Obs.on () then begin
     Metrics.incr m_clean;
     Trace.async_begin (Obs.trace ()) ~cat:"gc" ~space:sp.id
       ~id:(obs_wr_id ~client:sp.id wr + 1)
       ~args:(obs_wr_args wr) "clean"
-  end
-
-let send_clean sp wr =
-  sp.s_clean <- sp.s_clean + 1;
-  obs_begin_clean sp wr;
-  send_env sp ~dst:wr.Wirerep.space (Proto.Clean { wr; seq = next_seqno sp wr })
+  end;
+  (wr, next_seqno sp wr)
 
 (* Ensure a table entry exists for a reference just read from a message,
    returning the registration event to await (if any).  Mirrors the
@@ -323,12 +324,9 @@ let schedule_clean_retry sp cl wr =
                   sp.s_clean <- sp.s_clean + 1;
                   count_retry sp "clean_retry" wr;
                   if Obs.on () then Metrics.incr m_clean;
+                  let seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0 in
                   send_env sp ~dst:wr.Wirerep.space
-                    (Proto.Clean
-                       {
-                         wr;
-                         seq = Itbl.find sp.seqno (Wirerep.key wr) ~default:0;
-                       });
+                    (Proto.Clean { items = [ (wr, seq) ] });
                   true
               | Cleaning _ | Creating _ | Usable _ -> false)
           | Some (Concrete _) | None -> false)
@@ -347,63 +345,34 @@ let begin_clean sp wr =
       | Usable _ | Creating _ | Cleaning _ -> None)
   | Some (Concrete _) | None -> None
 
-(* Batched cleaning demon: gather everything scheduled within the window
-   and send one clean_batch per owner.  Each item arms its own retry,
-   which repeats it as a single clean; the batch ack cancels them all. *)
-let cleaning_demon_batched sp window () =
-  let rec loop () =
-    let wr0 = Sched.Mailbox.recv sp.clean_mb in
-    Sched.sleep (ssched sp) window;
-    let rec drain acc =
-      match Sched.Mailbox.try_recv sp.clean_mb with
-      | Some wr -> drain (wr :: acc)
-      | None -> List.rev acc
-    in
-    let wrs = wr0 :: drain [] in
-    if not sp.crashed then begin
-      let by_owner = Hashtbl.create 4 in
-      List.iter
-        (fun wr ->
-          match begin_clean sp wr with
-          | None -> ()
-          | Some cl ->
-              let seq = next_seqno sp wr in
-              sp.s_clean <- sp.s_clean + 1;
-              obs_begin_clean sp wr;
-              let owner = wr.Wirerep.space in
-              let prev =
-                Option.value ~default:[] (Hashtbl.find_opt by_owner owner)
-              in
-              Hashtbl.replace by_owner owner ((wr, seq, cl) :: prev))
-        wrs;
-      Hashtbl.iter
-        (fun owner items ->
-          if Obs.on () then
-            Trace.instant (Obs.trace ()) ~cat:"gc" ~space:sp.id
-              ~args:
-                [ ("owner", Trace.I owner); ("n", Trace.I (List.length items)) ]
-              "clean_batch";
-          send_env sp ~dst:owner
-            (Proto.Clean_batch
-               { items = List.map (fun (wr, seq, _) -> (wr, seq)) items });
-          List.iter (fun (wr, _, cl) -> schedule_clean_retry sp cl wr) items)
-        by_owner
-    end;
-    loop ()
-  in
-  loop ()
-
-(* Sends the clean call for a surrogate the collector found unreachable,
-   unless a fresh copy arrived meanwhile. *)
+(* The cleaning demon (the specification's do_clean_call): wait for the
+   collector to schedule a clean, take everything else already queued
+   and send one [Clean] per owner.  [collect] queues a whole collection
+   in one fiber step before the demon runs, so no window is needed to
+   gather it.  A surrogate that a fresh copy revived meanwhile is
+   skipped (Note 4).  Each item keeps its own sequence number, span and
+   retry; the owner's one [Clean_ack] settles them all. *)
 let cleaning_demon sp () =
+  let rec drain acc =
+    match Sched.Mailbox.try_recv sp.clean_mb with
+    | Some wr -> drain (wr :: acc)
+    | None -> List.rev acc
+  in
   let rec loop () =
-    let wr = Sched.Mailbox.recv sp.clean_mb in
+    let wrs = drain [ Sched.Mailbox.recv sp.clean_mb ] in
     (if not sp.crashed then
-       match begin_clean sp wr with
-       | Some cl ->
-           send_clean sp wr;
-           schedule_clean_retry sp cl wr
-       | None -> ());
+       let cleans =
+         List.filter_map
+           (fun wr -> Option.map (fun cl -> (wr, cl)) (begin_clean sp wr))
+           wrs
+       in
+       List.iter
+         (fun (owner, cleans) ->
+           send_env sp ~dst:owner
+             (Proto.Clean
+                { items = List.map (fun (wr, _) -> clean_item sp wr) cleans });
+           List.iter (fun (wr, cl) -> schedule_clean_retry sp cl wr) cleans)
+         (by_owner cleans));
     loop ()
   in
   loop ()
@@ -446,9 +415,11 @@ let apply_clean sp ~src ~wr ~seq =
         wal sp (Wal.Dirty { wr; client = src; seq; add = false })
       end
 
-let handle_clean sp ~src ~wr ~seq =
-  apply_clean sp ~src ~wr ~seq;
-  send_env sp ~dst:src (Proto.Clean_ack { wr })
+(* Like a dirty batch, a clean batch is applied item by item without
+   interleaving and answered by one ack. *)
+let handle_clean sp ~src ~items =
+  List.iter (fun (wr, seq) -> apply_clean sp ~src ~wr ~seq) items;
+  send_env sp ~dst:src (Proto.Clean_ack { wrs = List.map fst items })
 
 let dirty_acked sp (wr, ok) =
   match Wirerep.Tbl.find_opt sp.table wr with
@@ -481,7 +452,7 @@ let obs_end_clean sp wr ~resurrected =
       ~args:[ ("resurrected", Trace.I (Bool.to_int resurrected)) ]
       "clean"
 
-let handle_clean_ack sp ~wr =
+let clean_acked sp wr =
   match Wirerep.Tbl.find_opt sp.table wr with
   | Some (Surrogate st) -> (
       match !st with
@@ -500,6 +471,8 @@ let handle_clean_ack sp ~wr =
           register sp [ (wr, iv) ]
       | Creating _ | Usable _ -> () (* stale ack *))
   | Some (Concrete _) | None -> ()
+
+let handle_clean_ack sp ~wrs = List.iter (clean_acked sp) wrs
 
 (* An ack renews the lease only if it answers a ping this incarnation
    actually has outstanding: the epoch must match and the nonce must lie
@@ -576,8 +549,11 @@ let grace_mark sp pairs =
 
 (* Owner side of the handshake.  A reassert is authoritative — the
    client is alive and telling us it holds the surrogate — so the entry
-   is (re)installed unconditionally; the seqno only advances the
-   idempotence watermark. *)
+   is (re)installed, unless a later call from the client got here
+   first: a reassert whose seqno is below the watermark was overtaken
+   (or duplicated) behind the clean that released the surrogate, and
+   re-installing it would keep a dirty entry no surrogate answers for.
+   It is acknowledged as ok all the same: the client's claim is settled. *)
 let handle_reassert sp ~src ~items =
   let ok = ref [] and gone = ref [] in
   List.iter
@@ -586,11 +562,13 @@ let handle_reassert sp ~src ~items =
       | None -> gone := wr :: !gone
       | Some c ->
           let last = Itbl.find c.c_last_seq src ~default:0 in
-          if seq > last then Itbl.replace c.c_last_seq src seq;
-          if dirty_add sp c src then obs_gauge_add g_dirty_entries 1.0;
-          bump_touch sp wr;
-          wal sp (Wal.Dirty { wr; client = src; seq = max seq last; add = true });
-          Hashtbl.remove sp.unconfirmed (wr, src);
+          if seq >= last then begin
+            Itbl.replace c.c_last_seq src seq;
+            if dirty_add sp c src then obs_gauge_add g_dirty_entries 1.0;
+            bump_touch sp wr;
+            wal sp (Wal.Dirty { wr; client = src; seq; add = true });
+            Hashtbl.remove sp.unconfirmed (wr, src)
+          end;
           ok := wr :: !ok)
     items;
   if Obs.on () then

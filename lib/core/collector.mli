@@ -36,9 +36,12 @@ val global_collect : t -> int
 
 (** {1 Demons} *)
 
+(** Send the clean calls the collector schedules: on waking, take
+    every surrogate already queued (a whole collection's worth) and
+    send one [Clean] per owner, owners in first-seen order as
+    {!register} sends dirty calls, each item with its own sequence
+    number, span and retry.  No window, no timer. *)
 val cleaning_demon : space -> unit -> unit
-
-val cleaning_demon_batched : space -> float -> unit -> unit
 
 (** One tick of the ping demon: ping every client holding a lease
     here, evicting those whose lease (and grace) ran out. *)
@@ -48,13 +51,11 @@ val ping_tick : space -> unit
 
 val handle_dirty : space -> src:int -> items:(Wirerep.t * int) list -> unit
 
-val apply_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
-
-val handle_clean : space -> src:int -> wr:Wirerep.t -> seq:int -> unit
+val handle_clean : space -> src:int -> items:(Wirerep.t * int) list -> unit
 
 val handle_dirty_ack : space -> items:(Wirerep.t * bool) list -> unit
 
-val handle_clean_ack : space -> wr:Wirerep.t -> unit
+val handle_clean_ack : space -> wrs:Wirerep.t list -> unit
 
 val handle_ping_ack : space -> src:int -> nonce:int -> unit
 

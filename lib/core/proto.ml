@@ -101,10 +101,8 @@ type envelope =
   | Copy_ack of { msg_id : msg_id }
   | Dirty of { items : (Wirerep.t * int) list }
   | Dirty_ack of { items : (Wirerep.t * bool) list }
-  | Clean of { wr : Wirerep.t; seq : int }
-  | Clean_ack of { wr : Wirerep.t }
-  | Clean_batch of { items : (Wirerep.t * int) list }
-  | Clean_batch_ack of { wrs : Wirerep.t list }
+  | Clean of { items : (Wirerep.t * int) list }
+  | Clean_ack of { wrs : Wirerep.t list }
   | Ping of { nonce : int }
   | Ping_ack of { nonce : int }
   | Recover of { nonce : int }
@@ -160,25 +158,19 @@ let codec =
         (fun items -> Dirty_ack { items })
         (function Dirty_ack { items } -> Some items | _ -> None);
       P.case 5 "clean"
-        (P.pair Wirerep.codec P.int)
-        (fun (wr, seq) -> Clean { wr; seq })
-        (function Clean { wr; seq } -> Some (wr, seq) | _ -> None);
-      P.case 6 "clean_ack" Wirerep.codec
-        (fun wr -> Clean_ack { wr })
-        (function Clean_ack { wr } -> Some wr | _ -> None);
+        (P.list (P.pair Wirerep.codec P.int))
+        (fun items -> Clean { items })
+        (function Clean { items } -> Some items | _ -> None);
+      P.case 6 "clean_ack" (P.list Wirerep.codec)
+        (fun wrs -> Clean_ack { wrs })
+        (function Clean_ack { wrs } -> Some wrs | _ -> None);
       P.case 7 "ping" P.int
         (fun nonce -> Ping { nonce })
         (function Ping { nonce } -> Some nonce | _ -> None);
       P.case 8 "ping_ack" P.int
         (fun nonce -> Ping_ack { nonce })
         (function Ping_ack { nonce } -> Some nonce | _ -> None);
-      P.case 9 "clean_batch"
-        (P.list (P.pair Wirerep.codec P.int))
-        (fun items -> Clean_batch { items })
-        (function Clean_batch { items } -> Some items | _ -> None);
-      P.case 10 "clean_batch_ack" (P.list Wirerep.codec)
-        (fun wrs -> Clean_batch_ack { wrs })
-        (function Clean_batch_ack { wrs } -> Some wrs | _ -> None);
+      (* Tags 9 and 10 (a separate clean batch and its ack) are retired. *)
       P.case 11 "recover" P.int
         (fun nonce -> Recover { nonce })
         (function Recover { nonce } -> Some nonce | _ -> None);
@@ -246,8 +238,6 @@ let kind = function
   | Dirty_ack _ -> "dirty_ack"
   | Clean _ -> "clean"
   | Clean_ack _ -> "clean_ack"
-  | Clean_batch _ -> "clean_batch"
-  | Clean_batch_ack _ -> "clean_batch_ack"
   | Ping _ -> "ping"
   | Ping_ack _ -> "ping_ack"
   | Recover _ -> "recover"
@@ -270,11 +260,8 @@ let pp ppf = function
   | Copy_ack { msg_id } -> Fmt.pf ppf "copy_ack %a" pp_msg_id msg_id
   | Dirty { items } -> Fmt.pf ppf "dirty(%d)" (List.length items)
   | Dirty_ack { items } -> Fmt.pf ppf "dirty_ack(%d)" (List.length items)
-  | Clean { wr; seq } -> Fmt.pf ppf "clean %a seq=%d" Wirerep.pp wr seq
-  | Clean_ack { wr } -> Fmt.pf ppf "clean_ack %a" Wirerep.pp wr
-  | Clean_batch { items } -> Fmt.pf ppf "clean_batch(%d)" (List.length items)
-  | Clean_batch_ack { wrs } ->
-      Fmt.pf ppf "clean_batch_ack(%d)" (List.length wrs)
+  | Clean { items } -> Fmt.pf ppf "clean(%d)" (List.length items)
+  | Clean_ack { wrs } -> Fmt.pf ppf "clean_ack(%d)" (List.length wrs)
   | Ping { nonce } -> Fmt.pf ppf "ping %d" nonce
   | Ping_ack { nonce } -> Fmt.pf ppf "ping_ack %d" nonce
   | Recover { nonce } -> Fmt.pf ppf "recover %d" nonce

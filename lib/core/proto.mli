@@ -101,12 +101,18 @@ type envelope =
           ok)], [ok = false] when the object is gone.  The owner
           applies the items as [n] [receive_dirty] steps without
           interleaving, and the ack leaves after one commit barrier *)
-  | Clean of { wr : Wirerep.t; seq : int }
-  | Clean_ack of { wr : Wirerep.t }
-  | Clean_batch of { items : (Wirerep.t * int) list }
-      (** several clean calls to the same owner in one message — the
-          batching optimisation the TR's cleaning demon enables *)
-  | Clean_batch_ack of { wrs : Wirerep.t list }
+  | Clean of { items : (Wirerep.t * int) list }
+      (** clean calls to one owner, each [(wireRep, seq)] with its own
+          sequence number: every surrogate the cleaning demon found
+          queued for that owner when it woke (a whole collection's
+          worth), or a single reference (a retry).  In the
+          specification's terms a batch of [n] items is [n]
+          [do_clean_call] steps sent together *)
+  | Clean_ack of { wrs : Wirerep.t list }
+      (** the owner's answer to one [Clean]: the items' wireReps.  The
+          owner applies the items as [n] [receive_clean] steps, with
+          their acks, without interleaving; the asynchronous model
+          already allows both this order and any other *)
   | Ping of { nonce : int }
   | Ping_ack of { nonce : int }
   | Recover of { nonce : int }

@@ -51,14 +51,8 @@ let handle_envelope sp ~src env =
     | Proto.Copy_ack { msg_id } -> release_pins_for sp msg_id
     | Proto.Dirty { items } -> handle_dirty sp ~src ~items
     | Proto.Dirty_ack { items } -> handle_dirty_ack sp ~items
-    | Proto.Clean { wr; seq } -> handle_clean sp ~src ~wr ~seq
-    | Proto.Clean_ack { wr } -> handle_clean_ack sp ~wr
-    | Proto.Clean_batch { items } ->
-        List.iter (fun (wr, seq) -> apply_clean sp ~src ~wr ~seq) items;
-        send_env sp ~dst:src
-          (Proto.Clean_batch_ack { wrs = List.map fst items })
-    | Proto.Clean_batch_ack { wrs } ->
-        List.iter (fun wr -> handle_clean_ack sp ~wr) wrs
+    | Proto.Clean { items } -> handle_clean sp ~src ~items
+    | Proto.Clean_ack { wrs } -> handle_clean_ack sp ~wrs
     | Proto.Ping { nonce } -> send_env sp ~dst:src (Proto.Ping_ack { nonce })
     | Proto.Ping_ack { nonce } -> handle_ping_ack sp ~src ~nonce
     | Proto.Recover { nonce = _ } ->
@@ -353,15 +347,9 @@ let create (config : config) =
               Log.err (fun m ->
                   m "space %d: malformed envelope from %d: %s" sp.id src
                     (Printexc.to_string e)));
-      (match config.clean_batch with
-      | Some window ->
-          Sched.spawn (ssched sp)
-            ~name:(Printf.sprintf "clean-demon-%d" sp.id)
-            (cleaning_demon_batched sp window)
-      | None ->
-          Sched.spawn (ssched sp)
-            ~name:(Printf.sprintf "clean-demon-%d" sp.id)
-            (cleaning_demon sp));
+      Sched.spawn (ssched sp)
+        ~name:(Printf.sprintf "clean-demon-%d" sp.id)
+        (cleaning_demon sp);
       spawn_periodic_demons sp)
     rt.space_arr;
   rt

@@ -203,7 +203,6 @@ val config :
   ?backoff_jitter:float ->
   ?lease_grace:float ->
   ?pin_timeout:float ->
-  ?clean_batch:float ->
   ?bug_lookup_leak:bool ->
   ?bug_ping_ack_replay:bool ->
   ?bug_no_dedup:bool ->

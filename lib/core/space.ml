@@ -191,7 +191,6 @@ type config = {
   backoff_jitter : float;
   lease_grace : float;
   pin_timeout : float option;
-  clean_batch : float option;
   bug_lookup_leak : bool;
   bug_ping_ack_replay : bool;
   bug_no_dedup : bool;
@@ -210,7 +209,7 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     ?gc_period ?ping_period ?(lease_misses = 3) ?call_timeout
     ?(call_retries = 0) ?deadline ?max_inflight ?dirty_timeout
     ?clean_retry ?dirty_retry ?(backoff = 1.0) ?(backoff_cap = infinity)
-    ?(backoff_jitter = 0.0) ?(lease_grace = 0.0) ?pin_timeout ?clean_batch
+    ?(backoff_jitter = 0.0) ?(lease_grace = 0.0) ?pin_timeout
     ?(bug_lookup_leak = false)
     ?(bug_ping_ack_replay = false) ?(bug_no_dedup = false)
     ?(durable = false) ?(fsync_delay = 0.02)
@@ -254,7 +253,6 @@ let config ?(seed = 1L) ?(policy = Sched.Fifo) ?(edge = Net.bag_edge ())
     backoff_jitter;
     lease_grace;
     pin_timeout;
-    clean_batch;
     bug_lookup_leak;
     bug_ping_ack_replay;
     bug_no_dedup;

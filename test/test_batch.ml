@@ -1,6 +1,7 @@
-(* The cleaning-demon batching optimisation: many surrogate deaths in one
-   GC cycle produce one clean_batch message per owner, with identical
-   final state to the unbatched protocol. *)
+(* The cleaning demon sends one clean call per owner per collection:
+   every surrogate a collection finds dead is listed in one [Clean] to
+   its owner, answered by one [Clean_ack], and each reference keeps its
+   own sequence number, count and retry. *)
 
 module R = Netobj_core.Runtime
 module Scenario = Netobj_chaos.Scenario
@@ -15,15 +16,14 @@ let no_failures rt =
   | [] -> ()
   | (n, e) :: _ -> Alcotest.failf "fiber %s raised %s" n (Printexc.to_string e)
 
-(* Import k objects, release them all, collect once; compare wire
-   messages between batched and unbatched configurations. *)
-let run_churn ~batch ~k =
-  let cfg =
-    R.config ~seed:17L
-      ?clean_batch:(if batch then Some 0.05 else None)
-      ~nspaces:2 ()
-  in
-  let rt = R.create cfg in
+let count_kind rt k =
+  let kinds = Transport.stats_by_kind (R.transport rt) in
+  Option.value ~default:(0, 0) (List.assoc_opt k kinds) |> fst
+
+(* Import k objects and release them all; then collect once. *)
+let test_batching_reduces_messages () =
+  let k = 10 in
+  let rt = R.create (R.config ~seed:17L ~nspaces:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let objs = List.init k (fun i -> (i, Scenario.counter owner)) in
   List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
@@ -37,67 +37,59 @@ let run_churn ~batch ~k =
   ignore (R.run rt);
   no_failures rt;
   Transport.reset_stats (R.transport rt);
+  let cleans0 = (R.gc_stats client).clean_calls in
   R.collect client;
   ignore (R.run rt);
   no_failures rt;
-  let kinds = Transport.stats_by_kind (R.transport rt) in
-  let count k = Option.value ~default:(0, 0) (List.assoc_opt k kinds) |> fst in
-  let drained =
-    List.for_all (fun (_, o) -> R.dirty_set owner o = []) objs
-  in
-  (count "clean", count "clean_batch", drained)
+  (* k object surrogates + 1 agent surrogate, all owned by space 0 *)
+  Alcotest.(check int) "clean calls per reference" (k + 1)
+    ((R.gc_stats client).clean_calls - cleans0);
+  Alcotest.(check int) "one clean message" 1 (count_kind rt "clean");
+  Alcotest.(check int) "one clean_ack message" 1 (count_kind rt "clean_ack");
+  Alcotest.(check bool) "dirty sets drained" true
+    (List.for_all (fun (_, o) -> R.dirty_set owner o = []) objs);
+  Alcotest.(check int) "surrogates gone" 0 (R.surrogate_count client)
 
-let test_batching_reduces_messages () =
-  let k = 10 in
-  let cleans, batches, drained = run_churn ~batch:false ~k in
-  Alcotest.(check bool) "unbatched drains" true drained;
-  (* k object surrogates + 1 agent surrogate, one clean each *)
-  Alcotest.(check int) "unbatched cleans" (k + 1) cleans;
-  Alcotest.(check int) "no batch messages" 0 batches;
-  let cleans_b, batches_b, drained_b = run_churn ~batch:true ~k in
-  Alcotest.(check bool) "batched drains" true drained_b;
-  Alcotest.(check int) "no single cleans" 0 cleans_b;
-  Alcotest.(check int) "one batch message" 1 batches_b
-
-(* Batching respects the Note 4 cancellation: a re-import inside the
-   batching window withdraws that object's clean from the batch. *)
-let test_batch_window_cancellation () =
-  let cfg =
-    R.config ~seed:19L ~clean_batch:1.0 (* long window *) ~nspaces:2 ()
-  in
-  let rt = R.create cfg in
+(* Note 4: a clean the collector scheduled is withdrawn when the
+   surrogate is live again before the demon takes it.  Here the
+   application re-roots the handle and a second collection finds it
+   live, both before the demon runs. *)
+let test_scheduled_clean_withdrawn () =
+  let rt = R.create (R.config ~seed:19L ~nspaces:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let a = Scenario.counter owner and b = Scenario.counter owner in
   R.publish owner "a" a;
   R.publish owner "b" b;
+  let ha = ref None in
   R.spawn rt (fun () ->
-      let ha = R.lookup client ~at:0 "a" in
+      let h = R.lookup client ~at:0 "a" in
       let hb = R.lookup client ~at:0 "b" in
-      ignore (Stub.call client ha Scenario.m_incr 1);
+      ignore (Stub.call client h Scenario.m_incr 1);
       ignore (Stub.call client hb Scenario.m_incr 1);
-      R.release client ha;
+      ha := Some h;
       R.release client hb);
   ignore (R.run rt);
-  (* Collect schedules cleans for both (and the agent); within the 1s
-     window, re-import "a": its clean must be withdrawn. *)
+  no_failures rt;
+  let ha = Option.get !ha in
+  R.release client ha;
+  (* Schedules cleans for a, b and the agent ... *)
   R.collect client;
-  R.spawn rt (fun () ->
-      let ha = R.lookup client ~at:0 "a" in
-      ignore (Stub.call client ha Scenario.m_incr 1);
-      R.retain client ha;
-      ignore ha);
-  ignore (R.run ~until:0.5 rt);
-  ignore (R.run ~until:10.0 rt);
+  (* ... and a is rooted again before the demon has run. *)
+  R.retain client ha;
+  R.collect client;
+  Transport.reset_stats (R.transport rt);
+  ignore (R.run rt);
   no_failures rt;
   Alcotest.(check (list int)) "a still registered" [ 1 ] (R.dirty_set owner a);
-  Alcotest.(check (list int)) "b cleaned" [] (R.dirty_set owner b)
+  Alcotest.(check (list int)) "b cleaned" [] (R.dirty_set owner b);
+  Alcotest.(check int) "a is the one surrogate left" 1
+    (R.surrogate_count client);
+  Alcotest.(check int) "one clean message" 1 (count_kind rt "clean");
+  Alcotest.(check int) "no dirty call for a" 0 (count_kind rt "dirty")
 
-(* Batched cleans to several owners split per destination. *)
+(* Cleans to several owners split per destination. *)
 let test_batch_multi_owner () =
-  let cfg =
-    R.config ~seed:23L ~clean_batch:0.05 ~nspaces:3 ()
-  in
-  let rt = R.create cfg in
+  let rt = R.create (R.config ~seed:23L ~nspaces:3 ()) in
   let o1 = R.space rt 0 and o2 = R.space rt 1 and client = R.space rt 2 in
   let a = Scenario.counter o1 and b = Scenario.counter o2 in
   R.publish o1 "a" a;
@@ -114,11 +106,8 @@ let test_batch_multi_owner () =
   R.collect client;
   ignore (R.run rt);
   no_failures rt;
-  let kinds = Transport.stats_by_kind (R.transport rt) in
-  let batches =
-    Option.value ~default:(0, 0) (List.assoc_opt "clean_batch" kinds) |> fst
-  in
-  Alcotest.(check int) "one batch per owner" 2 batches;
+  Alcotest.(check int) "one clean per owner" 2 (count_kind rt "clean");
+  Alcotest.(check int) "one clean_ack per owner" 2 (count_kind rt "clean_ack");
   Alcotest.(check (list int)) "a drained" [] (R.dirty_set o1 a);
   Alcotest.(check (list int)) "b drained" [] (R.dirty_set o2 b)
 
@@ -185,13 +174,11 @@ let test_ack_elision () =
   Alcotest.(check int) "no acks for null calls" 0
     (fst (Option.value ~default:(0, 0) (List.assoc_opt "copy_ack" kinds)))
 
-(* A lost clean_batch is retried: each item repeats as a single clean
-   until acknowledged, so the owner's dirty entry and the client's
-   surrogates still go. *)
+(* A lost clean is retried: each of its items repeats as a one-item
+   clean with its own sequence number until acknowledged, so the owner's
+   dirty entry and the client's surrogates still go. *)
 let test_batch_clean_retried () =
-  let cfg =
-    R.config ~seed:17L ~clean_batch:0.05 ~clean_retry:0.2 ~nspaces:2 ()
-  in
+  let cfg = R.config ~seed:17L ~clean_retry:0.2 ~nspaces:2 () in
   let rt = R.create cfg in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let o = Scenario.counter owner in
@@ -202,19 +189,28 @@ let test_batch_clean_retried () =
       R.release client h);
   ignore (R.run rt);
   no_failures rt;
-  let dropped = ref 0 in
+  let dropped = ref 0 and passed = ref 0 in
   Transport.set_filter (R.transport rt)
     (Some
        (fun ~src:_ ~dst:_ ~kind ->
-         if kind = "clean_batch" && !dropped = 0 then begin
+         if kind <> "clean" then true
+         else if !dropped = 0 then begin
            incr dropped;
            false
          end
-         else true));
+         else begin
+           incr passed;
+           true
+         end));
+  let before = R.gc_stats client in
   R.collect client;
   ignore (R.run ~until:30.0 rt);
   no_failures rt;
+  let after = R.gc_stats client in
   Alcotest.(check int) "the batch was dropped" 1 !dropped;
+  (* o and the agent: two items, each retried alone *)
+  Alcotest.(check int) "one retry per item" 2 (after.retries - before.retries);
+  Alcotest.(check int) "one message per retry" 2 !passed;
   Alcotest.(check (list int)) "dirty set drained" [] (R.dirty_set owner o);
   Alcotest.(check int) "surrogates gone" 0 (R.surrogate_count client)
 
@@ -225,8 +221,8 @@ let () =
         [
           Alcotest.test_case "reduces messages" `Quick
             test_batching_reduces_messages;
-          Alcotest.test_case "window cancellation" `Quick
-            test_batch_window_cancellation;
+          Alcotest.test_case "scheduled clean withdrawn" `Quick
+            test_scheduled_clean_withdrawn;
           Alcotest.test_case "multi owner" `Quick test_batch_multi_owner;
           Alcotest.test_case "lost batch retried" `Quick
             test_batch_clean_retried;

@@ -449,7 +449,7 @@ let json_roundtrip_prop =
 let traced_run () =
   Obs.enable ~capacity:16384 ();
   let cfg =
-    R.config ~seed:99L ~gc_period:0.5 ~clean_batch:0.05 ~nspaces:3 ()
+    R.config ~seed:99L ~gc_period:0.5 ~nspaces:3 ()
   in
   let rt = R.create cfg in
   let owner = R.space rt 0 in

@@ -45,8 +45,10 @@ let test_envelopes () =
   check_env "dirty_ack" (Proto.Dirty_ack { items = [ (wr, false) ] });
   check_env "dirty_ack batch"
     (Proto.Dirty_ack { items = [ (wr, false); (wr2, true) ] });
-  check_env "clean" (Proto.Clean { wr; seq = 13 });
-  check_env "clean_ack" (Proto.Clean_ack { wr });
+  check_env "clean" (Proto.Clean { items = [ (wr, 13) ] });
+  check_env "clean batch" (Proto.Clean { items = [ (wr, 13); (wr2, 2) ] });
+  check_env "clean_ack" (Proto.Clean_ack { wrs = [ wr ] });
+  check_env "clean_ack batch" (Proto.Clean_ack { wrs = [ wr; wr2 ] });
   check_env "ping" (Proto.Ping { nonce = 5 });
   check_env "ping_ack" (Proto.Ping_ack { nonce = 5 });
   check_env "cancel" (Proto.Cancel { call_id = 7; msg_id = mid })
@@ -98,6 +100,18 @@ let test_unknown_verdict () =
     end
   done
 
+(* Tags 9 and 10 carried a separate clean batch and its ack; both are
+   retired, and an envelope with either tag is a [Wire.Error]. *)
+let test_retired_clean_batch_tags () =
+  List.iter
+    (fun tag ->
+      let b = Bytes.of_string (P.encode Proto.codec (Proto.Clean { items = [] })) in
+      Bytes.set b 0 (Char.chr tag);
+      match P.decode Proto.codec (Bytes.to_string b) with
+      | env -> Alcotest.failf "tag %d decoded as %a" tag Proto.pp env
+      | exception Wire.Error _ -> ())
+    [ 9; 10 ]
+
 let test_kinds_distinct () =
   let envs =
     [
@@ -106,8 +120,8 @@ let test_kinds_distinct () =
       Proto.Copy_ack { msg_id = mid };
       Proto.Dirty { items = [ (wr, 0) ] };
       Proto.Dirty_ack { items = [ (wr, true) ] };
-      Proto.Clean { wr; seq = 0 };
-      Proto.Clean_ack { wr };
+      Proto.Clean { items = [ (wr, 0) ] };
+      Proto.Clean_ack { wrs = [ wr ] };
       Proto.Ping { nonce = 0 };
       Proto.Ping_ack { nonce = 0 };
       Proto.Cancel { call_id = 0; msg_id = mid };
@@ -155,10 +169,6 @@ let env_gen =
                 map (fun s -> Error (Proto.V_raised s)) string_small;
                 map (fun v -> Error v) (oneofl verdicts);
               ]));
-      map
-        (fun items -> Proto.Clean_batch { items })
-        (small_list (tup2 wr_gen nat));
-      map (fun wrs -> Proto.Clean_batch_ack { wrs }) (small_list wr_gen);
       map (fun m -> Proto.Copy_ack { msg_id = m }) mid_gen;
       map
         (fun items -> Proto.Dirty { items })
@@ -166,8 +176,12 @@ let env_gen =
       map
         (fun items -> Proto.Dirty_ack { items })
         (list_size (int_bound 20) (tup2 wr_gen bool));
-      map2 (fun w s -> Proto.Clean { wr = w; seq = s }) wr_gen nat;
-      map (fun w -> Proto.Clean_ack { wr = w }) wr_gen;
+      map
+        (fun items -> Proto.Clean { items })
+        (list_size (int_bound 20) (tup2 wr_gen nat));
+      map
+        (fun wrs -> Proto.Clean_ack { wrs })
+        (list_size (int_bound 20) wr_gen);
       map (fun n -> Proto.Ping { nonce = n }) nat;
       map (fun n -> Proto.Ping_ack { nonce = n }) nat;
       map (fun n -> Proto.Recover { nonce = n }) nat;
@@ -294,6 +308,8 @@ let () =
           Alcotest.test_case "reply ok bytes" `Quick test_reply_ok_bytes;
           Alcotest.test_case "args slice bytes" `Quick test_args_slice_bytes;
           Alcotest.test_case "unknown verdict tag" `Quick test_unknown_verdict;
+          Alcotest.test_case "retired clean batch tags" `Quick
+            test_retired_clean_batch_tags;
           QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_hostile_packets;
         ] );

@@ -9,9 +9,9 @@
      In trace terms: the gc/"dirty" async_end for (client, target) occurs
      before the first rpc/"call" async_begin from that client to that
      target.
-   - Clean batching (TR §2.2): with a batching window configured, the
-     cleans from one GC cycle coalesce into a single clean_batch message
-     per owner; no standalone clean message is ever sent. *)
+   - Clean batching (TR §2.2): the cleans from one GC cycle coalesce
+     into a single clean message per owner, with one gc/"clean" span per
+     surrogate. *)
 
 module Obs = Netobj_obs.Obs
 module Trace = Netobj_obs.Trace
@@ -113,14 +113,11 @@ let test_dirty_precedes_use_random () =
     Obs.disable ()
   done
 
-(* --- clean batching coalesces --------------------------------------------- *)
+(* --- cleans coalesce --------------------------------------------------- *)
 
 let test_clean_batch_coalesces () =
   Obs.enable ~capacity:65536 ();
-  let cfg =
-    R.config ~seed:17L ~clean_batch:0.05 ~nspaces:2 ()
-  in
-  let rt = R.create cfg in
+  let rt = R.create (R.config ~seed:17L ~nspaces:2 ()) in
   let owner = R.space rt 0 and client = R.space rt 1 in
   let objs = List.init 12 (fun i -> (i, Scenario.counter owner)) in
   List.iter (fun (i, o) -> R.publish owner (Printf.sprintf "o%d" i) o) objs;
@@ -138,20 +135,9 @@ let test_clean_batch_coalesces () =
   let events = Trace.events (Obs.trace ()) in
   Alcotest.(check int) "no events dropped" 0 (Trace.dropped (Obs.trace ()));
   let count p = List.length (List.filter p events) in
-  let batch_instants =
-    count (fun e ->
-        e.Trace.cat = "gc" && e.Trace.name = "clean_batch"
-        && e.Trace.phase = Trace.Instant)
-  in
-  let standalone_clean_msgs =
+  let clean_msgs =
     count (fun e ->
         e.Trace.cat = "net" && e.Trace.name = "clean"
-        && e.Trace.phase = Trace.Async_begin)
-  in
-  let batch_msgs =
-    count (fun e ->
-        e.Trace.cat = "net"
-        && e.Trace.name = "clean_batch"
         && e.Trace.phase = Trace.Async_begin)
   in
   let clean_spans =
@@ -159,13 +145,18 @@ let test_clean_batch_coalesces () =
         e.Trace.cat = "gc" && e.Trace.name = "clean"
         && e.Trace.phase = Trace.Async_begin)
   in
+  let clean_ends =
+    count (fun e ->
+        e.Trace.cat = "gc" && e.Trace.name = "clean"
+        && e.Trace.phase = Trace.Async_end)
+  in
   Obs.disable ();
   (* All 13 surrogates (12 counters + the agent) die in one GC cycle and
-     share one owner: exactly one batch, zero standalone cleans. *)
-  Alcotest.(check int) "one clean_batch instant" 1 batch_instants;
-  Alcotest.(check int) "one clean_batch message" 1 batch_msgs;
-  Alcotest.(check int) "no standalone clean messages" 0 standalone_clean_msgs;
-  Alcotest.(check int) "every surrogate got a clean span" 13 clean_spans
+     share one owner: exactly one clean message, with one span per
+     surrogate, each closed by the one ack. *)
+  Alcotest.(check int) "one clean message" 1 clean_msgs;
+  Alcotest.(check int) "every surrogate got a clean span" 13 clean_spans;
+  Alcotest.(check int) "every clean span closed" 13 clean_ends
 
 let () =
   Alcotest.run "trace_protocol"
